@@ -39,6 +39,7 @@ from .efficiency import (
 )
 from .errors import (
     ArcDesignError,
+    ConfigError,
     ConstructionError,
     DisconnectedDesignError,
     InfeasibleParametersError,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcDesignError",
     "AugmentedDesign",
+    "ConfigError",
     "ConstructionError",
     "ContractionDesign",
     "DesignPlan",

@@ -6,8 +6,8 @@ wall-clock time.  Seeds default to 0, never to entropy, so identical
 invocations yield byte-identical design artifacts (the manifest's wall-clock
 field is the one exception).
 
-Exit codes: 0 success, 1 internal error, 2 infeasible parameters or
-validation/parse failure.
+Exit codes: 0 success, 1 internal error, 2 infeasible parameters, an
+out-of-range option, or a validation/parse failure (design or plan file).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .augmentor import augment
 from .designs import ContractionDesign, validate_augmented
 from .efficiency import e_aug_direct, e_aug_formula, full_report
 from .errors import (
+    ConfigError,
     DisconnectedDesignError,
     InfeasibleParametersError,
     InvalidDesignError,
@@ -36,7 +37,8 @@ from .reference import REFERENCE_ROWS
 from .search import SearchConfig, search_contraction
 from .textio import format_design, read_design
 
-_USER_ERRORS = (InfeasibleParametersError, InvalidDesignError, ParseError, DisconnectedDesignError)
+_USER_ERRORS = (ConfigError, InfeasibleParametersError, InvalidDesignError, ParseError,
+                DisconnectedDesignError)
 
 
 def _user_errors_exit_2(fn):
@@ -274,6 +276,17 @@ def cmd_evaluate(design_file, direct, fmt):
 # ---------------------------------------------------------------------------
 
 
+def _read_plan(path: Path) -> tuple[int, int, int]:
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ParseError(f"{path} is not a plan JSON: {exc}") from exc
+    dims = tuple(data.get(key) if isinstance(data, dict) else None for key in "vsk")
+    if not all(type(x) is int for x in dims):
+        raise ParseError(f"{path} needs integer 'v', 's' and 'k' entries")
+    return dims
+
+
 @main.command("generate")
 @click.option("--v", type=int, default=None, help="Rows of the augmented design.")
 @click.option("--s", type=int, default=None, help="Columns.")
@@ -292,8 +305,7 @@ def cmd_generate(v, s, k, plan_file, seed, strategy, restarts, iters, time_budge
     t0 = time.monotonic()
     inputs = {}
     if plan_file is not None:
-        plan_data = json.loads(plan_file.read_text())
-        v, s, k = plan_data["v"], plan_data["s"], plan_data["k"]
+        v, s, k = _read_plan(plan_file)
         inputs[str(plan_file)] = _sha256_bytes(plan_file.read_bytes())
     if v is None or s is None or k is None:
         raise click.UsageError("either --plan or all of --v, --s, --k are required")

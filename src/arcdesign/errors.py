@@ -24,6 +24,10 @@ class InfeasibleParametersError(ArcDesignError):
         self.suggestion = suggestion
 
 
+class ConfigError(ArcDesignError, ValueError):
+    """A search option is out of range."""
+
+
 class DisconnectedDesignError(ArcDesignError):
     """The design is disconnected: some treatment contrasts are not estimable."""
 

@@ -15,6 +15,12 @@ restart i draws from a generator seeded with ``seed ^ i``, and the reduction
 over restarts is by (objective, restart index, lexicographic array), so
 running restarts serially or concurrently gives the same answer.
 
+Hill climbing screens, then confirms.  One numpy pass scores every move of
+the current state by a rank-2 Woodbury update of the information matrix; only
+candidates that could beat the current value are evaluated exactly, and the
+exact value alone decides acceptance.  Trajectories, traces and evaluation
+counts are therefore those of evaluating every candidate in turn.
+
 A direct search over the full augmented array is included as a baseline
 comparator; it moves check plots within columns and scores candidates with
 the O((vs)^3) direct efficiency computation, which is exactly the cost the
@@ -23,6 +29,7 @@ contraction route avoids.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +47,7 @@ from .designs import (
 )
 from .efficiency import e_aug_direct, e_aug_formula
 from .errors import (
+    ConfigError,
     ConstructionError,
     DisconnectedDesignError,
     InfeasibleParametersError,
@@ -51,6 +59,8 @@ _STRATEGIES = ("hillclimb", "anneal", "column-first")
 _OBJECTIVES = ("e_con", "e_aug")
 #: Second-smallest eigenvalue below this means the candidate is disconnected.
 _DISCONNECT_TOL = 1e-8
+#: Smallest eigenvalue of A_s + qq' below which a state's moves are not screened.
+_SCREEN_MIN_EIG = 1e-4
 
 
 class Move(NamedTuple):
@@ -77,21 +87,21 @@ class SearchConfig:
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ConfigError("seed must fit in 64 unsigned bits")
         if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
+            raise ConfigError(f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
         if self.objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
+            raise ConfigError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ConfigError("restarts must be >= 1")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters must be >= 1")
         if not 0 < self.anneal_decay < 1:
-            raise ValueError("anneal_decay must lie in (0, 1)")
+            raise ConfigError("anneal_decay must lie in (0, 1)")
         if self.anneal_initial_temp <= 0:
-            raise ValueError("anneal_initial_temp must be positive")
+            raise ConfigError("anneal_initial_temp must be positive")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -260,74 +270,74 @@ def _match_rows(labels, row_sets, k: int, rng) -> list[int] | None:
 # ---------------------------------------------------------------------------
 # neighbourhood
 
+_CLASSES = ("within_column", "within_row", "transpose")
 
-def neighbor_moves(c: ContractionDesign, classes=("within_column", "within_row", "transpose")):
+
+def neighbor_moves(c: ContractionDesign, classes=_CLASSES):
     """All validity-preserving two-cell swaps of a contraction, in canonical order."""
-    return tuple(_catalogue(c.cells, c.v, classes))
+    return tuple(
+        Move("within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose",
+             (i1, j1), (i2, j2))
+        for i1, j1, i2, j2 in _catalogue(c.cells, c.v, classes).tolist()
+    )
 
 
 def apply_move(c: ContractionDesign, move: Move) -> ContractionDesign:
     """The contraction obtained by performing one move; replications are unchanged."""
-    return ContractionDesign(v=c.v, cells=_apply_cells(c.cells, move), r=c.r)
+    return ContractionDesign(v=c.v, cells=_swap(c.cells, (*move.a, *move.b)), r=c.r)
 
 
-def _apply_cells(cells: np.ndarray, move: Move) -> np.ndarray:
+def _swap(cells: np.ndarray, move) -> np.ndarray:
+    i1, j1, i2, j2 = move
     out = cells.copy()
-    (i1, j1), (i2, j2) = move.a, move.b
     out[i1, j1], out[i2, j2] = out[i2, j2], out[i1, j1]
     return out
 
 
-def _membership(cells: np.ndarray, v: int):
-    k, s = cells.shape
-    row_has = np.zeros((k, v + 1), dtype=bool)
-    col_has = np.zeros((s, v + 1), dtype=bool)
-    for i in range(k):
-        row_has[i, cells[i]] = True
-    for j in range(s):
-        col_has[j, cells[:, j]] = True
-    return row_has, col_has
+@functools.lru_cache(maxsize=64)
+def _swap_index(k: int, s: int, classes: tuple[str, ...]) -> np.ndarray:
+    """Every (i1, j1, i2, j2) cell pair of the given classes, in canonical order.
 
-
-def _catalogue(cells: np.ndarray, v: int, classes) -> list[Move]:
-    k, s = cells.shape
-    row_has, col_has = _membership(cells, v)
-    moves: list[Move] = []
+    Within-column pairs go by column, within-row pairs by row, transposes by
+    row pair, then first and second column.  Built once per shape and shared
+    read-only between threads.
+    """
+    r1, r2 = np.triu_indices(k, 1)
+    c1, c2 = np.triu_indices(s, 1)
+    parts = [np.empty((0, 4), dtype=np.intp)]
     if "within_column" in classes:
-        for j in range(s):
-            for i1 in range(k - 1):
-                for i2 in range(i1 + 1, k):
-                    a, b = cells[i1, j], cells[i2, j]
-                    if a != b and not row_has[i1, b] and not row_has[i2, a]:
-                        moves.append(Move("within_column", (i1, j), (i2, j)))
+        j = np.repeat(np.arange(s), len(r1))
+        parts.append(np.column_stack([np.tile(r1, s), j, np.tile(r2, s), j]))
     if "within_row" in classes:
-        for i in range(k):
-            for j1 in range(s - 1):
-                for j2 in range(j1 + 1, s):
-                    a, b = cells[i, j1], cells[i, j2]
-                    if a != b and not col_has[j1, b] and not col_has[j2, a]:
-                        moves.append(Move("within_row", (i, j1), (i, j2)))
+        i = np.repeat(np.arange(k), len(c1))
+        parts.append(np.column_stack([i, np.tile(c1, k), i, np.tile(c2, k)]))
     if "transpose" in classes:
-        for i1 in range(k - 1):
-            for i2 in range(i1 + 1, k):
-                for j1 in range(s):
-                    for j2 in range(s):
-                        if j1 == j2:
-                            continue
-                        a, b = cells[i1, j1], cells[i2, j2]
-                        if (
-                            a != b
-                            and not row_has[i1, b]
-                            and not row_has[i2, a]
-                            and not col_has[j1, b]
-                            and not col_has[j2, a]
-                        ):
-                            moves.append(Move("transpose", (i1, j1), (i2, j2)))
-    return moves
+        j1, j2 = np.nonzero(~np.eye(s, dtype=bool))
+        parts.append(np.column_stack([np.repeat(r1, len(j1)), np.tile(j1, len(r1)),
+                                      np.repeat(r2, len(j1)), np.tile(j2, len(r1))]))
+    index = np.concatenate(parts)
+    index.flags.writeable = False
+    return index
 
 
-def _sample_move(cells: np.ndarray, v: int, rng) -> Move | None:
-    # Uniform over valid swaps: draw cell pairs, classify, reject invalid.
+def _catalogue(cells: np.ndarray, v: int, classes) -> np.ndarray:
+    """The swaps that keep rows and columns binary, as (i1, j1, i2, j2) rows."""
+    k, s = cells.shape
+    index = _swap_index(k, s, tuple(c for c in _CLASSES if c in classes))
+    i1, j1, i2, j2 = index.T
+    row_has = np.zeros((k, v + 1), dtype=bool)
+    row_has[np.arange(k)[:, None], cells] = True
+    col_has = np.zeros((s, v + 1), dtype=bool)
+    col_has[np.arange(s), cells] = True
+    a, b = cells[i1, j1], cells[i2, j2]
+    ok = a != b
+    ok &= (i1 == i2) | ~(row_has[i1, b] | row_has[i2, a])
+    ok &= (j1 == j2) | ~(col_has[j1, b] | col_has[j2, a])
+    return index[ok]
+
+
+def _sample_move(cells: np.ndarray, v: int, rng) -> tuple[int, int, int, int] | None:
+    # Uniform over valid swaps: draw cell pairs, reject invalid ones.
     k, s = cells.shape
     n = k * s
     for _ in range(256):
@@ -342,13 +352,7 @@ def _sample_move(cells: np.ndarray, v: int, rng) -> Move | None:
             continue
         if j1 != j2 and ((b in cells[:, j1]) or (a in cells[:, j2])):
             continue
-        if i1 == i2:
-            kind = "within_row"
-        elif j1 == j2:
-            kind = "within_column"
-        else:
-            kind = "transpose"
-        return Move(kind, (i1, j1), (i2, j2))
+        return i1, j1, i2, j2
     return None
 
 
@@ -357,11 +361,15 @@ def _sample_move(cells: np.ndarray, v: int, rng) -> Move | None:
 
 
 class _ContractionObjective:
-    """Fast average-efficiency evaluation on raw cell arrays.
+    """Average-efficiency evaluation and move screening on raw cell arrays.
 
-    Incidence and information matrices are rebuilt per call (they are tiny);
-    the column Gram matrix can be pinned when a phase only uses moves that
-    keep columns fixed.
+    ``value`` is exact: it rebuilds the scaled information matrix ``A_s`` and
+    takes its eigenvalues.  ``screen`` scores a whole catalogue from one
+    state: a swap of labels a, b changes ``A_s`` by a rank-2 term, so with
+    ``M = (A_s + qq')^-1`` (``q`` the unit null vector ``r^1/2 / |r^1/2|``)
+    each candidate's ``tr(A_s^+)`` follows from a 2x2 Woodbury capacitance
+    matrix in O(v) work.  The column Gram matrix can be pinned when a phase
+    only uses moves that keep columns fixed.
     """
 
     def __init__(self, v: int, s: int, k: int, r: np.ndarray, objective: str = "e_con"):
@@ -369,8 +377,9 @@ class _ContractionObjective:
         self.r = r.astype(float)
         self.r_diag = np.diag(self.r)
         self.rr_term = np.outer(self.r, self.r) / (k * s)
-        inv_sqrt = 1.0 / np.sqrt(self.r)
+        self.inv_sqrt = inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
+        self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
         self.objective = objective
         self.v_star = (v - k) * s + k
         self.r_bar = k * s / v
@@ -383,26 +392,58 @@ class _ContractionObjective:
     def value(self, cells: np.ndarray, col_gram: np.ndarray | None = None) -> float:
         if self.objective == "e_aug":
             return self._value_e_aug(cells)
-        return self._value_e_con(cells, col_gram)
-
-    def _value_e_con(self, cells: np.ndarray, col_gram: np.ndarray | None) -> float:
-        n_r, n_c = _incidence_arrays(cells, self.v)
-        if col_gram is None:
-            col_gram = (n_c @ n_c.T) / self.k
-        a = self.r_diag - (n_r @ n_r.T) / self.s - col_gram + self.rr_term
-        w = np.linalg.eigvalsh(a * self.scale)
-        if w[1] <= _DISCONNECT_TOL:
-            return 0.0
-        return (self.v - 1) / float(np.sum(1.0 / w[1:]))
+        return self._efficiency(self._scaled_info(cells, col_gram)[0])
 
     def column_value(self, cells: np.ndarray) -> float:
         """Average efficiency factor of the columns-only block design."""
-        _, n_c = _incidence_arrays(cells, self.v)
-        a = self.r_diag - (n_c @ n_c.T) / self.k
-        w = np.linalg.eigvalsh(a * self.scale)
+        return self._efficiency(self._scaled_info(cells, rows=False)[0])
+
+    def _scaled_info(self, cells, col_gram=None, rows=True):
+        n_r, n_c = _incidence_arrays(cells, self.v)
+        if col_gram is None:
+            col_gram = (n_c @ n_c.T) / self.k
+        if rows:
+            a = self.r_diag - (n_r @ n_r.T) / self.s - col_gram + self.rr_term
+        else:
+            a = self.r_diag - col_gram
+        return a * self.scale, n_r, n_c
+
+    def _efficiency(self, a_s: np.ndarray) -> float:
+        w = np.linalg.eigvalsh(a_s)
         if w[1] <= _DISCONNECT_TOL:
             return 0.0
         return (self.v - 1) / float(np.sum(1.0 / w[1:]))
+
+    def screen(self, cells: np.ndarray, moves: np.ndarray, col_gram: np.ndarray | None = None,
+               rows: bool = True) -> np.ndarray:
+        """Every move's ``value`` (``column_value`` if not ``rows``) by rank-2 updates.
+
+        A state that is disconnected or nearly so gets ``+inf`` for every move.
+        """
+        a_s, n_r, n_c = self._scaled_info(cells, col_gram, rows)
+        w, vecs = np.linalg.eigh(a_s + self.null_term)
+        if w[0] < _SCREEN_MIN_EIG:
+            return np.full(len(moves), np.inf)
+        m = (vecs / w) @ vecs.T
+        d = self.inv_sqrt
+        dn_r, dn_c = (n_r * d[:, None]).T, (n_c * d[:, None]).T
+        g_r, g_c = dn_r @ m, dn_c @ m
+        i1, j1, i2, j2 = moves.T
+        la, lb = cells[i1, j1] - 1, cells[i2, j2] - 1
+        alpha = (i1 != i2)[:, None] * (rows / self.s)
+        beta = (j1 != j2)[:, None] * ((col_gram is None) / self.k)
+        # Rows are the moves: D z, M D z and M D u with u = e_b - e_a.
+        dz = alpha * (dn_r[i1] - dn_r[i2]) + beta * (dn_c[j1] - dn_c[j2])
+        mz = alpha * (g_r[i1] - g_r[i2]) + beta * (g_c[j1] - g_c[j2])
+        mu = m[lb] * d[lb, None] - m[la] * d[la, None]
+        n = np.arange(len(moves))
+        s11 = d[lb] * mu[n, lb] - d[la] * mu[n, la]
+        s12 = d[lb] * mz[n, lb] - d[la] * mz[n, la] - 1.0
+        s22 = np.einsum("ij,ij->i", dz, mz) + 2.0 * (alpha + beta)[:, 0]
+        t11, t12, t22 = (np.einsum("ij,ij->i", x, y) for x, y in ((mu, mu), (mu, mz), (mz, mz)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = (s22 * t11 - 2.0 * s12 * t12 + s11 * t22) / (s11 * s22 - s12 * s12)
+            return (self.v - 1) / (np.trace(m) - 1.0 - drop)
 
     def _value_e_aug(self, cells: np.ndarray) -> float:
         # Closed-form augmented efficiency; costs one extra s x s reduction.
@@ -431,8 +472,20 @@ class _ContractionObjective:
 # generic local-search drivers
 
 
-def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline):
-    """First-improvement hill climbing; stops at a local optimum or budget."""
+def _confirm_all(state, moves) -> np.ndarray:
+    """A screen that rules nothing out: every candidate is evaluated exactly."""
+    return np.full(len(moves), np.inf)
+
+
+def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
+               screen=_confirm_all):
+    """First-improvement hill climbing; stops at a local optimum or budget.
+
+    Candidates are tried in random order.  One whose ``screen`` score lies
+    below the current value by more than a rounding margin is passed over but
+    counted as evaluated; ``obj_fn`` confirms every other one, so trajectory,
+    trace and evaluation count match evaluating every candidate exactly.
+    """
     cur_val = obj_fn(state)
     trace = [(0, cur_val)]
     evals = 0
@@ -442,20 +495,21 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline):
             timed_out = True
             break
         moves = catalogue_fn(state)
-        if not moves:
+        if len(moves) == 0:
             break
+        order = rng.permutation(len(moves))[: max_iters - evals]
+        floor = cur_val - 1e-9 * max(1.0, abs(cur_val))
+        start, evals = evals, evals + len(order)
         improved = False
-        for mi in rng.permutation(len(moves)):
-            if evals >= max_iters:
-                break
+        for pos in np.flatnonzero(~(screen(state, moves)[order] <= floor)).tolist():
             if deadline is not None and time.monotonic() > deadline:
                 timed_out = True
+                evals = start + pos
                 break
-            cand = apply_fn(state, moves[mi])
-            evals += 1
+            cand = apply_fn(state, moves[order[pos]])
             val = obj_fn(cand)
             if val > cur_val:
-                state, cur_val = cand, val
+                state, cur_val, evals = cand, val, start + pos + 1
                 trace.append((evals, val))
                 improved = True
                 break
@@ -470,6 +524,7 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, t0, decay, deadl
     best_state, best_val = state, cur_val
     trace = [(0, cur_val)]
     temp = t0
+    evals = 0
     timed_out = False
     for it in range(1, max_iters + 1):
         if deadline is not None and it % 64 == 0 and time.monotonic() > deadline:
@@ -480,6 +535,7 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, t0, decay, deadl
             break
         cand = apply_fn(state, move)
         val = obj_fn(cand)
+        evals = it
         delta = val - cur_val
         if delta > 0 or rng.random() < np.exp(delta / temp):
             state, cur_val = cand, val
@@ -487,7 +543,7 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, t0, decay, deadl
             best_state, best_val = state, cur_val
             trace.append((it, best_val))
         temp *= decay
-    return best_state, best_val, trace, max_iters, timed_out
+    return best_state, best_val, trace, evals, timed_out
 
 
 # ---------------------------------------------------------------------------
@@ -505,26 +561,16 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
         raise ConstructionError(f"restart {restart}: could not build a starting contraction")
 
     obj = _ContractionObjective(v, s, k, r, cfg.objective)
-    all_classes = ("within_column", "within_row", "transpose")
-
-    def catalogue_all(state):
-        return _catalogue(state, v, all_classes)
-
     if cfg.strategy == "hillclimb":
+        screen = _confirm_all if cfg.objective == "e_aug" else obj.screen
         state, val, trace, _, timed = _hillclimb(
-            cells, obj.value, catalogue_all, _apply_cells, rng, cfg.max_iters, deadline
+            cells, obj.value, lambda st: _catalogue(st, v, _CLASSES), _swap, rng,
+            cfg.max_iters, deadline, screen,
         )
     elif cfg.strategy == "anneal":
         state, val, trace, _, timed = _anneal(
-            cells,
-            obj.value,
-            lambda st, g: _sample_move(st, v, g),
-            _apply_cells,
-            rng,
-            cfg.max_iters,
-            cfg.anneal_initial_temp,
-            cfg.anneal_decay,
-            deadline,
+            cells, obj.value, lambda st, g: _sample_move(st, v, g), _swap, rng,
+            cfg.max_iters, cfg.anneal_initial_temp, cfg.anneal_decay, deadline,
         )
     else:  # column-first
         state, val, trace, timed = _column_first(cells, obj, v, rng, cfg, deadline)
@@ -538,26 +584,17 @@ def _column_first(cells, obj, v, rng, cfg: SearchConfig, deadline):
     budget1 = cfg.max_iters // 2
     budget2 = cfg.max_iters - budget1
 
-    col_classes = ("within_row", "transpose")
     state1, _, _, evals1, timed1 = _hillclimb(
-        cells,
-        obj.column_value,
-        lambda st: _catalogue(st, v, col_classes),
-        _apply_cells,
-        rng,
-        budget1,
-        deadline,
+        cells, obj.column_value, lambda st: _catalogue(st, v, ("within_row", "transpose")),
+        _swap, rng, budget1, deadline, lambda st, moves: obj.screen(st, moves, rows=False),
     )
 
     col_gram = obj.column_gram(state1)
+    screen2 = _confirm_all if obj.objective == "e_aug" else (
+        lambda st, moves: obj.screen(st, moves, col_gram))
     state2, val2, trace2, _, timed2 = _hillclimb(
-        state1,
-        lambda st: obj.value(st, col_gram),
-        lambda st: _catalogue(st, v, ("within_column",)),
-        _apply_cells,
-        rng,
-        budget2,
-        deadline,
+        state1, lambda st: obj.value(st, col_gram),
+        lambda st: _catalogue(st, v, ("within_column",)), _swap, rng, budget2, deadline, screen2,
     )
 
     timed = timed1 or timed2
@@ -580,36 +617,39 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
     r = balanced_replication(v, k, s)
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
+    (restart, cells, val, trace, _), timed = _run_restarts(
+        lambda i: _contraction_restart(v, s, k, r, cfg, i, deadline), cfg, deadline
+    )
+    return SearchResult(
+        best=ContractionDesign(v=v, cells=cells, r=r),
+        objective=val,
+        trace=trace,
+        elapsed=time.monotonic() - start,
+        restart_of_best=restart,
+        timed_out=timed,
+    )
 
+
+def _run_restarts(restart_fn, cfg: SearchConfig, deadline):
+    """The best restart outcome, and whether any restart ran out of time.
+
+    Restarts run serially or on ``cfg.workers`` threads and are reduced by
+    (objective, restart index, lexicographic array), so both agree.
+    """
     indices = list(range(cfg.restarts))
     skipped = False
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(
-                pool.map(lambda i: _contraction_restart(v, s, k, r, cfg, i, deadline), indices)
-            )
+            outcomes = list(pool.map(restart_fn, indices))
     else:
         outcomes = []
         for i in indices:
             if deadline is not None and time.monotonic() > deadline and outcomes:
                 skipped = True
                 break
-            outcomes.append(_contraction_restart(v, s, k, r, cfg, i, deadline))
-
-    best = min(
-        outcomes,
-        key=lambda o: (-o[2], o[0], tuple(o[1].ravel())),
-    )
-    restart, cells, val, trace, timed = best
-    elapsed = time.monotonic() - start
-    return SearchResult(
-        best=ContractionDesign(v=v, cells=cells, r=r),
-        objective=val,
-        trace=trace,
-        elapsed=elapsed,
-        restart_of_best=restart,
-        timed_out=timed or skipped or any(o[4] for o in outcomes),
-    )
+            outcomes.append(restart_fn(i))
+    best = min(outcomes, key=lambda o: (-o[2], o[0], tuple(o[1].ravel())))
+    return best, skipped or any(o[4] for o in outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -740,24 +780,9 @@ def search_augmented_direct(v: int, s: int, k: int, cfg: SearchConfig | None = N
         )
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-
-    indices = list(range(cfg.restarts))
-    skipped = False
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(
-                pool.map(lambda i: _direct_restart(v, s, k, cfg, i, deadline), indices)
-            )
-    else:
-        outcomes = []
-        for i in indices:
-            if deadline is not None and time.monotonic() > deadline and outcomes:
-                skipped = True
-                break
-            outcomes.append(_direct_restart(v, s, k, cfg, i, deadline))
-
-    best = min(outcomes, key=lambda o: (-o[2], o[0], tuple(o[1].ravel())))
-    restart, check_rows, val, trace, timed = best
+    (restart, check_rows, val, trace, _), timed = _run_restarts(
+        lambda i: _direct_restart(v, s, k, cfg, i, deadline), cfg, deadline
+    )
     design = AugmentedDesign(k=k, cells=_direct_cells(check_rows, v, s, k))
     row_counts = tuple(int(x) for x in (design.cells > design.n_test_lines).sum(axis=1))
     return DirectSearchResult(
@@ -767,5 +792,5 @@ def search_augmented_direct(v: int, s: int, k: int, cfg: SearchConfig | None = N
         elapsed=time.monotonic() - start,
         restart_of_best=restart,
         row_check_counts=row_counts,
-        timed_out=timed or skipped or any(o[4] for o in outcomes),
+        timed_out=timed,
     )

@@ -4,7 +4,7 @@ Each function here deliberately takes a different computational route from
 the code under test: pairwise variances go through the Moore-Penrose inverse
 (SVD) instead of an eigendecomposition, concurrences are counted by explicit
 enumeration instead of a matrix product, and small search spaces are
-enumerated outright.
+enumerated outright, and the move catalogue is walked with plain loops.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import numpy as np
 
 from arcdesign import ContractionDesign, e_con, validate_contraction
 from arcdesign.errors import DisconnectedDesignError
+from arcdesign.search import Move
 
 
 def pairwise_variance_efficiency(info_matrix, u) -> float:
@@ -107,3 +108,52 @@ def exhaustive_best_e_con(v: int, s: int):
             val = 0.0
         best = max(best, val)
     return best, count
+
+
+def catalogue_by_loops(cells, v: int, classes=("within_column", "within_row", "transpose")):
+    """Every validity-preserving two-cell swap, found by looping over cell pairs.
+
+    Membership tables are filled label by label and each class is walked in
+    the canonical order (within-column by column, within-row by row,
+    transposes by row pair, then first and second column).
+    """
+    cells = np.asarray(cells)
+    k, s = cells.shape
+    row_has = np.zeros((k, v + 1), dtype=bool)
+    col_has = np.zeros((s, v + 1), dtype=bool)
+    for i in range(k):
+        for j in range(s):
+            row_has[i, cells[i, j]] = True
+            col_has[j, cells[i, j]] = True
+    moves = []
+    if "within_column" in classes:
+        for j in range(s):
+            for i1 in range(k - 1):
+                for i2 in range(i1 + 1, k):
+                    a, b = cells[i1, j], cells[i2, j]
+                    if a != b and not row_has[i1, b] and not row_has[i2, a]:
+                        moves.append(Move("within_column", (i1, j), (i2, j)))
+    if "within_row" in classes:
+        for i in range(k):
+            for j1 in range(s - 1):
+                for j2 in range(j1 + 1, s):
+                    a, b = cells[i, j1], cells[i, j2]
+                    if a != b and not col_has[j1, b] and not col_has[j2, a]:
+                        moves.append(Move("within_row", (i, j1), (i, j2)))
+    if "transpose" in classes:
+        for i1 in range(k - 1):
+            for i2 in range(i1 + 1, k):
+                for j1 in range(s):
+                    for j2 in range(s):
+                        if j1 == j2:
+                            continue
+                        a, b = cells[i1, j1], cells[i2, j2]
+                        if (
+                            a != b
+                            and not row_has[i1, b]
+                            and not row_has[i2, a]
+                            and not col_has[j1, b]
+                            and not col_has[j2, a]
+                        ):
+                            moves.append(Move("transpose", (i1, j1), (i2, j2)))
+    return moves

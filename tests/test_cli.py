@@ -166,6 +166,37 @@ class TestGenerateCommand:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--restarts", "0", "restarts must be >= 1"),
+        ("--iters", "0", "max_iters must be >= 1"),
+        ("--seed", "-1", "seed must fit in 64 unsigned bits"),
+        ("--workers", "0", "workers must be >= 1"),
+    ])
+    def test_out_of_range_search_option_exits_2(self, runner, tmp_path, option, value, message):
+        result = runner.invoke(main, ["generate", "--v", "12", "--s", "8", "--k", "3",
+                                      option, value, "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_plan_missing_key_exits_2(self, runner, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"v": 12, "s": 8}))
+        result = runner.invoke(main, ["generate", "--plan", str(plan_path),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert "'k'" in result.output
+
+    def test_plan_invalid_json_exits_2(self, runner, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text("{v: 12")
+        result = runner.invoke(main, ["generate", "--plan", str(plan_path),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert "not a plan JSON" in result.output
+
 
 class TestSearchAndAugmentCommands:
     def test_search_writes_artifacts(self, runner, tmp_path):

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcdesign import (
     SearchConfig,
@@ -14,9 +18,22 @@ from arcdesign import (
     validate_contraction,
 )
 from arcdesign.errors import InfeasibleParametersError
-from arcdesign.search import Move
+from arcdesign.search import (
+    _CLASSES,
+    Move,
+    _anneal,
+    _catalogue,
+    _ContractionObjective,
+    _hillclimb,
+    _sample_move,
+    _swap,
+)
 
-from oracles import exhaustive_best_e_con
+from oracles import catalogue_by_loops, exhaustive_best_e_con
+
+#: Feasible sizes; (7,5,3), (10,6,3) and (24,16,5) carry unequal replication.
+_SIZES = [(4, 4, 2), (6, 4, 3), (7, 5, 3), (10, 6, 3), (12, 8, 3), (9, 9, 3), (24, 16, 5)]
+_CLASS_SETS = [_CLASSES, ("within_row", "transpose"), ("within_column",), ("transpose",)]
 
 
 class TestRandomContraction:
@@ -88,6 +105,168 @@ class TestNeighborMoves:
     def test_latin_square_has_no_legal_moves(self, latin3):
         # every label already sits in every row and column
         assert neighbor_moves(latin3) == ()
+
+
+class TestCatalogueOracle:
+    @given(size=st.sampled_from(_SIZES), classes=st.sampled_from(_CLASS_SETS),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle_move_for_move(self, size, classes, seed):
+        c = random_contraction(*size, seed=seed)
+        assert neighbor_moves(c, classes) == tuple(catalogue_by_loops(c.cells, c.v, classes))
+
+    def test_unequal_replication_matches_oracle(self):
+        c = random_contraction(24, 16, 5, seed=3)
+        assert len(set(c.r.tolist())) == 2
+        assert neighbor_moves(c) == tuple(catalogue_by_loops(c.cells, c.v))
+
+    def test_latin_square_matches_oracle(self, latin3):
+        assert catalogue_by_loops(latin3.cells, latin3.v) == []
+        assert len(_catalogue(latin3.cells, latin3.v, _CLASSES)) == 0
+
+
+def _screen_modes(obj, cells):
+    """(catalogue, exact objective, screen) for each objective hill climbing screens."""
+    v = obj.v
+    col_gram = obj.column_gram(cells)
+    full = _catalogue(cells, v, _CLASSES)
+    columns = _catalogue(cells, v, ("within_row", "transpose"))
+    pinned = _catalogue(cells, v, ("within_column",))
+    return [
+        (full, obj.value, obj.screen(cells, full)),
+        (columns, obj.column_value, obj.screen(cells, columns, rows=False)),
+        (pinned, lambda x: obj.value(x, col_gram), obj.screen(cells, pinned, col_gram)),
+    ]
+
+
+class TestScreen:
+    @given(size=st.sampled_from(_SIZES[:6]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_screen_matches_exact_along_accepted_walks(self, size, seed):
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        rng = np.random.default_rng(seed)
+        cells = c.cells
+        for _ in range(4):
+            for moves, exact_fn, screened in _screen_modes(obj, cells):
+                if len(moves) == 0:
+                    continue
+                cur = exact_fn(cells)
+                exact = np.array([exact_fn(_swap(cells, m)) for m in moves])
+                floor = cur - 1e-9 * max(1.0, abs(cur))
+                # sound: nothing the exact objective would accept is ruled out
+                assert not np.any((exact > cur) & (screened <= floor))
+                if cur > 0.0 and np.isfinite(screened).all():
+                    connected = exact > 0.0
+                    np.testing.assert_allclose(screened[connected], exact[connected],
+                                               rtol=0, atol=1e-10)
+            moves = _catalogue(cells, c.v, _CLASSES)
+            if len(moves) == 0:
+                break
+            cur = obj.value(cells)
+            better = [m for m in moves if obj.value(_swap(cells, m)) > cur]
+            pool = better or list(moves)
+            cells = _swap(cells, pool[rng.integers(len(pool))])
+
+    def test_disconnected_state_confirms_every_candidate(self):
+        for seed in range(200):
+            c = random_contraction(12, 8, 3, seed=seed)
+            obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+            if obj.value(c.cells) == 0.0:
+                break
+        else:
+            pytest.fail("no disconnected start found")
+        moves = _catalogue(c.cells, c.v, _CLASSES)
+        exact = np.array([obj.value(_swap(c.cells, m)) for m in moves])
+        assert np.any(exact > 0.0)
+        assert np.all(obj.screen(c.cells, moves) == np.inf)
+
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           max_iters=st.sampled_from([1, 37, 500, 20000]))
+    @settings(max_examples=20, deadline=None)
+    def test_screened_hillclimb_equals_exhaustive(self, size, seed, max_iters):
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        runs = [
+            _hillclimb(c.cells, obj.value, lambda x: _catalogue(x, c.v, _CLASSES), _swap,
+                       np.random.default_rng(seed), max_iters, None, *screen)
+            for screen in ((), (obj.screen,))
+        ]
+        (state_a, *rest_a), (state_b, *rest_b) = runs
+        assert np.array_equal(state_a, state_b)
+        assert rest_a == rest_b
+
+
+class TestAnneal:
+    def _run(self, max_iters, sample_fn, deadline=None):
+        c = random_contraction(12, 8, 3, seed=0)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        calls = []
+
+        def counted(cells):
+            calls.append(1)
+            return obj.value(cells)
+
+        out = _anneal(c.cells, counted, sample_fn, _swap, np.random.default_rng(0), max_iters,
+                      0.05, 0.999, deadline)
+        return out[3], len(calls) - 1  # the starting state is not a move evaluation
+
+    def test_full_budget_counts_every_evaluation(self):
+        assert self._run(50, lambda x, g: _sample_move(x, 12, g)) == (50, 50)
+
+    def test_exhausted_sampler_stops_the_count(self):
+        budget = iter(range(7))
+
+        def sampler(x, g):
+            return _sample_move(x, 12, g) if next(budget, None) is not None else None
+
+        assert self._run(50, sampler) == (7, 7)
+
+    def test_deadline_stops_the_count(self):
+        # the deadline is polled every 64 iterations
+        evals, made = self._run(1000, lambda x, g: _sample_move(x, 12, g), deadline=0.0)
+        assert evals == made == 63
+
+
+#: (design sha256, repr(objective), sha256 of repr(trace), restart of best),
+#: recorded from the exhaustive hill climb before screening existed; any
+#: change of trajectory changes one of them.
+_GOLDEN = {
+    "hillclimb-12x8": ((12, 8, 3), dict(seed=7, restarts=3), (
+        "6a558ef4b564be00591fd284e7167ddc35c315be254c7a038cbde875cba120e9", "0.5630003552573969",
+        "8bdd68eec57b6a0e9e9be63bee857d75235453a4baa8d39ee0c452248fdf237a", 2)),
+    "anneal-12x8": ((12, 8, 3), dict(seed=7, strategy="anneal", restarts=3, max_iters=2000), (
+        "4552916ff76a53b8c91d05db632a9692996ec8d6eac6f3d37085be7836ab95eb", "0.5739130434782609",
+        "b70c56e29ed6a7da3c0f5ae0296078817b6bd23576eeb9606afd6415731221a8", 0)),
+    "column-first-12x8": ((12, 8, 3), dict(seed=7, strategy="column-first", restarts=3), (
+        "fa0c850d18072159bd5a1ee2af5038f11b1bb6a06ec46f0a413efa1648c1eab5", "0.5630003552573966",
+        "92244b57f1247801086eb55f90985f9e6c743e9bc3a2d95930f552e9ff324f3a", 0)),
+    "hillclimb-24x16": ((24, 16, 5), dict(seed=3, restarts=2), (
+        "4401fe24c955d921fca6f1b34ba0538b20fa91174d64186ee34ee7d17ce6007e", "0.7876033464134794",
+        "a568b023a75d64850394fd635514b03dc70416673a5f0cd78e4fb9cc2a3a5ecd", 1)),
+    "column-first-24x16": ((24, 16, 5), dict(seed=3, strategy="column-first", restarts=2), (
+        "5551554ca7d7e00313c990e6dfc2e1be480678828a7f0e4643c304c917457706", "0.7886713594856065",
+        "2edfc4d5ac4bb4b684d067ee42d2b6896e7dcd43bbff7efea78ae75b461a0f92", 0)),
+    # a disconnected start and an iteration cap that cuts a catalogue scan
+    "capped-12x8": ((12, 8, 3), dict(seed=1, restarts=2, max_iters=40), (
+        "ffe83e99c977ded3b4f366724940cb6b936026489461a2bf404f165e49a406ed", "0.535696027407117",
+        "6ab0c627eac12ade4403554b6e90da6b43a4df2e4de20393d2a61ff07d3f27a2", 1)),
+    "e_aug-12x8": ((12, 8, 3), dict(seed=0, restarts=2, objective="e_aug"), (
+        "e90ce5b03915dc12a9222eb6e440e9cc2ff43b842265b40dfb0296f30a24f5ff", "0.3782862706913341",
+        "45f1baa4c79c2c23cd6578a821b567ff674bb87b1021175440061835962946f2", 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_trajectories(name):
+    dims, options, expected = _GOLDEN[name]
+    result = search_contraction(*dims, SearchConfig(**options))
+    assert (
+        hashlib.sha256(result.best.cells.tobytes()).hexdigest(),
+        repr(result.objective),
+        hashlib.sha256(repr(result.trace).encode()).hexdigest(),
+        result.restart_of_best,
+    ) == expected
 
 
 class TestSearchContraction:
