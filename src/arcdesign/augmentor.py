@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .designs import AugmentedDesign, ContractionDesign, validate_contraction
+from .designs import AugmentedDesign, ContractionDesign, _require_valid
 from .errors import InvalidDesignError
 
 
 def augment(c: ContractionDesign) -> AugmentedDesign:
     """Expand a valid contraction into its v x s augmented design."""
-    validate_contraction(c).raise_if_invalid("contraction")
+    _require_valid(c)
     v, s, k = c.v, c.s, c.k
     n_test = (v - k) * s
     cells = np.zeros((v, s), dtype=np.int64)

@@ -133,15 +133,20 @@ def _search_options(fn):
 
 
 def _make_config(seed, strategy, restarts, iters, time_budget, workers, objective) -> SearchConfig:
-    return SearchConfig(
-        seed=seed,
-        strategy=strategy,
-        restarts=restarts,
-        max_iters=iters,
-        time_budget=time_budget,
-        workers=workers,
-        objective=objective,
-    )
+    try:
+        return SearchConfig(
+            seed=seed,
+            strategy=strategy,
+            restarts=restarts,
+            max_iters=iters,
+            time_budget=time_budget,
+            workers=workers,
+            objective=objective,
+        )
+    except ConfigError as exc:
+        field, _, problem = str(exc).partition(" ")
+        flag = "--iters" if field == "max_iters" else "--" + field
+        raise ConfigError(f"{flag} {problem}") from exc
 
 
 @click.group()
@@ -366,7 +371,8 @@ def cmd_reproduce_table1(formula_only, seed, restarts, iters, fmt):
             "formulaCheck": "pass" if ok else "FAIL",
         }
         if not formula_only:
-            cfg = SearchConfig(seed=seed, restarts=restarts, max_iters=iters)
+            cfg = _make_config(seed=seed, strategy="hillclimb", restarts=restarts, iters=iters,
+                               time_budget=None, workers=1, objective="e_con")
             found = search_contraction(ref.v, ref.s, ref.k, cfg)
             best = found.best
             row.update({

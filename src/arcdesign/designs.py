@@ -285,13 +285,24 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _require_valid(c: ContractionDesign) -> None:
+    """Raise ``InvalidDesignError`` unless ``c`` is valid; validates each design once.
+
+    A design's arrays are read-only, so one successful validation holds for
+    its lifetime and later checks of the same object are free.
+    """
+    if not c.__dict__.get("_valid"):
+        validate_contraction(c).raise_if_invalid("contraction")
+        object.__setattr__(c, "_valid", True)
+
+
 def incidence(c: ContractionDesign) -> IncidenceSet:
     """Incidence and concurrence matrices of a valid contraction.
 
     Rejects invalid input: incidence matrices of a non-binary array would not
     be 0/1 and every downstream formula assumes binarity.
     """
-    validate_contraction(c).raise_if_invalid("contraction")
+    _require_valid(c)
     n_r, n_c = _incidence_arrays(c.cells, c.v)
     return IncidenceSet(n_r=n_r, n_c=n_c, w=n_r @ n_r.T)
 

@@ -26,9 +26,9 @@ import numpy as np
 from .designs import (
     AugmentedDesign,
     ContractionDesign,
+    _require_valid,
     incidence,
     validate_augmented,
-    validate_contraction,
 )
 from .errors import DisconnectedDesignError
 from .spectra import (
@@ -286,8 +286,9 @@ def full_report(c: ContractionDesign, include_direct: bool = False) -> Efficienc
 
     The direct route materializes the augmented design and solves the full
     v* x v* eigenproblem, which is O((vs)^3); it is optional for that reason.
+    The contraction is validated once, here; the quantities below reuse that.
     """
-    validate_contraction(c).raise_if_invalid("contraction")
+    _require_valid(c)
     cbv = c_bar_v(c)
     cbs = c_bar_s(c)
     v_star = (c.v - c.k) * c.s + c.k

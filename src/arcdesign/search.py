@@ -15,11 +15,11 @@ restart i draws from a generator seeded with ``seed ^ i``, and the reduction
 over restarts is by (objective, restart index, lexicographic array), so
 running restarts serially or concurrently gives the same answer.
 
-Hill climbing screens, then confirms.  One numpy pass scores every move of
-the current state by a rank-2 Woodbury update of the information matrix; only
-candidates that could beat the current value are evaluated exactly, and the
-exact value alone decides acceptance.  Trajectories, traces and evaluation
-counts are therefore those of evaluating every candidate in turn.
+Hill climbing screens, then confirms.  A rank-2 Woodbury update of the
+information matrix scores candidates in chunks of their random order that
+grow geometrically; only candidates that could beat the current value are
+evaluated exactly, and the exact value alone decides acceptance.  Trajectories,
+traces and evaluation counts are those of evaluating every candidate in turn.
 
 A direct search over the full augmented array is included as a baseline
 comparator; it moves check plots within columns and scores candidates with
@@ -61,6 +61,8 @@ _OBJECTIVES = ("e_con", "e_aug")
 _DISCONNECT_TOL = 1e-8
 #: Smallest eigenvalue of A_s + qq' below which a state's moves are not screened.
 _SCREEN_MIN_EIG = 1e-4
+#: Size of a hill-climb screen's first chunk; each later chunk ends at twice the last end.
+_FIRST_CHUNK = 16
 
 
 class Move(NamedTuple):
@@ -364,8 +366,8 @@ class _ContractionObjective:
     """Average-efficiency evaluation and move screening on raw cell arrays.
 
     ``value`` is exact: it rebuilds the scaled information matrix ``A_s`` and
-    takes its eigenvalues.  ``screen`` scores a whole catalogue from one
-    state: a swap of labels a, b changes ``A_s`` by a rank-2 term, so with
+    takes its eigenvalues.  ``screen`` scores a catalogue from one state: a
+    swap of labels a, b changes ``A_s`` by a rank-2 term, so with
     ``M = (A_s + qq')^-1`` (``q`` the unit null vector ``r^1/2 / |r^1/2|``)
     each candidate's ``tr(A_s^+)`` follows from a 2x2 Woodbury capacitance
     matrix in O(v) work.  The column Gram matrix can be pinned when a phase
@@ -384,6 +386,7 @@ class _ContractionObjective:
         self.v_star = (v - k) * s + k
         self.r_bar = k * s / v
         self._helmert_s = helmert_basis(s) if objective == "e_aug" else None
+        self._last = (None, None, None), None
 
     def column_gram(self, cells: np.ndarray) -> np.ndarray:
         _, n_c = _incidence_arrays(cells, self.v)
@@ -399,6 +402,10 @@ class _ContractionObjective:
         return self._efficiency(self._scaled_info(cells, rows=False)[0])
 
     def _scaled_info(self, cells, col_gram=None, rows=True):
+        # The last result is kept for the screen of a just-accepted state.
+        key = (cells, col_gram, rows)
+        if all(a is b for a, b in zip(key, self._last[0])):
+            return self._last[1]
         n_r, n_c = _incidence_arrays(cells, self.v)
         if col_gram is None:
             col_gram = (n_c @ n_c.T) / self.k
@@ -406,7 +413,8 @@ class _ContractionObjective:
             a = self.r_diag - (n_r @ n_r.T) / self.s - col_gram + self.rr_term
         else:
             a = self.r_diag - col_gram
-        return a * self.scale, n_r, n_c
+        self._last = key, (a * self.scale, n_r, n_c)
+        return self._last[1]
 
     def _efficiency(self, a_s: np.ndarray) -> float:
         w = np.linalg.eigvalsh(a_s)
@@ -415,35 +423,41 @@ class _ContractionObjective:
         return (self.v - 1) / float(np.sum(1.0 / w[1:]))
 
     def screen(self, cells: np.ndarray, moves: np.ndarray, col_gram: np.ndarray | None = None,
-               rows: bool = True) -> np.ndarray:
-        """Every move's ``value`` (``column_value`` if not ``rows``) by rank-2 updates.
+               rows: bool = True):
+        """``score(idx)``, the ``value`` of each of ``moves[idx]`` by rank-2 updates.
 
-        A state that is disconnected or nearly so gets ``+inf`` for every move.
+        (``column_value`` if not ``rows``.)  The eigensolve and the other
+        per-state work run here, once, however many chunks are scored.  A
+        state that is disconnected or nearly so scores ``+inf`` for every move.
         """
         a_s, n_r, n_c = self._scaled_info(cells, col_gram, rows)
         w, vecs = np.linalg.eigh(a_s + self.null_term)
         if w[0] < _SCREEN_MIN_EIG:
-            return np.full(len(moves), np.inf)
+            return _confirm_all(cells, moves)
         m = (vecs / w) @ vecs.T
         d = self.inv_sqrt
         dn_r, dn_c = (n_r * d[:, None]).T, (n_c * d[:, None]).T
         g_r, g_c = dn_r @ m, dn_c @ m
-        i1, j1, i2, j2 = moves.T
-        la, lb = cells[i1, j1] - 1, cells[i2, j2] - 1
-        alpha = (i1 != i2)[:, None] * (rows / self.s)
-        beta = (j1 != j2)[:, None] * ((col_gram is None) / self.k)
-        # Rows are the moves: D z, M D z and M D u with u = e_b - e_a.
-        dz = alpha * (dn_r[i1] - dn_r[i2]) + beta * (dn_c[j1] - dn_c[j2])
-        mz = alpha * (g_r[i1] - g_r[i2]) + beta * (g_c[j1] - g_c[j2])
-        mu = m[lb] * d[lb, None] - m[la] * d[la, None]
-        n = np.arange(len(moves))
-        s11 = d[lb] * mu[n, lb] - d[la] * mu[n, la]
-        s12 = d[lb] * mz[n, lb] - d[la] * mz[n, la] - 1.0
-        s22 = np.einsum("ij,ij->i", dz, mz) + 2.0 * (alpha + beta)[:, 0]
-        t11, t12, t22 = (np.einsum("ij,ij->i", x, y) for x, y in ((mu, mu), (mu, mz), (mz, mz)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drop = (s22 * t11 - 2.0 * s12 * t12 + s11 * t22) / (s11 * s22 - s12 * s12)
-            return (self.v - 1) / (np.trace(m) - 1.0 - drop)
+
+        def score(idx: np.ndarray) -> np.ndarray:
+            i1, j1, i2, j2 = moves[idx].T
+            la, lb = cells[i1, j1] - 1, cells[i2, j2] - 1
+            alpha = (i1 != i2)[:, None] * (rows / self.s)
+            beta = (j1 != j2)[:, None] * ((col_gram is None) / self.k)
+            # Rows are the moves: D z, M D z and M D u with u = e_b - e_a.
+            dz = alpha * (dn_r[i1] - dn_r[i2]) + beta * (dn_c[j1] - dn_c[j2])
+            mz = alpha * (g_r[i1] - g_r[i2]) + beta * (g_c[j1] - g_c[j2])
+            mu = m[lb] * d[lb, None] - m[la] * d[la, None]
+            n = np.arange(len(idx))
+            s11 = d[lb] * mu[n, lb] - d[la] * mu[n, la]
+            s12 = d[lb] * mz[n, lb] - d[la] * mz[n, la] - 1.0
+            s22 = np.einsum("ij,ij->i", dz, mz) + 2.0 * (alpha + beta)[:, 0]
+            t11, t12, t22 = (np.einsum("ij,ij->i", x, y) for x, y in ((mu, mu), (mu, mz), (mz, mz)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drop = (s22 * t11 - 2.0 * s12 * t12 + s11 * t22) / (s11 * s22 - s12 * s12)
+                return (self.v - 1) / (np.trace(m) - 1.0 - drop)
+
+        return score
 
     def _value_e_aug(self, cells: np.ndarray) -> float:
         # Closed-form augmented efficiency; costs one extra s x s reduction.
@@ -472,17 +486,18 @@ class _ContractionObjective:
 # generic local-search drivers
 
 
-def _confirm_all(state, moves) -> np.ndarray:
+def _confirm_all(state, moves):
     """A screen that rules nothing out: every candidate is evaluated exactly."""
-    return np.full(len(moves), np.inf)
+    return lambda idx: np.full(len(idx), np.inf)
 
 
 def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
                screen=_confirm_all):
     """First-improvement hill climbing; stops at a local optimum or budget.
 
-    Candidates are tried in random order.  One whose ``screen`` score lies
-    below the current value by more than a rounding margin is passed over but
+    Candidates are tried in random order and screened in chunks of it whose
+    ends double from ``_FIRST_CHUNK``.  One whose ``screen`` score lies below
+    the current value by more than a rounding margin is passed over but
     counted as evaluated; ``obj_fn`` confirms every other one, so trajectory,
     trace and evaluation count match evaluating every candidate exactly.
     """
@@ -499,20 +514,24 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
             break
         order = rng.permutation(len(moves))[: max_iters - evals]
         floor = cur_val - 1e-9 * max(1.0, abs(cur_val))
+        score = screen(state, moves)
         start, evals = evals, evals + len(order)
         improved = False
-        for pos in np.flatnonzero(~(screen(state, moves)[order] <= floor)).tolist():
-            if deadline is not None and time.monotonic() > deadline:
-                timed_out = True
-                evals = start + pos
-                break
-            cand = apply_fn(state, moves[order[pos]])
-            val = obj_fn(cand)
-            if val > cur_val:
-                state, cur_val, evals = cand, val, start + pos + 1
-                trace.append((evals, val))
-                improved = True
-                break
+        lo, hi = 0, _FIRST_CHUNK
+        while lo < len(order) and not (improved or timed_out):
+            for pos in (lo + np.flatnonzero(~(score(order[lo:hi]) <= floor))).tolist():
+                if deadline is not None and time.monotonic() > deadline:
+                    timed_out = True
+                    evals = start + pos
+                    break
+                cand = apply_fn(state, moves[order[pos]])
+                val = obj_fn(cand)
+                if val > cur_val:
+                    state, cur_val, evals = cand, val, start + pos + 1
+                    trace.append((evals, val))
+                    improved = True
+                    break
+            lo, hi = hi, 2 * hi
         if not improved:
             break
     return state, cur_val, trace, evals, timed_out

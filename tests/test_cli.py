@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from arcdesign import read_design
+from arcdesign import ConfigError, SearchConfig, read_design
 from arcdesign.cli import main
 from arcdesign.reference import load_reference_design
 from arcdesign.textio import write_design
@@ -166,17 +166,23 @@ class TestGenerateCommand:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("option, value, message", [
+    # The library names the SearchConfig field; the CLI names the flag instead.
+    @pytest.mark.parametrize("option, value, library_message", [
         ("--restarts", "0", "restarts must be >= 1"),
         ("--iters", "0", "max_iters must be >= 1"),
         ("--seed", "-1", "seed must fit in 64 unsigned bits"),
         ("--workers", "0", "workers must be >= 1"),
     ])
-    def test_out_of_range_search_option_exits_2(self, runner, tmp_path, option, value, message):
+    def test_out_of_range_search_option_exits_2(self, runner, tmp_path, option, value,
+                                                 library_message):
+        field, _, problem = library_message.partition(" ")
+        with pytest.raises(ConfigError) as raised:
+            SearchConfig(**{field: int(value)})
+        assert str(raised.value) == library_message
         result = runner.invoke(main, ["generate", "--v", "12", "--s", "8", "--k", "3",
                                       option, value, "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
-        assert result.output == f"error: {message}\n"
+        assert result.output == f"error: {option} {problem}\n"
         assert not (tmp_path / "x").exists()
 
     def test_plan_missing_key_exits_2(self, runner, tmp_path):

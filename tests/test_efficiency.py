@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,10 @@ from arcdesign import (
     is_generally_balanced,
     random_contraction,
 )
+from arcdesign import augmentor, designs, efficiency
 from arcdesign.efficiency import c_bar_s_alt_scaling
 from arcdesign.errors import DisconnectedDesignError
+from arcdesign.reference import load_reference_design
 from arcdesign.search import SearchConfig, search_contraction
 from arcdesign.spectra import harmonic_mean_nontrivial
 
@@ -304,6 +308,32 @@ class TestFullReport:
         for value in (report.e_con, report.c_bar_v, report.c_bar_s, report.e_dual,
                       report.e_aug_formula, report.e_aug_direct):
             assert value == pytest.approx(1.0, abs=1e-9)
+
+    def test_validates_once(self, monkeypatch):
+        c = load_reference_design("contraction_24x16_k5")  # a design never validated before
+        calls, validate = [], designs.validate_contraction
+
+        def counted(design):
+            calls.append(design)
+            return validate(design)
+
+        for module in (designs, efficiency, augmentor):
+            monkeypatch.setattr(module, "validate_contraction", counted, raising=False)
+        full_report(c, include_direct=True)
+        assert calls == [c]
+        full_report(c)  # a design validated once stays valid: its arrays are read-only
+        assert calls == [c]
+
+    # sha256 of the report JSON of the bundled (24,16,5) reference, recorded
+    # before validation was shared: the values must not move by one bit.
+    @pytest.mark.parametrize("include_direct, digest", [
+        (False, "76eef6a19d2e4e1e8f523086c77435da71b020fac76a3278f2a25d1a1496f6cd"),
+        (True, "6d84c8bfbf78a2dfe12daa3dcdf35f8b89b2d5cc1029faac37fbbffdaf994d39"),
+    ])
+    def test_reference_report_json_unchanged(self, include_direct, digest):
+        c = load_reference_design("contraction_24x16_k5")
+        text = full_report(c, include_direct=include_direct).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_json_round_trip_field_names(self, latin3):
         import json

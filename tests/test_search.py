@@ -1,8 +1,10 @@
 import hashlib
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcdesign import (
@@ -17,6 +19,7 @@ from arcdesign import (
     validate_augmented,
     validate_contraction,
 )
+from arcdesign import search
 from arcdesign.errors import InfeasibleParametersError
 from arcdesign.search import (
     _CLASSES,
@@ -125,18 +128,26 @@ class TestCatalogueOracle:
         assert len(_catalogue(latin3.cells, latin3.v, _CLASSES)) == 0
 
 
-def _screen_modes(obj, cells):
-    """(catalogue, exact objective, screen) for each objective hill climbing screens."""
+def _climb_modes(obj, cells):
+    """(exact objective, catalogue, screen) of each hill climb that screens, by name."""
     v = obj.v
     col_gram = obj.column_gram(cells)
-    full = _catalogue(cells, v, _CLASSES)
-    columns = _catalogue(cells, v, ("within_row", "transpose"))
-    pinned = _catalogue(cells, v, ("within_column",))
-    return [
-        (full, obj.value, obj.screen(cells, full)),
-        (columns, obj.column_value, obj.screen(cells, columns, rows=False)),
-        (pinned, lambda x: obj.value(x, col_gram), obj.screen(cells, pinned, col_gram)),
-    ]
+    return {
+        "full": (obj.value, lambda x: _catalogue(x, v, _CLASSES), obj.screen),
+        "columns": (obj.column_value, lambda x: _catalogue(x, v, ("within_row", "transpose")),
+                    lambda x, m: obj.screen(x, m, rows=False)),
+        "pinned": (lambda x: obj.value(x, col_gram), lambda x: _catalogue(x, v, ("within_column",)),
+                   lambda x, m: obj.screen(x, m, col_gram)),
+    }
+
+
+def _screen_modes(obj, cells):
+    """(catalogue, exact objective, screened values) for each objective hill climbing screens."""
+    out = []
+    for exact_fn, catalogue_fn, screen in _climb_modes(obj, cells).values():
+        moves = catalogue_fn(cells)
+        out.append((moves, exact_fn, screen(cells, moves)(np.arange(len(moves)))))
+    return out
 
 
 class TestScreen:
@@ -179,19 +190,46 @@ class TestScreen:
         moves = _catalogue(c.cells, c.v, _CLASSES)
         exact = np.array([obj.value(_swap(c.cells, m)) for m in moves])
         assert np.any(exact > 0.0)
-        assert np.all(obj.screen(c.cells, moves) == np.inf)
+        assert np.all(obj.screen(c.cells, moves)(np.arange(len(moves))) == np.inf)
 
+    # Budgets that end a scan inside its first chunk (1, 9), at or just past
+    # that chunk's end (16, 17), inside a later chunk (37 to 500) or never.
     @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
-           max_iters=st.sampled_from([1, 37, 500, 20000]))
-    @settings(max_examples=20, deadline=None)
-    def test_screened_hillclimb_equals_exhaustive(self, size, seed, max_iters):
+           mode=st.sampled_from(["full", "columns", "pinned"]),
+           max_iters=st.sampled_from([1, 9, 16, 17, 37, 40, 100, 300, 500, 20000]))
+    @example(size=(12, 8, 3), seed=0, mode="full", max_iters=20000)  # a disconnected start
+    @example(size=(12, 8, 3), seed=0, mode="pinned", max_iters=40)
+    @settings(max_examples=40, deadline=None)
+    def test_screened_hillclimb_equals_exhaustive(self, size, seed, mode, max_iters):
         c = random_contraction(*size, seed=seed)
         obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        obj_fn, catalogue_fn, screen = _climb_modes(obj, c.cells)[mode]
         runs = [
-            _hillclimb(c.cells, obj.value, lambda x: _catalogue(x, c.v, _CLASSES), _swap,
-                       np.random.default_rng(seed), max_iters, None, *screen)
-            for screen in ((), (obj.screen,))
+            _hillclimb(c.cells, obj_fn, catalogue_fn, _swap, np.random.default_rng(seed),
+                       max_iters, None, *screen)
+            for screen in ((), (screen,))
         ]
+        (state_a, *rest_a), (state_b, *rest_b) = runs
+        assert np.array_equal(state_a, state_b)
+        assert rest_a == rest_b
+
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["full", "columns", "pinned"]), ticks=st.integers(1, 400))
+    @settings(max_examples=30, deadline=None)
+    def test_chunks_keep_deadline_stops(self, size, seed, mode, ticks):
+        # A clock that advances one unit per reading: a stop depends only on
+        # how many deadline checks came before it, which chunking must keep
+        # equal to screening the whole catalogue in one chunk.
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        obj_fn, catalogue_fn, screen = _climb_modes(obj, c.cells)[mode]
+        runs = []
+        for first_chunk in (search._FIRST_CHUNK, 1 << 30):
+            clock = itertools.count()
+            with mock.patch.object(search, "_FIRST_CHUNK", first_chunk), \
+                    mock.patch.object(search.time, "monotonic", lambda: float(next(clock))):
+                runs.append(_hillclimb(c.cells, obj_fn, catalogue_fn, _swap,
+                                       np.random.default_rng(seed), 20000, float(ticks), screen))
         (state_a, *rest_a), (state_b, *rest_b) = runs
         assert np.array_equal(state_a, state_b)
         assert rest_a == rest_b
