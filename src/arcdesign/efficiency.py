@@ -122,21 +122,6 @@ def c_bar_s(c: ContractionDesign) -> float:
     return (c.s - 1) / float(np.sum(1.0 / vals))
 
 
-def c_bar_s_alt_scaling(c: ContractionDesign) -> float:
-    """Diagnostic variant of ``c_bar_s`` with an unscaled concurrence middle term.
-
-    Uses ``(diag(r) - W + J)^-1`` and no 1/k factor on the product.  Retained
-    so the sensitivity of the column summary to the middle-term scaling is
-    observable; not used by any shipping computation.
-    """
-    inc = incidence(c)
-    f = _centered_column_incidence(c, inc)
-    middle = np.diag(c.r.astype(float)) - inc.w + np.ones((c.v, c.v))
-    bracket = np.eye(c.s) - f.T @ np.linalg.solve(middle, f)
-    vals = restricted_eigenvalues(bracket, helmert_basis(c.s))
-    return (c.s - 1) / float(np.sum(1.0 / vals))
-
-
 def b_matrix(c: ContractionDesign) -> np.ndarray:
     """Joint (v+s) x (v+s) matrix whose non-trivial eigenvalues are augmented-design cefs.
 
@@ -147,13 +132,17 @@ def b_matrix(c: ContractionDesign) -> np.ndarray:
     adds beyond its unit ones.
     """
     inc = incidence(c)
-    f = _centered_column_incidence(c, inc)
-    v, s, k = c.v, c.s, c.k
-    top = np.hstack([_row_component(c, inc), f])
+    return _joint_matrix(inc.n_r, inc.n_c, c.r.astype(float), c.k)
+
+
+def _joint_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    # b_matrix from raw incidence arrays, shared with the search hot path.
+    v, s = n_c.shape
+    f = n_c - np.outer(r, np.ones(s)) / s
+    top = np.hstack([np.diag(r) - (n_r @ n_r.T) / s, f])
     bottom = np.hstack([f.T, k * np.eye(s)])
-    m = np.vstack([top, bottom])
     d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
-    return m * np.outer(d_inv_sqrt, d_inv_sqrt)
+    return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
 
 
 def b_nontrivial_eigenvalues(c: ContractionDesign) -> np.ndarray:

@@ -21,6 +21,16 @@ grow geometrically; only candidates that could beat the current value are
 evaluated exactly, and the exact value alone decides acceptance.  Trajectories,
 traces and evaluation counts are those of evaluating every candidate in turn.
 
+Annealing scores one sampled swap per iteration.  For ``e_aug`` it keeps the
+inverse of the contraction's (v+s) x (v+s) joint matrix and scores a swap by
+a rank-2 Woodbury update of it: O((v+s)^2) work per candidate instead of two
+eigensolves and a solve.  The inverse is rebuilt from scratch every 64
+accepted swaps.  States and candidates that are badly conditioned,
+disconnected or nearly so are evaluated exactly, so disconnected ones score
+0.0.  Values agree with the exact ones to about 1e-11, so a seeded anneal
+only leaves the exact path where a candidate ties the current value exactly
+and rounding decides whether a random number is drawn.
+
 A direct search over the full augmented array is included as a baseline
 comparator; it moves check plots within columns and scores candidates with
 the O((vs)^3) direct efficiency computation, which is exactly the cost the
@@ -45,7 +55,7 @@ from .designs import (
     balanced_replication,
     feasibility_df,
 )
-from .efficiency import e_aug_direct, e_aug_formula
+from .efficiency import _joint_matrix, e_aug_direct, e_aug_formula
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -63,6 +73,12 @@ _DISCONNECT_TOL = 1e-8
 _SCREEN_MIN_EIG = 1e-4
 #: Size of a hill-climb screen's first chunk; each later chunk ends at twice the last end.
 _FIRST_CHUNK = 16
+#: A Woodbury capacitance determinant below this means the candidate is disconnected or nearly so.
+_MIN_CAPACITANCE_DET = 1e-8
+#: Accepted rank-2 updates of an anneal's maintained inverse between rebuilds from scratch.
+_REBUILD_EVERY = 64
+#: Smallest eigenvalue of B~ below which an anneal's states and candidates are evaluated exactly.
+_WALK_MIN_EIG = 3e-3
 
 
 class Move(NamedTuple):
@@ -338,26 +354,6 @@ def _catalogue(cells: np.ndarray, v: int, classes) -> np.ndarray:
     return index[ok]
 
 
-def _sample_move(cells: np.ndarray, v: int, rng) -> tuple[int, int, int, int] | None:
-    # Uniform over valid swaps: draw cell pairs, reject invalid ones.
-    k, s = cells.shape
-    n = k * s
-    for _ in range(256):
-        p, q = rng.choice(n, size=2, replace=False)
-        p, q = (p, q) if p < q else (q, p)
-        i1, j1 = divmod(int(p), s)
-        i2, j2 = divmod(int(q), s)
-        a, b = cells[i1, j1], cells[i2, j2]
-        if a == b:
-            continue
-        if i1 != i2 and ((b in cells[i1]) or (a in cells[i2])):
-            continue
-        if j1 != j2 and ((b in cells[:, j1]) or (a in cells[:, j2])):
-            continue
-        return i1, j1, i2, j2
-    return None
-
-
 # ---------------------------------------------------------------------------
 # objectives
 
@@ -482,6 +478,159 @@ class _ContractionObjective:
         return e_aug_formula(self.v_star, v, s, k, cbv, cbs)
 
 
+class _SwapWalk:
+    """Move sampler, swap and value of one contraction anneal, kept in step.
+
+    ``_anneal`` only ever moves to the candidate it has just scored.  So each
+    method first brings the walk up to the state it is handed, found by
+    identity: the state the walk holds, the last candidate (commit its swap)
+    or any other array (rebuild).  The walk keeps the incidences ``N_R`` and
+    ``N_C``, which double as O(1) label tables for the sampler.
+
+    For ``e_aug`` it also keeps ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  ``B~`` is
+    ``b_matrix`` lifted to eigenvalue 1 on its two trivial directions, and
+    ``e_aug = (v*-1) / (v*-v-s-1 + tr(B~^-1))``.  A swap of label a at
+    (i1, j1) with label b at (i2, j2) changes ``B~`` by ``u z' + z u'``, where
+    ``u = D^-1/2 (e_b - e_a, 0)``,
+    ``z = D^-1/2 (-[i1!=i2] (x + e_b - e_a)/s, [j1!=j2] (e_j1 - e_j2))``
+    and ``x = N_R (e_i1 - e_i2)``.  A candidate's trace follows from
+    ``G = M [u z]`` and the 2x2 Woodbury capacitance ``S`` in O((v+s)^2)
+    work; accepting it sets ``M <- M - G S^-1 G'``, and ``M`` is rebuilt
+    from scratch by an eigensolve after ``_REBUILD_EVERY`` updates.
+
+    Rounding in the update grows with the conditioning of ``B~``, so the
+    unchanged exact value scores every candidate of a state whose smallest
+    eigenvalue lies below ``_WALK_MIN_EIG``, and every candidate that may
+    itself lie below it: ``|M'|_F``, which bounds 1/(smallest eigenvalue)
+    from above, follows from the same 2x2 algebra.  It also scores every
+    candidate with ``|det S| < _MIN_CAPACITANCE_DET``, so disconnected ones
+    score 0.0.  Accepting an exactly scored candidate rebuilds ``M``.
+    """
+
+    def __init__(self, obj: _ContractionObjective):
+        self.obj = obj
+        self.inverse = obj.objective == "e_aug"
+        self.cells = self.cand = self.move = self.pending = None
+        # D^-1/2 on label and on column coordinates
+        self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
+
+    def _sync(self, cells: np.ndarray) -> None:
+        if cells is self.cells:
+            return
+        if cells is self.cand and (self.pending is not None or not self.inverse):
+            self._commit()
+        else:
+            self._rebuild(cells)
+        self.cells = cells
+
+    def _rebuild(self, cells: np.ndarray) -> None:
+        obj = self.obj
+        v, s, k = obj.v, obj.s, obj.k
+        self.n_r, self.n_c = _incidence_arrays(cells, v)
+        if not self.inverse:
+            return
+        self.updates = 0
+        joint = _joint_matrix(self.n_r, self.n_c, obj.r, k)
+        joint[:v, :v] += 1.0 / v  # t1 t1', t1 = (1_v, 0) / sqrt(v)
+        joint[v:, v:] += (1.0 - k / v) / s  # (1 - k/v) t2 t2', t2 = (0, 1_s) / sqrt(s)
+        w, vecs = np.linalg.eigh(joint)
+        if w[0] < _WALK_MIN_EIG:
+            self.m, self.val = None, obj._value_e_aug(cells)
+        else:
+            self.m, self.tr = (vecs / w) @ vecs.T, float(np.sum(1.0 / w))
+            self.norm2 = float(np.sum(w**-2.0))
+            self.val = self._e_aug(self.tr)
+
+    def _e_aug(self, trace: float) -> float:
+        obj = self.obj
+        return (obj.v_star - 1) / (obj.v_star - obj.v - obj.s - 1 + trace)
+
+    def _commit(self) -> None:
+        i1, j1, i2, j2 = self.move
+        a, b = self.cells[i1, j1] - 1, self.cells[i2, j2] - 1
+        # Sequential updates: for a within-row or within-column swap they cancel.
+        for inc, x1, x2 in ((self.n_r, i1, i2), (self.n_c, j1, j2)):
+            inc[a, x1] -= 1.0
+            inc[b, x1] += 1.0
+            inc[b, x2] -= 1.0
+            inc[a, x2] += 1.0
+        if not self.inverse:
+            return
+        g, s_inv, self.tr, self.norm2 = self.pending
+        self.m -= g @ (s_inv @ g.T)
+        self.val = self._e_aug(self.tr)
+        self.updates += 1
+        if self.updates == _REBUILD_EVERY:
+            self._rebuild(self.cand)
+
+    def sample(self, cells: np.ndarray, rng) -> tuple[int, int, int, int] | None:
+        """A valid swap, uniform over them: draw cell pairs, reject invalid ones."""
+        self._sync(cells)
+        n_r, n_c = self.n_r, self.n_c
+        k, s = cells.shape
+        n = k * s
+        for _ in range(256):
+            p, q = rng.choice(n, size=2, replace=False).tolist()
+            p, q = (p, q) if p < q else (q, p)
+            i1, j1 = divmod(p, s)
+            i2, j2 = divmod(q, s)
+            a, b = int(cells[i1, j1]) - 1, int(cells[i2, j2]) - 1
+            if a == b:
+                continue
+            if i1 != i2 and (n_r[b, i1] or n_r[a, i2]):
+                continue
+            if j1 != j2 and (n_c[b, j1] or n_c[a, j2]):
+                continue
+            return i1, j1, i2, j2
+        return None
+
+    def apply(self, cells: np.ndarray, move) -> np.ndarray:
+        self._sync(cells)
+        self.cand, self.move, self.pending = _swap(cells, move), move, None
+        return self.cand
+
+    def value(self, cells: np.ndarray) -> float:
+        if not self.inverse:
+            return self.obj.value(cells)
+        if cells is not self.cand or cells is self.cells:
+            self._sync(cells)
+            return self.val
+        if self.m is None:
+            return self.obj._value_e_aug(cells)
+        return self._score(cells)
+
+    def _score(self, cand: np.ndarray) -> float:
+        # The value of the last candidate, and what accepting it needs.
+        v, s = self.obj.v, self.obj.s
+        m, dv = self.m, self.dv
+        i1, j1, i2, j2 = self.move
+        a, b = self.cells[i1, j1] - 1, self.cells[i2, j2] - 1
+        z = np.zeros(v + s)
+        if i1 != i2:
+            z[:v] = (self.n_r[:, i2] - self.n_r[:, i1]) * (dv / s)
+            z[a] = z[b] = 0.0  # x + e_b - e_a vanishes on the swapped labels
+        if j1 != j2:
+            z[v + j1], z[v + j2] = self.dc, -self.dc
+        g = np.empty((v + s, 2))
+        g[:, 0] = (m[b] - m[a]) * dv
+        g[:, 1] = m @ z
+        s11 = dv * (g[b, 0] - g[a, 0])
+        s12 = 1.0 + dv * (g[b, 1] - g[a, 1])
+        s22 = z @ g[:, 1]
+        det = s11 * s22 - s12 * s12
+        if abs(det) < _MIN_CAPACITANCE_DET:
+            return self.obj._value_e_aug(cand)
+        s_inv = np.array([[s22, -s12], [-s12, s11]]) / det
+        # |M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr((S^-1 G'G)^2), since M' = M - G S^-1 G'
+        t = s_inv @ (g.T @ g)
+        norm2 = self.norm2 - 2.0 * float(np.sum(s_inv * (g.T @ (m @ g)))) + float(np.sum(t * t.T))
+        if norm2 * _WALK_MIN_EIG**2 > 1.0:
+            return self.obj._value_e_aug(cand)
+        trace = self.tr - float(np.trace(t))
+        self.pending = g, s_inv, trace, norm2
+        return self._e_aug(trace)
+
+
 # ---------------------------------------------------------------------------
 # generic local-search drivers
 
@@ -538,7 +687,16 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
 
 
 def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, t0, decay, deadline):
-    """Metropolis acceptance on the objective difference; reports the running best."""
+    """Metropolis acceptance on the objective difference; reports the running best.
+
+    Each iteration samples one move, scores its candidate with ``obj_fn`` and
+    draws ``rng.random()`` only when the difference is not positive.  The
+    state only ever moves to the candidate just scored, so the contraction
+    search can pass the methods of one ``_SwapWalk``, which keep tables and,
+    for ``e_aug``, a maintained inverse in step with the state; see there for
+    the cost and the fallback to exact values.  The direct search passes a
+    plain objective, sampler and swap.
+    """
     cur_val = obj_fn(state)
     best_state, best_val = state, cur_val
     trace = [(0, cur_val)]
@@ -587,8 +745,9 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
             cfg.max_iters, deadline, screen,
         )
     elif cfg.strategy == "anneal":
+        walk = _SwapWalk(obj)
         state, val, trace, _, timed = _anneal(
-            cells, obj.value, lambda st, g: _sample_move(st, v, g), _swap, rng,
+            cells, walk.value, walk.sample, walk.apply, rng,
             cfg.max_iters, cfg.anneal_initial_temp, cfg.anneal_decay, deadline,
         )
     else:  # column-first

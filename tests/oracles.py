@@ -4,7 +4,8 @@ Each function here deliberately takes a different computational route from
 the code under test: pairwise variances go through the Moore-Penrose inverse
 (SVD) instead of an eigendecomposition, concurrences are counted by explicit
 enumeration instead of a matrix product, and small search spaces are
-enumerated outright, and the move catalogue is walked with plain loops.
+enumerated outright, the move catalogue is walked with plain loops, and the
+anneal's move sampler checks labels by scanning rows and columns.
 """
 
 import itertools
@@ -157,3 +158,27 @@ def catalogue_by_loops(cells, v: int, classes=("within_column", "within_row", "t
                         ):
                             moves.append(Move("transpose", (i1, j1), (i2, j2)))
     return moves
+
+
+def sample_move_by_scans(cells, rng):
+    """The anneal's uniform valid swap, checking each label by scanning its row and column.
+
+    Draws cell pairs with ``rng.choice`` exactly as the library's sampler does
+    and rejects invalid ones.
+    """
+    k, s = cells.shape
+    n = k * s
+    for _ in range(256):
+        p, q = rng.choice(n, size=2, replace=False)
+        p, q = (p, q) if p < q else (q, p)
+        i1, j1 = divmod(int(p), s)
+        i2, j2 = divmod(int(q), s)
+        a, b = cells[i1, j1], cells[i2, j2]
+        if a == b:
+            continue
+        if i1 != i2 and ((b in cells[i1]) or (a in cells[i2])):
+            continue
+        if j1 != j2 and ((b in cells[:, j1]) or (a in cells[:, j2])):
+            continue
+        return i1, j1, i2, j2
+    return None

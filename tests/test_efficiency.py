@@ -25,7 +25,6 @@ from arcdesign import (
     random_contraction,
 )
 from arcdesign import augmentor, designs, efficiency
-from arcdesign.efficiency import c_bar_s_alt_scaling
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.reference import load_reference_design
 from arcdesign.search import SearchConfig, search_contraction
@@ -105,12 +104,6 @@ class TestCBarS:
             inv = np.linalg.inv(regularized)
             t22 = np.trace(inv[v:, v:]) - 1.0
             assert c_bar_s(c) == pytest.approx((s - 1) / ((k / v) * t22), abs=1e-10)
-
-    def test_alt_scaling_diagnostic_disagrees(self, ex1_contraction, ex2_contraction):
-        # the unscaled-middle-term variant does not reproduce the published
-        # values; it exists to make that observable
-        assert abs(c_bar_s_alt_scaling(ex1_contraction) - 0.4828) > 0.01
-        assert abs(c_bar_s_alt_scaling(ex2_contraction) - 0.7332) > 0.01
 
 
 class TestBMatrix:
