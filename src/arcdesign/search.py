@@ -21,15 +21,20 @@ grow geometrically; only candidates that could beat the current value are
 evaluated exactly, and the exact value alone decides acceptance.  Trajectories,
 traces and evaluation counts are those of evaluating every candidate in turn.
 
-Annealing scores one sampled swap per iteration.  For ``e_aug`` it keeps the
-inverse of the contraction's (v+s) x (v+s) joint matrix and scores a swap by
-a rank-2 Woodbury update of it: O((v+s)^2) work per candidate instead of two
-eigensolves and a solve.  The inverse is rebuilt from scratch every 64
-accepted swaps.  States and candidates that are badly conditioned,
-disconnected or nearly so are evaluated exactly, so disconnected ones score
-0.0.  Values agree with the exact ones to about 1e-11, so a seeded anneal
-only leaves the exact path where a candidate ties the current value exactly
-and rounding decides whether a random number is drawn.
+Annealing scores one sampled swap per iteration; each try of the sampler
+draws one entry of a per-shape table of cell pairs.  Its first iterations
+probe the start state without moving, and the start temperature is a fixed
+multiple of the median objective change they see, so the anneal starts at
+the objective's own scale instead of at a fixed temperature.  For ``e_aug``
+it keeps the inverse of the contraction's (v+s) x (v+s) joint matrix and
+scores a swap by a rank-2 Woodbury update of it: O((v+s)^2) work per
+candidate instead of two eigensolves and a solve.  The inverse is rebuilt
+from scratch every 64 accepted swaps.  States and candidates that are badly
+conditioned, disconnected or nearly so are evaluated exactly, so
+disconnected ones score 0.0.  Values agree with the exact ones to about
+1e-12, so a seeded anneal only leaves the exact path where a candidate ties
+the current value exactly and rounding decides whether a random number is
+drawn.
 
 A direct search over the full augmented array is included as a baseline
 comparator; it moves check plots within columns and scores candidates with
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -79,6 +85,12 @@ _MIN_CAPACITANCE_DET = 1e-8
 _REBUILD_EVERY = 64
 #: Smallest eigenvalue of B~ below which an anneal's states and candidates are evaluated exactly.
 _WALK_MIN_EIG = 3e-3
+#: Moves an anneal scores from its start state, without moving, to set its start temperature.
+_T0_PROBE = 32
+#: An anneal's start temperature as a multiple of its probe's median nonzero |difference|.
+_T0_SCALE = 0.25
+#: The start temperature when every probe move ties the start value.
+_T0_TIES = 1e-9
 
 
 class Move(NamedTuple):
@@ -91,13 +103,17 @@ class Move(NamedTuple):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters of the stochastic search; defaults suit desk-scale arrays."""
+    """Parameters of the stochastic search; defaults suit desk-scale arrays.
+
+    An anneal sets its own start temperature from a probe of the start
+    state (see ``_anneal``); ``anneal_decay`` is the factor by which the
+    temperature falls per iteration after the probe.
+    """
 
     seed: int = 0
     strategy: str = "hillclimb"
     restarts: int = 50
     max_iters: int = 20000
-    anneal_initial_temp: float = 0.05
     anneal_decay: float = 0.999
     time_budget: float | None = None
     workers: int = 1
@@ -116,8 +132,6 @@ class SearchConfig:
             raise ConfigError("max_iters must be >= 1")
         if not 0 < self.anneal_decay < 1:
             raise ConfigError("anneal_decay must lie in (0, 1)")
-        if self.anneal_initial_temp <= 0:
-            raise ConfigError("anneal_initial_temp must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -495,7 +509,9 @@ class _SwapWalk:
     ``z = D^-1/2 (-[i1!=i2] (x + e_b - e_a)/s, [j1!=j2] (e_j1 - e_j2))``
     and ``x = N_R (e_i1 - e_i2)``.  A candidate's trace follows from
     ``G = M [u z]`` and the 2x2 Woodbury capacitance ``S`` in O((v+s)^2)
-    work; accepting it sets ``M <- M - G S^-1 G'``, and ``M`` is rebuilt
+    work: two matrix products give ``G`` and ``MG``, a third every 2x2
+    block the update needs, and the rest is arithmetic on Python floats.
+    Accepting it sets ``M <- M - G S^-1 G'``, and ``M`` is rebuilt
     from scratch by an eigensolve after ``_REBUILD_EVERY`` updates.
 
     Rounding in the update grows with the conditioning of ``B~``, so the
@@ -556,24 +572,23 @@ class _SwapWalk:
             inc[a, x2] += 1.0
         if not self.inverse:
             return
-        g, s_inv, self.tr, self.norm2 = self.pending
-        self.m -= g @ (s_inv @ g.T)
+        gt, s_inv, self.tr, self.norm2 = self.pending  # gt = G'
+        self.m -= gt.T @ (np.array(s_inv) @ gt)
         self.val = self._e_aug(self.tr)
         self.updates += 1
         if self.updates == _REBUILD_EVERY:
             self._rebuild(self.cand)
 
     def sample(self, cells: np.ndarray, rng) -> tuple[int, int, int, int] | None:
-        """A valid swap, uniform over them: draw cell pairs, reject invalid ones."""
+        """A valid swap, uniform over them: draw cell pairs, reject invalid ones.
+
+        Each try draws one row of the shape's table of unordered cell pairs.
+        """
         self._sync(cells)
         n_r, n_c = self.n_r, self.n_c
-        k, s = cells.shape
-        n = k * s
+        pairs = _swap_index(*cells.shape, _CLASSES)
         for _ in range(256):
-            p, q = rng.choice(n, size=2, replace=False).tolist()
-            p, q = (p, q) if p < q else (q, p)
-            i1, j1 = divmod(p, s)
-            i2, j2 = divmod(q, s)
+            i1, j1, i2, j2 = pairs[rng.integers(len(pairs))].tolist()
             a, b = int(cells[i1, j1]) - 1, int(cells[i2, j2]) - 1
             if a == b:
                 continue
@@ -602,32 +617,37 @@ class _SwapWalk:
     def _score(self, cand: np.ndarray) -> float:
         # The value of the last candidate, and what accepting it needs.
         v, s = self.obj.v, self.obj.s
-        m, dv = self.m, self.dv
+        dv = self.dv
         i1, j1, i2, j2 = self.move
         a, b = self.cells[i1, j1] - 1, self.cells[i2, j2] - 1
-        z = np.zeros(v + s)
+        # the rows of U' = [u z]', G' = U'M and G'M (M is symmetric, so G = MU)
+        ugh = np.zeros((6, v + s))
         if i1 != i2:
-            z[:v] = (self.n_r[:, i2] - self.n_r[:, i1]) * (dv / s)
-            z[a] = z[b] = 0.0  # x + e_b - e_a vanishes on the swapped labels
+            ugh[1, :v] = (self.n_r[:, i2] - self.n_r[:, i1]) * (dv / s)
+            ugh[1, a] = ugh[1, b] = 0.0  # x + e_b - e_a vanishes on the swapped labels
         if j1 != j2:
-            z[v + j1], z[v + j2] = self.dc, -self.dc
-        g = np.empty((v + s, 2))
-        g[:, 0] = (m[b] - m[a]) * dv
-        g[:, 1] = m @ z
-        s11 = dv * (g[b, 0] - g[a, 0])
-        s12 = 1.0 + dv * (g[b, 1] - g[a, 1])
-        s22 = z @ g[:, 1]
+            ugh[1, v + j1], ugh[1, v + j2] = self.dc, -self.dc
+        ugh[0, a], ugh[0, b] = -dv, dv
+        np.matmul(ugh[:2], self.m, out=ugh[2:4])
+        np.matmul(ugh[2:4], self.m, out=ugh[4:])
+        # [U G]'[G MG] holds the blocks U'MU, G'G (twice) and G'MG, as Python floats
+        (c11, c12, p11, p12), (_, c22, p21, p22), (*_, q11, q12), (*_, q21, q22) = (
+            ugh[:4] @ ugh[2:].T).tolist()
+        # the 2x2 Woodbury capacitance S = [[0, 1], [1, 0]] + U'MU
+        s11, s12, s22 = c11, 1.0 + c12, c22
         det = s11 * s22 - s12 * s12
         if abs(det) < _MIN_CAPACITANCE_DET:
             return self.obj._value_e_aug(cand)
-        s_inv = np.array([[s22, -s12], [-s12, s11]]) / det
-        # |M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr((S^-1 G'G)^2), since M' = M - G S^-1 G'
-        t = s_inv @ (g.T @ g)
-        norm2 = self.norm2 - 2.0 * float(np.sum(s_inv * (g.T @ (m @ g)))) + float(np.sum(t * t.T))
+        # T = S^-1 G'G; M' = M - G S^-1 G' gives tr(M') = tr(M) - tr(T) and
+        # |M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr(T^2)
+        t11, t12 = (s22 * p11 - s12 * p21) / det, (s22 * p12 - s12 * p22) / det
+        t21, t22 = (s11 * p21 - s12 * p11) / det, (s11 * p22 - s12 * p12) / det
+        norm2 = (self.norm2 - 2.0 * (s22 * q11 - s12 * (q12 + q21) + s11 * q22) / det
+                 + t11 * t11 + 2.0 * t12 * t21 + t22 * t22)
         if norm2 * _WALK_MIN_EIG**2 > 1.0:
             return self.obj._value_e_aug(cand)
-        trace = self.tr - float(np.trace(t))
-        self.pending = g, s_inv, trace, norm2
+        trace = self.tr - (t11 + t22)
+        self.pending = ugh[2:4], ((s22 / det, -s12 / det), (-s12 / det, s11 / det)), trace, norm2
         return self._e_aug(trace)
 
 
@@ -686,21 +706,25 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
     return state, cur_val, trace, evals, timed_out
 
 
-def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, t0, decay, deadline):
+def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, decay, deadline):
     """Metropolis acceptance on the objective difference; reports the running best.
 
-    Each iteration samples one move, scores its candidate with ``obj_fn`` and
-    draws ``rng.random()`` only when the difference is not positive.  The
-    state only ever moves to the candidate just scored, so the contraction
-    search can pass the methods of one ``_SwapWalk``, which keep tables and,
-    for ``e_aug``, a maintained inverse in step with the state; see there for
-    the cost and the fallback to exact values.  The direct search passes a
-    plain objective, sampler and swap.
+    The first ``_T0_PROBE`` iterations are a probe: they score sampled moves
+    from the start state without moving, and set the start temperature from
+    the differences they see (``_start_temp``).  They count in the budget and
+    in the trace positions.  Each later iteration samples one move, scores
+    its candidate with ``obj_fn`` and draws ``rng.random()`` only when the
+    difference is not positive; the temperature then decays by ``decay``.
+    The state only ever moves to the candidate just scored, so the
+    contraction search can pass the methods of one ``_SwapWalk``, which keep
+    tables and, for ``e_aug``, a maintained inverse in step with the state;
+    see there for the cost and the fallback to exact values.  The direct
+    search passes a plain objective, sampler and swap.
     """
     cur_val = obj_fn(state)
     best_state, best_val = state, cur_val
     trace = [(0, cur_val)]
-    temp = t0
+    probe = []
     evals = 0
     timed_out = False
     for it in range(1, max_iters + 1):
@@ -714,13 +738,33 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, t0, decay, deadl
         val = obj_fn(cand)
         evals = it
         delta = val - cur_val
-        if delta > 0 or rng.random() < np.exp(delta / temp):
+        if it <= _T0_PROBE:
+            probe.append(abs(delta))
+            if it == _T0_PROBE:
+                temp = _start_temp(probe)
+            continue
+        if delta > 0 or rng.random() < math.exp(delta / temp):
             state, cur_val = cand, val
         if cur_val > best_val:
             best_state, best_val = state, cur_val
             trace.append((it, best_val))
         temp *= decay
     return best_state, best_val, trace, evals, timed_out
+
+
+def _start_temp(probe: list[float]) -> float:
+    """``_T0_SCALE`` times the median of the probe's nonzero |differences|.
+
+    Exact ties say nothing of the objective's scale.  If every probe move
+    ties, no scale is known and the anneal starts at ``_T0_TIES``, which
+    accepts nearly no downhill move.
+    """
+    moved = sorted(d for d in probe if d > 0)
+    if not moved:
+        return _T0_TIES
+    # by hand: np.median imports numpy.ma, which costs about 2 MB of memory
+    mid = len(moved) // 2
+    return _T0_SCALE * (moved[mid] if len(moved) % 2 else (moved[mid - 1] + moved[mid]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +792,7 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
         walk = _SwapWalk(obj)
         state, val, trace, _, timed = _anneal(
             cells, walk.value, walk.sample, walk.apply, rng,
-            cfg.max_iters, cfg.anneal_initial_temp, cfg.anneal_decay, deadline,
+            cfg.max_iters, cfg.anneal_decay, deadline,
         )
     else:  # column-first
         state, val, trace, timed = _column_first(cells, obj, v, rng, cfg, deadline)
@@ -921,7 +965,6 @@ def _direct_restart(v, s, k, cfg: SearchConfig, restart: int, deadline):
             _direct_apply,
             rng,
             cfg.max_iters,
-            cfg.anneal_initial_temp,
             cfg.anneal_decay,
             deadline,
         )

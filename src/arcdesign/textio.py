@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .designs import AugmentedDesign, ContractionDesign
+from .designs import AugmentedDesign, ContractionDesign, feasibility_df
 from .errors import ParseError
 
 _HEADER_RE = re.compile(
@@ -57,6 +57,14 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
             line=idx + 1,
         )
     kind, v, s, k = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
+    # Checked before anything is sized by v: a feasible header has v <= k*s,
+    # the number of cells the body must hold.
+    if kind == "contraction" and feasibility_df(v, s, k) < 0:
+        raise ParseError(
+            f"header (v={v}, s={s}, k={k}) leaves {feasibility_df(v, s, k)} residual degrees "
+            "of freedom; need >= 0",
+            line=idx + 1,
+        )
 
     rows: list[list[int]] = []
     for lineno in range(idx + 1, len(lines)):

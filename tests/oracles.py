@@ -14,7 +14,7 @@ import numpy as np
 
 from arcdesign import ContractionDesign, e_con, validate_contraction
 from arcdesign.errors import DisconnectedDesignError
-from arcdesign.search import Move
+from arcdesign.search import _CLASSES, Move, _swap_index
 
 
 def pairwise_variance_efficiency(info_matrix, u) -> float:
@@ -163,16 +163,12 @@ def catalogue_by_loops(cells, v: int, classes=("within_column", "within_row", "t
 def sample_move_by_scans(cells, rng):
     """The anneal's uniform valid swap, checking each label by scanning its row and column.
 
-    Draws cell pairs with ``rng.choice`` exactly as the library's sampler does
-    and rejects invalid ones.
+    Draws rows of the library's table of unordered cell pairs with
+    ``rng.integers`` exactly as its sampler does and rejects invalid ones.
     """
-    k, s = cells.shape
-    n = k * s
+    pairs = _swap_index(*cells.shape, _CLASSES)
     for _ in range(256):
-        p, q = rng.choice(n, size=2, replace=False)
-        p, q = (p, q) if p < q else (q, p)
-        i1, j1 = divmod(int(p), s)
-        i2, j2 = divmod(int(q), s)
+        i1, j1, i2, j2 = (int(x) for x in pairs[rng.integers(len(pairs))])
         a, b = cells[i1, j1], cells[i2, j2]
         if a == b:
             continue

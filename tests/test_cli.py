@@ -92,6 +92,14 @@ class TestEvaluateCommand:
         assert result.exit_code == 2
         assert "column 1" in result.output
 
+    def test_huge_header_v_exits_2(self, runner, tmp_path):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("# contraction v=100000000000 s=2 k=1\n1,2\n")
+        result = runner.invoke(main, ["evaluate", str(bad)])
+        assert result.exit_code == 2
+        assert "residual degrees of freedom" in result.output
+        assert not isinstance(result.exception, MemoryError)
+
     def test_parse_error_exits_2(self, runner, tmp_path):
         bad = tmp_path / "broken.txt"
         bad.write_text("# contraction v=3 s=3 k=2\n1,oops,3\n2,3,1\n")

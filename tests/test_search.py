@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -30,6 +32,7 @@ from arcdesign.search import (
     _ContractionObjective,
     _hillclimb,
     _swap,
+    _swap_index,
     _SwapWalk,
 )
 
@@ -237,35 +240,59 @@ class TestScreen:
 
 
 class TestAnneal:
-    def _run(self, max_iters, sampler=lambda walk: walk.sample, deadline=None):
+    def _run(self, max_iters, sampler=lambda walk: walk.sample, deadline=None,
+             value=lambda walk: walk.value):
         c = random_contraction(12, 8, 3, seed=0)
         obj = _ContractionObjective(c.v, c.s, c.k, c.r)
         walk = _SwapWalk(obj)
         calls = []
+        value_fn = value(walk)
 
         def counted(cells):
             calls.append(1)
-            return walk.value(cells)
+            return value_fn(cells)
 
         out = _anneal(c.cells, counted, sampler(walk), walk.apply, np.random.default_rng(0),
-                      max_iters, 0.05, 0.999, deadline)
+                      max_iters, 0.999, deadline)
         return out[3], len(calls) - 1  # the starting state is not a move evaluation
 
     def test_full_budget_counts_every_evaluation(self):
         assert self._run(50) == (50, 50)
 
-    def test_exhausted_sampler_stops_the_count(self):
-        budget = iter(range(7))
+    @staticmethod
+    def _giving_up_after(draws):
+        budget = iter(range(draws))
 
         def sampler(walk):
             return lambda x, g: walk.sample(x, g) if next(budget, None) is not None else None
 
-        assert self._run(50, sampler) == (7, 7)
+        return sampler
+
+    def test_exhausted_sampler_stops_the_count(self):
+        # the sampler gives up inside the probe
+        assert self._run(50, self._giving_up_after(7)) == (7, 7)
+
+    def test_sampler_exhausted_after_the_probe_stops_the_count(self):
+        draws = search._T0_PROBE + 8
+        assert self._run(100, self._giving_up_after(draws)) == (draws, draws)
 
     def test_deadline_stops_the_count(self):
         # the deadline is polled every 64 iterations
         evals, made = self._run(1000, deadline=0.0)
         assert evals == made == 63
+
+    def test_all_ties_probe_gives_a_finite_positive_temperature(self):
+        t0 = search._start_temp([0.0] * search._T0_PROBE)
+        assert 0.0 < t0 < 1e-6
+        # a constant objective ties every move, in the probe and after it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._run(200, value=lambda walk: lambda cells: 0.5) == (200, 200)
+
+    @pytest.mark.parametrize("moved", [[3e-4, 1e-4, 2e-4], [4e-4, 1e-4, 3e-4, 0.1e-4]])
+    def test_start_temperature_ignores_ties(self, moved):
+        t0 = search._start_temp([0.0] * 20 + moved)
+        assert t0 == pytest.approx(search._T0_SCALE * 2e-4, rel=1e-12)
 
 
 #: Sizes for the anneal walk; (10,6,3) and (24,16,5) carry unequal replication.
@@ -277,27 +304,34 @@ def _move_kind(move):
     return "within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose"
 
 
-def _walk_anneal(c, objective, seed, iters, t0, value=None, sample=None):
-    """A seeded contraction anneal on a fresh walk; hooks wrap its value and sampler."""
+def _walk_anneal(c, objective, seed, iters, t0=None, value=None, sample=None):
+    """A seeded contraction anneal on a fresh walk; hooks wrap its value and sampler.
+
+    A given ``t0`` replaces the start temperature the probe would set.
+    """
     walk = _SwapWalk(_ContractionObjective(c.v, c.s, c.k, c.r, objective))
     value_fn = walk.value if value is None else (lambda x: value(walk, x))
     sample_fn = walk.sample if sample is None else (lambda x, g: sample(walk, x, g))
-    return _anneal(c.cells, value_fn, sample_fn, walk.apply, np.random.default_rng(seed),
-                   iters, t0, 0.999, None)
+    fixed = (contextlib.nullcontext() if t0 is None else
+             mock.patch.object(search, "_start_temp", lambda probe: t0))
+    with fixed:
+        return _anneal(c.cells, value_fn, sample_fn, walk.apply, np.random.default_rng(seed),
+                       iters, 0.999, None)
 
 
 class TestSwapWalk:
     # t0 = 1 accepts most downhill moves too, so walks pass through
-    # disconnected and badly conditioned states at the small sizes.
+    # disconnected and badly conditioned states at the small sizes; t0 = None
+    # keeps the calibrated start temperature.
     @given(size=st.sampled_from(_WALK_SIZES), seed=st.integers(0, 2**32 - 1),
-           t0=st.sampled_from([0.05, 1.0]))
+           t0=st.sampled_from([None, 1.0]))
     @example(size=(12, 8, 3), seed=0, t0=1.0)  # a disconnected start
     @example(size=(10, 6, 3), seed=0, t0=1.0)  # scores disconnected candidates
-    # badly conditioned: updating down to a smallest eigenvalue of 1e-3 errs
-    # by 7e-10 here, and updating any candidate of a well-conditioned state
-    # by 2e-7 in the next
-    @example(size=(10, 6, 3), seed=25, t0=1.0)
-    @example(size=(10, 6, 3), seed=12, t0=1.0)
+    # badly conditioned: updating states down to a smallest eigenvalue of
+    # 1e-4 errs by 1e-9 in the first, and updating every candidate of a
+    # well-conditioned state by 0.3 in the second
+    @example(size=(10, 6, 3), seed=63, t0=1.0)
+    @example(size=(10, 6, 3), seed=125, t0=1.0)
     @settings(max_examples=30, deadline=None)
     def test_incremental_value_matches_exact(self, size, seed, t0):
         c = random_contraction(*size, seed=seed)
@@ -312,23 +346,37 @@ class TestSwapWalk:
 
         state, *rest = _walk_anneal(c, "e_aug", seed, 300, t0, checked)
         assert len(states) == 301
-        assert sum(a is not b for a, b in zip(states, states[1:])) > search._REBUILD_EVERY
+        if t0 is not None:
+            assert sum(a is not b for a, b in zip(states, states[1:])) > search._REBUILD_EVERY
         again, *rest_again = _walk_anneal(c, "e_aug", seed, 300, t0)
         assert state.tobytes() == again.tobytes()
         assert repr(rest) == repr(rest_again)
 
+    @staticmethod
+    def _exact_paths(size, seed):
+        """Candidates of a t0 = 1 walk scored exactly, by the rule that sent them there."""
+        paths = {"disconnected": 0, "state": 0, "candidate": 0}
+
+        def classified(walk, cells):
+            scored = cells is walk.cand and cells is not walk.cells
+            by_state = scored and walk.m is None
+            val = walk.value(cells)
+            paths["disconnected"] += val == 0.0
+            paths["state"] += by_state
+            paths["candidate"] += scored and not by_state and walk.pending is None and val > 0
+            return val
+
+        _walk_anneal(random_contraction(*size, seed=seed), "e_aug", seed, 300, 1.0, classified)
+        return paths
+
     def test_disconnected_examples_are_not_vacuous(self):
         c = random_contraction(12, 8, 3, seed=0)
         assert _ContractionObjective(c.v, c.s, c.k, c.r, "e_aug").value(c.cells) == 0.0
-        zeros = []
+        assert self._exact_paths((10, 6, 3), 0)["disconnected"] >= 5
 
-        def counted(walk, cells):
-            val = walk.value(cells)
-            zeros.append(val == 0.0)
-            return val
-
-        _walk_anneal(random_contraction(10, 6, 3, seed=0), "e_aug", 0, 300, 1.0, counted)
-        assert sum(zeros) >= 5
+    def test_conditioning_examples_are_not_vacuous(self):
+        assert self._exact_paths((10, 6, 3), 63)["state"] >= 5
+        assert self._exact_paths((10, 6, 3), 125)["candidate"] >= 5
 
     def test_rebuilds_every_64_updates(self):
         # (24,16,5) stays well conditioned, so only the update count rebuilds M
@@ -345,6 +393,22 @@ class TestSwapWalk:
         _walk_anneal(c, "e_aug", 3, 300, 0.05, sample=sampler)
         assert sum(accepted) > 2 * search._REBUILD_EVERY
         assert sum(rebuilds) == sum(accepted) // search._REBUILD_EVERY
+
+    def test_calibrated_anneal_is_not_a_random_walk(self):
+        # Each sample call sees whether the candidate before it was accepted.
+        # With a start temperature far above the move scale, 0.99 of these
+        # candidates were accepted.
+        c = random_contraction(24, 16, 5, seed=3)
+        accepted = []
+
+        def sampler(walk, cells, rng):
+            accepted.append(cells is walk.cand)
+            return walk.sample(cells, rng)
+
+        probe = search._T0_PROBE
+        _walk_anneal(c, "e_aug", 3, probe + 201, sample=sampler)
+        assert not any(accepted[: probe + 1])  # the probe does not move
+        assert 0 < sum(accepted[probe + 1: probe + 201]) < 100
 
 
 class TestSampler:
@@ -368,10 +432,17 @@ class TestSampler:
                 assert np.array_equal(kept, fresh)
             return move
 
-        _walk_anneal(c, objective, seed, 200, 0.05, sample=sampler)
+        _walk_anneal(c, objective, seed, search._T0_PROBE + 200, 0.05, sample=sampler)
         # where every row holds every label, only within-row swaps exist
         assert kinds == ({"within_row"} if c.s == c.v else
                          {"within_row", "within_column", "transpose"})
+
+    @pytest.mark.parametrize("k, s", [(3, 8), (5, 16), (6, 32)])
+    def test_pair_table_lists_every_cell_pair_once(self, k, s):
+        # so drawing one row per try is uniform over unordered cell pairs
+        pairs = [((i1, j1), (i2, j2)) for i1, j1, i2, j2 in _swap_index(k, s, _CLASSES).tolist()]
+        cells = [(i, j) for i in range(k) for j in range(s)]
+        assert sorted(pairs) == list(itertools.combinations(cells, 2))
 
     def test_latin_square_sampler_gives_up(self, latin3):
         walk = _SwapWalk(_ContractionObjective(latin3.v, latin3.s, latin3.k, latin3.r))
@@ -389,8 +460,8 @@ _GOLDEN = {
         "6a558ef4b564be00591fd284e7167ddc35c315be254c7a038cbde875cba120e9", "0.5630003552573969",
         "8bdd68eec57b6a0e9e9be63bee857d75235453a4baa8d39ee0c452248fdf237a", 2)),
     "anneal-12x8": ((12, 8, 3), dict(seed=7, strategy="anneal", restarts=3, max_iters=2000), (
-        "4552916ff76a53b8c91d05db632a9692996ec8d6eac6f3d37085be7836ab95eb", "0.5739130434782609",
-        "b70c56e29ed6a7da3c0f5ae0296078817b6bd23576eeb9606afd6415731221a8", 0)),
+        "71732660e55609bdc09f4d1ec7e947c0d1d0cc8c41823fc9ecefed0dd15379aa", "0.5739130434782613",
+        "985cb29d8a4ef71e9b932d6013bb4d40983eed75a94ed20d6517f08b0de78d8c", 2)),
     "column-first-12x8": ((12, 8, 3), dict(seed=7, strategy="column-first", restarts=3), (
         "fa0c850d18072159bd5a1ee2af5038f11b1bb6a06ec46f0a413efa1648c1eab5", "0.5630003552573966",
         "92244b57f1247801086eb55f90985f9e6c743e9bc3a2d95930f552e9ff324f3a", 0)),
@@ -422,35 +493,46 @@ def test_golden_trajectories(name):
     ) == expected
 
 
-#: Anneal on ``e_aug``: (design sha256, restart of best, objective, trace),
-#: recorded before the anneal scored candidates on a maintained inverse.  The
-#: values now come by another numerical route, so they are held within 1e-12
-#: and the rest exactly.  Small symmetric sizes such as (12,8,3) get no row:
+#: Anneal on ``e_aug``: (design sha256, restart of best, objective, trace).
+#: The values come from rank-2 updates of a maintained inverse, whose last
+#: bits may depend on the BLAS, so they are held within 1e-12 and the rest
+#: exactly.  Small symmetric sizes such as (12,8,3) get no row:
 #: there some candidates tie the current value exactly, and rounding decides
 #: whether ``rng.random()`` is drawn, so their seeded trajectories may differ.
 _GOLDEN_ANNEAL_E_AUG = {
     "anneal-e_aug-24x16": ((24, 16, 5), dict(seed=3, restarts=2, max_iters=2000), (
-        "8dbe099730142a418aeb9edc64daca2f78e9ef643116cce941b59134261d0b44", 1,
-        0.5943363823797876,
-        ((0, 0.5834719168631654), (1, 0.5849285900444301), (7, 0.5850440073437293),
-         (8, 0.588193555354867), (9, 0.5889826681275822), (26, 0.5895320237704852),
-         (32, 0.5901446995669866), (33, 0.590524290408136), (34, 0.590808501477842),
-         (37, 0.5913775123626758), (71, 0.5914874387310368), (149, 0.5920544839771473),
-         (152, 0.5929481575959887), (157, 0.5933240346271582), (158, 0.5943363823797876)))),
+        "74ea456639c6299c6f829020a2b73da1e219506b05b2ea06fe10e21ee8ff69ac", 1,
+        0.6012002606973754,
+        ((0, 0.5834719168631657), (34, 0.5836605762262811), (35, 0.5843840753759569),
+         (36, 0.5875303600576272), (41, 0.5903653378731157), (44, 0.5907398461845937),
+         (46, 0.5910864303605831), (50, 0.5926427451523244), (53, 0.5932476358460715),
+         (80, 0.5935813093909598), (82, 0.5947879600236842), (121, 0.5956651861247438),
+         (122, 0.595813003808585), (129, 0.5960471827027939), (131, 0.5961970307587003),
+         (137, 0.5967991099931824), (177, 0.5971113836326521), (215, 0.5971804916770603),
+         (224, 0.5980552424116027), (229, 0.5985602258176029), (234, 0.598639594305764),
+         (235, 0.5986494837801868), (237, 0.5987661848323764), (751, 0.599071294523099),
+         (1082, 0.5991095043393333), (1092, 0.5996016345892959), (1171, 0.5999014752061387),
+         (1174, 0.5999206689779291), (1184, 0.6000891343704647), (1259, 0.6001523791544142),
+         (1471, 0.6001908595261056), (1479, 0.6004617289497451), (1512, 0.600814024711566),
+         (1604, 0.6009281469178133), (1605, 0.6010712138156353), (1612, 0.6011373833957571),
+         (1677, 0.6011911182858617), (1691, 0.6012002606973754)))),
     "anneal-e_aug-48x32": ((48, 32, 6), dict(seed=3, restarts=1, max_iters=300), (
-        "1cc60989bcfe1b212129f381e4b3b179baa34ddcd8e33916b1f992b3019960a5", 0,
-        0.6495161768374356,
-        ((0, 0.6397151138150428), (1, 0.6405389396288836), (2, 0.6408915940089788),
-         (3, 0.6427223004147079), (4, 0.6428480521791998), (5, 0.6443795271395645),
-         (7, 0.6444203274578345), (8, 0.6447360639520554), (10, 0.6452791301626731),
-         (11, 0.6454242168282972), (15, 0.6454320486171362), (17, 0.6455124680307683),
-         (28, 0.6460332800053261), (29, 0.6461768746588538), (35, 0.6465785481465501),
-         (36, 0.6467328340762478), (37, 0.647182411364802), (38, 0.6475838932263033),
-         (42, 0.6478794192327704), (43, 0.6480987066423073), (49, 0.6481104020755559),
-         (50, 0.6482115088060801), (63, 0.6484664557921149), (64, 0.6487968635360636),
-         (67, 0.6488281063631004), (68, 0.6489227114294234), (69, 0.6489530772121176),
-         (70, 0.6489902235489434), (71, 0.6489952005677947), (72, 0.6490878666097727),
-         (74, 0.6491843614696493), (79, 0.6494012394301719), (83, 0.6495161768374356)))),
+        "e7614870424fef7ed7a153d8cd3d1ea039037b2b760766a33734afab2454295e", 0,
+        0.6513779092503362,
+        ((0, 0.6397151138150429), (34, 0.639932937167705), (35, 0.6404031382606749),
+         (39, 0.6412189602997096), (40, 0.643061125777781), (41, 0.6430781360388088),
+         (42, 0.6444862468063364), (43, 0.644603607762105), (46, 0.6450610146671972),
+         (47, 0.6450710386461636), (50, 0.6451497178737429), (52, 0.6454925726201194),
+         (53, 0.6456392523723643), (54, 0.6458038135730075), (55, 0.645983863709512),
+         (56, 0.6464344496488568), (57, 0.6465278920189349), (60, 0.647204405335482),
+         (61, 0.6472786357860782), (62, 0.6474089236657747), (63, 0.6478420985800526),
+         (65, 0.6479418377613178), (67, 0.6482048288296215), (68, 0.6484049441641321),
+         (69, 0.6484274176438355), (70, 0.6488303573451151), (71, 0.6492038987161346),
+         (72, 0.6495032883994825), (74, 0.6495414264763464), (75, 0.649786014456068),
+         (129, 0.6499649823834909), (132, 0.6499680252697541), (133, 0.6502203694665536),
+         (136, 0.6502856002090815), (200, 0.6503507112325794), (205, 0.6505749887503176),
+         (207, 0.6506903038616676), (208, 0.6508287534169621), (209, 0.650860384296416),
+         (254, 0.6509724655179044), (277, 0.6511974060246805), (288, 0.6513779092503362)))),
 }
 
 

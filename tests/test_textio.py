@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,10 @@ def test_augmented_kind_detected(ex1_augmented):
     parsed = parse_design(format_design(ex1_augmented))
     assert isinstance(parsed, AugmentedDesign)
     assert parsed.k == 3
+
+
+def test_infeasible_contraction_header_rejected_before_allocating():
+    # from_cells would size a bincount by the header's v
+    with mock.patch.object(ContractionDesign, "from_cells", side_effect=AssertionError):
+        with pytest.raises(ParseError, match=r"residual degrees of freedom.*line 1"):
+            parse_design("# contraction v=100000000000 s=2 k=1\n1,2\n")
