@@ -145,7 +145,7 @@ def _make_config(seed, strategy, restarts, iters, time_budget, workers, objectiv
         )
     except ConfigError as exc:
         field, _, problem = str(exc).partition(" ")
-        flag = "--iters" if field == "max_iters" else "--" + field
+        flag = "--iters" if field == "max_iters" else "--" + field.replace("_", "-")
         raise ConfigError(f"{flag} {problem}") from exc
 
 

@@ -65,7 +65,9 @@ class ContractionDesign:
         arr = np.asarray(cells, dtype=np.int64)
         if v is None:
             v = int(arr.max()) if arr.size else 0
-        counts = np.bincount(arr.ravel(), minlength=v + 1)[1 : v + 1]
+        # out-of-range labels are left to validation, which names them
+        flat = arr.ravel()
+        counts = np.bincount(flat[(flat >= 1) & (flat <= v)], minlength=v + 1)[1 : v + 1]
         return cls(v=v, cells=arr, r=counts)
 
     @property

@@ -21,8 +21,10 @@ grow geometrically; only candidates that could beat the current value are
 evaluated exactly, and the exact value alone decides acceptance.  Trajectories,
 traces and evaluation counts are those of evaluating every candidate in turn.
 
-Annealing scores one sampled swap per iteration; each try of the sampler
-draws one entry of a per-shape table of cell pairs.  Its first iterations
+Annealing scores one sampled swap per iteration.  The sampler draws rows of
+a per-shape table of cell pairs, ``_DRAW_BLOCK`` per generator call, and
+checks each pair against Python tables of the state's labels; the
+acceptance draws of the anneal fall between those calls.  Its first iterations
 probe the start state without moving, and the start temperature is a fixed
 multiple of the median objective change they see, so the anneal starts at
 the objective's own scale instead of at a fixed temperature.  For ``e_aug``
@@ -91,6 +93,8 @@ _T0_PROBE = 32
 _T0_SCALE = 0.25
 #: The start temperature when every probe move ties the start value.
 _T0_TIES = 1e-9
+#: Cell pairs an anneal's sampler draws per generator call.
+_DRAW_BLOCK = 64
 
 
 class Move(NamedTuple):
@@ -130,6 +134,9 @@ class SearchConfig:
             raise ConfigError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if self.time_budget is not None and not (math.isfinite(self.time_budget)
+                                                 and self.time_budget > 0):
+            raise ConfigError("time_budget must be a finite number > 0")
         if not 0 < self.anneal_decay < 1:
             raise ConfigError("anneal_decay must lie in (0, 1)")
         if self.workers < 1:
@@ -214,14 +221,9 @@ def random_contraction(v: int, s: int, k: int, r=None, seed: int = 0) -> Contrac
         r = balanced_replication(v, k, s)
     r = np.asarray(r, dtype=np.int64)
     _check_replication(v, s, k, r)
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        cells = _try_fill(v, s, k, r, rng)
-        if cells is not None:
-            return ContractionDesign(v=v, cells=cells, r=r)
-    raise ConstructionError(
-        f"failed to fill a {k}x{s} array on {v} labels after bounded retries"
-    )
+    cells = _fill(v, s, k, r, np.random.default_rng(seed),
+                  f"failed to fill a {k}x{s} array on {v} labels after bounded retries")
+    return ContractionDesign(v=v, cells=cells, r=r)
 
 
 def _check_replication(v: int, s: int, k: int, r: np.ndarray) -> None:
@@ -240,6 +242,15 @@ def _check_replication(v: int, s: int, k: int, r: np.ndarray) -> None:
         raise InfeasibleParametersError(
             f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; need >= 0"
         )
+
+
+def _fill(v: int, s: int, k: int, r: np.ndarray, rng, failure: str) -> np.ndarray:
+    """The first array ``_try_fill`` completes in 200 tries; else ``ConstructionError(failure)``."""
+    for _ in range(200):
+        cells = _try_fill(v, s, k, r, rng)
+        if cells is not None:
+            return cells
+    raise ConstructionError(failure)
 
 
 def _try_fill(v: int, s: int, k: int, r: np.ndarray, rng) -> np.ndarray | None:
@@ -498,8 +509,9 @@ class _SwapWalk:
     ``_anneal`` only ever moves to the candidate it has just scored.  So each
     method first brings the walk up to the state it is handed, found by
     identity: the state the walk holds, the last candidate (commit its swap)
-    or any other array (rebuild).  The walk keeps the incidences ``N_R`` and
-    ``N_C``, which double as O(1) label tables for the sampler.
+    or any other array (rebuild).  For the sampler the walk keeps the labels
+    as a flat Python list and the labels of each row and each column as
+    Python sets, and it draws cell pairs ``_DRAW_BLOCK`` at a time.
 
     For ``e_aug`` it also keeps ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  ``B~`` is
     ``b_matrix`` lifted to eigenvalue 1 on its two trivial directions, and
@@ -507,11 +519,12 @@ class _SwapWalk:
     (i1, j1) with label b at (i2, j2) changes ``B~`` by ``u z' + z u'``, where
     ``u = D^-1/2 (e_b - e_a, 0)``,
     ``z = D^-1/2 (-[i1!=i2] (x + e_b - e_a)/s, [j1!=j2] (e_j1 - e_j2))``
-    and ``x = N_R (e_i1 - e_i2)``.  A candidate's trace follows from
+    and ``x = N_R (e_i1 - e_i2)``; the walk keeps ``N_R'`` scaled by
+    ``D^-1/2 / s`` for it.  A candidate's trace follows from
     ``G = M [u z]`` and the 2x2 Woodbury capacitance ``S`` in O((v+s)^2)
-    work: two matrix products give ``G`` and ``MG``, a third every 2x2
-    block the update needs, and the rest is arithmetic on Python floats.
-    Accepting it sets ``M <- M - G S^-1 G'``, and ``M`` is rebuilt
+    work: two matrix products into one buffer give ``G`` and ``MG``, a third
+    every 2x2 block the update needs, and the rest is arithmetic on Python
+    floats.  Accepting it sets ``M <- M - G S^-1 G'``, and ``M`` is rebuilt
     from scratch by an eigensolve after ``_REBUILD_EVERY`` updates.
 
     Rounding in the update grows with the conditioning of ``B~``, so the
@@ -527,8 +540,17 @@ class _SwapWalk:
         self.obj = obj
         self.inverse = obj.objective == "e_aug"
         self.cells = self.cand = self.move = self.pending = None
+        self.pairs = _swap_index(obj.k, obj.s, _CLASSES)
+        self.draws: list[list[int]] = []
         # D^-1/2 on label and on column coordinates
         self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
+        if self.inverse:
+            # the rows of U' = [u z]', G' = U'M and H' = G'M (M is symmetric, so G = MU),
+            # with views of the blocks _score reads and writes; G' stays valid until the commit
+            ugh = np.empty((6, obj.v + obj.s))
+            self.u, self.z, self.x = ugh[0], ugh[1], ugh[1, :obj.v]
+            self.uz, self.g, self.h = ugh[:2], ugh[2:4], ugh[4:]
+            self.ug, self.gh_t = ugh[:4], ugh[2:].T
 
     def _sync(self, cells: np.ndarray) -> None:
         if cells is self.cells:
@@ -542,11 +564,16 @@ class _SwapWalk:
     def _rebuild(self, cells: np.ndarray) -> None:
         obj = self.obj
         v, s, k = obj.v, obj.s, obj.k
-        self.n_r, self.n_c = _incidence_arrays(cells, v)
+        rows = cells.tolist()
+        self.labels = [lab for row in rows for lab in row]
+        self.rows = [set(row) for row in rows]
+        self.cols = [set(col) for col in zip(*rows)]
         if not self.inverse:
             return
         self.updates = 0
-        joint = _joint_matrix(self.n_r, self.n_c, obj.r, k)
+        n_r, n_c = _incidence_arrays(cells, v)
+        self.xr = np.ascontiguousarray(n_r.T) * (self.dv / s)
+        joint = _joint_matrix(n_r, n_c, obj.r, k)
         joint[:v, :v] += 1.0 / v  # t1 t1', t1 = (1_v, 0) / sqrt(v)
         joint[v:, v:] += (1.0 - k / v) / s  # (1 - k/v) t2 t2', t2 = (0, 1_s) / sqrt(s)
         w, vecs = np.linalg.eigh(joint)
@@ -563,15 +590,24 @@ class _SwapWalk:
 
     def _commit(self) -> None:
         i1, j1, i2, j2 = self.move
-        a, b = self.cells[i1, j1] - 1, self.cells[i2, j2] - 1
-        # Sequential updates: for a within-row or within-column swap they cancel.
-        for inc, x1, x2 in ((self.n_r, i1, i2), (self.n_c, j1, j2)):
-            inc[a, x1] -= 1.0
-            inc[b, x1] += 1.0
-            inc[b, x2] -= 1.0
-            inc[a, x2] += 1.0
+        labels, s = self.labels, self.obj.s
+        p1, p2 = i1 * s + j1, i2 * s + j2
+        a, b = labels[p1], labels[p2]
+        labels[p1], labels[p2] = b, a
+        for sets, x1, x2 in ((self.rows, i1, i2), (self.cols, j1, j2)):
+            if x1 != x2:
+                sets[x1].remove(a)
+                sets[x1].add(b)
+                sets[x2].remove(b)
+                sets[x2].add(a)
         if not self.inverse:
             return
+        if i1 != i2:
+            xr, c = self.xr, self.dv / s
+            xr[i1, a - 1] -= c
+            xr[i1, b - 1] += c
+            xr[i2, b - 1] -= c
+            xr[i2, a - 1] += c
         gt, s_inv, self.tr, self.norm2 = self.pending  # gt = G'
         self.m -= gt.T @ (np.array(s_inv) @ gt)
         self.val = self._e_aug(self.tr)
@@ -582,19 +618,21 @@ class _SwapWalk:
     def sample(self, cells: np.ndarray, rng) -> tuple[int, int, int, int] | None:
         """A valid swap, uniform over them: draw cell pairs, reject invalid ones.
 
-        Each try draws one row of the shape's table of unordered cell pairs.
+        Each try pops one pair drawn by ``_draw_pairs``.
         """
         self._sync(cells)
-        n_r, n_c = self.n_r, self.n_c
-        pairs = _swap_index(*cells.shape, _CLASSES)
+        labels, rows, cols, s = self.labels, self.rows, self.cols, self.obj.s
+        draws = self.draws
         for _ in range(256):
-            i1, j1, i2, j2 = pairs[rng.integers(len(pairs))].tolist()
-            a, b = int(cells[i1, j1]) - 1, int(cells[i2, j2]) - 1
+            if not draws:
+                draws = self.draws = _draw_pairs(self.pairs, rng)
+            i1, j1, i2, j2 = draws.pop()
+            a, b = labels[i1 * s + j1], labels[i2 * s + j2]
             if a == b:
                 continue
-            if i1 != i2 and (n_r[b, i1] or n_r[a, i2]):
+            if i1 != i2 and (b in rows[i1] or a in rows[i2]):
                 continue
-            if j1 != j2 and (n_c[b, j1] or n_c[a, j2]):
+            if j1 != j2 and (b in cols[j1] or a in cols[j2]):
                 continue
             return i1, j1, i2, j2
         return None
@@ -619,20 +657,20 @@ class _SwapWalk:
         v, s = self.obj.v, self.obj.s
         dv = self.dv
         i1, j1, i2, j2 = self.move
-        a, b = self.cells[i1, j1] - 1, self.cells[i2, j2] - 1
-        # the rows of U' = [u z]', G' = U'M and G'M (M is symmetric, so G = MU)
-        ugh = np.zeros((6, v + s))
+        a, b = self.labels[i1 * s + j1] - 1, self.labels[i2 * s + j2] - 1
+        u, z = self.u, self.z
+        self.uz.fill(0.0)
         if i1 != i2:
-            ugh[1, :v] = (self.n_r[:, i2] - self.n_r[:, i1]) * (dv / s)
-            ugh[1, a] = ugh[1, b] = 0.0  # x + e_b - e_a vanishes on the swapped labels
+            np.subtract(self.xr[i2], self.xr[i1], out=self.x)
+            z[a] = z[b] = 0.0  # x + e_b - e_a vanishes on the swapped labels
         if j1 != j2:
-            ugh[1, v + j1], ugh[1, v + j2] = self.dc, -self.dc
-        ugh[0, a], ugh[0, b] = -dv, dv
-        np.matmul(ugh[:2], self.m, out=ugh[2:4])
-        np.matmul(ugh[2:4], self.m, out=ugh[4:])
+            z[v + j1], z[v + j2] = self.dc, -self.dc
+        u[a], u[b] = -dv, dv
+        np.matmul(self.uz, self.m, out=self.g)
+        np.matmul(self.g, self.m, out=self.h)
         # [U G]'[G MG] holds the blocks U'MU, G'G (twice) and G'MG, as Python floats
         (c11, c12, p11, p12), (_, c22, p21, p22), (*_, q11, q12), (*_, q21, q22) = (
-            ugh[:4] @ ugh[2:].T).tolist()
+            self.ug @ self.gh_t).tolist()
         # the 2x2 Woodbury capacitance S = [[0, 1], [1, 0]] + U'MU
         s11, s12, s22 = c11, 1.0 + c12, c22
         det = s11 * s22 - s12 * s12
@@ -647,8 +685,16 @@ class _SwapWalk:
         if norm2 * _WALK_MIN_EIG**2 > 1.0:
             return self.obj._value_e_aug(cand)
         trace = self.tr - (t11 + t22)
-        self.pending = ugh[2:4], ((s22 / det, -s12 / det), (-s12 / det, s11 / det)), trace, norm2
+        self.pending = self.g, ((s22 / det, -s12 / det), (-s12 / det, s11 / det)), trace, norm2
         return self._e_aug(trace)
+
+
+def _draw_pairs(pairs: np.ndarray, rng) -> list[list[int]]:
+    """``_DRAW_BLOCK`` rows of the pair table, drawn iid and uniformly by one generator call.
+
+    The sampler pops them from the end of the list, one per try.
+    """
+    return pairs[rng.integers(len(pairs), size=_DRAW_BLOCK)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -773,13 +819,7 @@ def _start_temp(probe: list[float]) -> float:
 
 def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
     rng = np.random.default_rng(cfg.seed ^ restart)
-    cells = None
-    for _ in range(200):
-        cells = _try_fill(v, s, k, r, rng)
-        if cells is not None:
-            break
-    if cells is None:
-        raise ConstructionError(f"restart {restart}: could not build a starting contraction")
+    cells = _fill(v, s, k, r, rng, f"restart {restart}: could not build a starting contraction")
 
     obj = _ContractionObjective(v, s, k, r, cfg.objective)
     if cfg.strategy == "hillclimb":

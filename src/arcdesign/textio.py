@@ -24,6 +24,7 @@ from .errors import ParseError
 _HEADER_RE = re.compile(
     r"^#\s*(contraction|augmented)\s+v=(\d+)\s+s=(\d+)\s+k=(\d+)\s*$"
 )
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def format_design(design: ContractionDesign | AugmentedDesign) -> str:
@@ -65,6 +66,8 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
             "of freedom; need >= 0",
             line=idx + 1,
         )
+    if kind == "augmented" and not 1 <= k <= v:
+        raise ParseError(f"header k={k} out of range for a {v}-row array", line=idx + 1)
 
     rows: list[list[int]] = []
     for lineno in range(idx + 1, len(lines)):
@@ -75,13 +78,17 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
         row = []
         for col, field in enumerate(fields):
             try:
-                row.append(int(field.strip()))
+                label = int(field.strip())
             except ValueError:
                 raise ParseError(
                     f"expected an integer label, got {field.strip()!r}",
                     line=lineno + 1,
                     column=col + 1,
                 ) from None
+            if not _INT64_MIN <= label <= _INT64_MAX:
+                raise ParseError(f"label {label} does not fit in 64 bits",
+                                 line=lineno + 1, column=col + 1)
+            row.append(label)
         rows.append(row)
 
     expected_rows = k if kind == "contraction" else v

@@ -14,7 +14,7 @@ import numpy as np
 
 from arcdesign import ContractionDesign, e_con, validate_contraction
 from arcdesign.errors import DisconnectedDesignError
-from arcdesign.search import _CLASSES, Move, _swap_index
+from arcdesign.search import _CLASSES, Move, _draw_pairs, _swap_index
 
 
 def pairwise_variance_efficiency(info_matrix, u) -> float:
@@ -160,15 +160,18 @@ def catalogue_by_loops(cells, v: int, classes=("within_column", "within_row", "t
     return moves
 
 
-def sample_move_by_scans(cells, rng):
+def sample_move_by_scans(cells, rng, draws):
     """The anneal's uniform valid swap, checking each label by scanning its row and column.
 
-    Draws rows of the library's table of unordered cell pairs with
-    ``rng.integers`` exactly as its sampler does and rejects invalid ones.
+    Pops cell pairs from ``draws``, a list the caller keeps between calls,
+    and refills it with the library's ``_draw_pairs`` when it runs empty,
+    exactly as its sampler does; invalid pairs are rejected.
     """
     pairs = _swap_index(*cells.shape, _CLASSES)
     for _ in range(256):
-        i1, j1, i2, j2 = (int(x) for x in pairs[rng.integers(len(pairs))])
+        if not draws:
+            draws.extend(_draw_pairs(pairs, rng))
+        i1, j1, i2, j2 = draws.pop()
         a, b = cells[i1, j1], cells[i2, j2]
         if a == b:
             continue

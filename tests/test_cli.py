@@ -100,6 +100,19 @@ class TestEvaluateCommand:
         assert "residual degrees of freedom" in result.output
         assert not isinstance(result.exception, MemoryError)
 
+    @pytest.mark.parametrize("name, message", [
+        ("negative-label", "label -1 at (2,5) outside 1..12"),
+        ("label-beyond-int64", "line 3, column 5"),
+        ("augmented-k-beyond-v", "line 1"),
+    ])
+    def test_malformed_file_exits_2(self, runner, tmp_path, malformed_files, name, message):
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text(malformed_files[name])
+        result = runner.invoke(main, ["evaluate", str(bad)])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+
     def test_parse_error_exits_2(self, runner, tmp_path):
         bad = tmp_path / "broken.txt"
         bad.write_text("# contraction v=3 s=3 k=2\n1,oops,3\n2,3,1\n")
@@ -223,6 +236,15 @@ class TestSearchAndAugmentCommands:
         assert search_data["objective"] > 0.5
         design = read_design(out / "contraction.txt")
         assert (design.v, design.s, design.k) == (12, 8, 3)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_time_budget_must_be_finite_and_positive(self, runner, value):
+        with pytest.raises(ConfigError, match="^time_budget must be a finite number > 0$"):
+            SearchConfig(time_budget=float(value))
+        result = runner.invoke(main, ["search", "--v", "6", "--s", "4", "--k", "3",
+                                      "--time-budget", value])
+        assert result.exit_code == 2
+        assert result.output == "error: --time-budget must be a finite number > 0\n"
 
     def test_search_stdout(self, runner):
         result = runner.invoke(main, ["search", "--v", "6", "--s", "4", "--k", "3",

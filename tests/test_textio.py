@@ -9,6 +9,7 @@ from arcdesign import (
     format_design,
     parse_design,
     read_design,
+    validate_contraction,
     write_design,
 )
 from arcdesign.errors import ParseError
@@ -71,3 +72,19 @@ def test_infeasible_contraction_header_rejected_before_allocating():
     with mock.patch.object(ContractionDesign, "from_cells", side_effect=AssertionError):
         with pytest.raises(ParseError, match=r"residual degrees of freedom.*line 1"):
             parse_design("# contraction v=100000000000 s=2 k=1\n1,2\n")
+
+
+def test_negative_label_is_left_to_validation(malformed_files):
+    design = parse_design(malformed_files["negative-label"])
+    assert design.r.sum() == 3 * 8 - 1  # the label outside 1..v is not counted
+    assert "label -1 at (2,5) outside 1..12" in validate_contraction(design).violations
+
+
+def test_label_beyond_int64_reports_line_and_column(malformed_files):
+    with pytest.raises(ParseError, match=r"label 99999999999999999999 .*line 3, column 5"):
+        parse_design(malformed_files["label-beyond-int64"])
+
+
+def test_augmented_header_k_beyond_v_reports_header_line(malformed_files):
+    with pytest.raises(ParseError, match=r"k=99999999999 out of range .*line 1\)"):
+        parse_design(malformed_files["augmented-k-beyond-v"])
