@@ -15,11 +15,15 @@ restart i draws from a generator seeded with ``seed ^ i``, and the reduction
 over restarts is by (objective, restart index, lexicographic array), so
 running restarts serially or concurrently gives the same answer.
 
-Hill climbing screens, then confirms.  A rank-2 Woodbury update of the
-information matrix scores candidates in chunks of their random order that
-grow geometrically; only candidates that could beat the current value are
-evaluated exactly, and the exact value alone decides acceptance.  Trajectories,
-traces and evaluation counts are those of evaluating every candidate in turn.
+Hill climbing screens, then confirms.  A state's move catalogue is a few
+gathers against flat-index tables built once per shape.  A rank-2 Woodbury
+update of the information matrix scores candidates in chunks of their random
+order, the first ``_FIRST_CHUNK`` long and each later one ending at twice the
+last end.  Per state the screen inverts one v x v matrix and tabulates its
+products with the cell incidences, so a candidate's score is a few table
+reads.  Only candidates that could beat the current value are evaluated
+exactly, and the exact value alone decides acceptance.  Trajectories, traces
+and evaluation counts are those of evaluating every candidate in turn.
 
 Annealing scores one sampled swap per iteration.  The sampler draws rows of
 a per-shape table of cell pairs, ``_DRAW_BLOCK`` per generator call, and
@@ -80,7 +84,7 @@ _DISCONNECT_TOL = 1e-8
 #: Smallest eigenvalue of A_s + qq' below which a state's moves are not screened.
 _SCREEN_MIN_EIG = 1e-4
 #: Size of a hill-climb screen's first chunk; each later chunk ends at twice the last end.
-_FIRST_CHUNK = 16
+_FIRST_CHUNK = 64
 #: A Woodbury capacitance determinant below this means the candidate is disconnected or nearly so.
 _MIN_CAPACITANCE_DET = 1e-8
 #: Accepted rank-2 updates of an anneal's maintained inverse between rebuilds from scratch.
@@ -363,36 +367,96 @@ def _swap_index(k: int, s: int, classes: tuple[str, ...]) -> np.ndarray:
     return index
 
 
-def _catalogue(cells: np.ndarray, v: int, classes) -> np.ndarray:
-    """The swaps that keep rows and columns binary, as (i1, j1, i2, j2) rows."""
-    k, s = cells.shape
-    index = _swap_index(k, s, tuple(c for c in _CLASSES if c in classes))
+class _CataloguePlan(NamedTuple):
+    """Flat-index tables that check every cell pair of one shape and class set at once.
+
+    Cell (i, j) is flat cell ``i*s + j``, and pair n of ``index`` swaps label
+    a at flat cell p1 with label b at p2.  A state's labels go into a zeroed
+    boolean table of ``size = (k+s) * (v+1)`` entries, rows first, then
+    columns: line l holds label x at entry ``l*(v+1) + x``, and ``marks[:, p]``
+    are the starts of flat cell p's row and column lines.  ``cells[:, n]`` is
+    (p2, p1), whose labels are (b, a), and ``probes[:, t, n]`` are the starts
+    of the row and the column that label t of (b, a) would move into.  A pair
+    within one row probes its columns twice, and one within a column its rows
+    twice, so the pair is valid iff all four probes miss.
+    """
+
+    index: np.ndarray
+    cells: np.ndarray
+    probes: np.ndarray
+    marks: np.ndarray
+    size: int
+
+
+@functools.lru_cache(maxsize=64)
+def _catalogue_plan(k: int, s: int, v: int, classes: tuple[str, ...]) -> _CataloguePlan:
+    index = _swap_index(k, s, classes)
     i1, j1, i2, j2 = index.T
-    row_has = np.zeros((k, v + 1), dtype=bool)
-    row_has[np.arange(k)[:, None], cells] = True
-    col_has = np.zeros((s, v + 1), dtype=bool)
-    col_has[np.arange(s), cells] = True
-    a, b = cells[i1, j1], cells[i2, j2]
-    ok = a != b
-    ok &= (i1 == i2) | ~(row_has[i1, b] | row_has[i2, a])
-    ok &= (j1 == j2) | ~(col_has[j1, b] | col_has[j2, a])
-    return index[ok]
+    rows = np.stack([i1, i2]) * (v + 1)
+    cols = np.stack([k + j1, k + j2]) * (v + 1)
+    probes = np.stack([np.where(i1 == i2, cols, rows), np.where(j1 == j2, rows, cols)])
+    flat = np.arange(k * s)
+    marks = np.stack([flat // s, k + flat % s]) * (v + 1)
+    plan = _CataloguePlan(index, np.stack([i2 * s + j2, i1 * s + j1]), probes, marks,
+                          (k + s) * (v + 1))
+    for table in (plan.cells, plan.probes, plan.marks):
+        table.flags.writeable = False
+    return plan
+
+
+def _catalogue(cells: np.ndarray, v: int, classes) -> np.ndarray:
+    """The swaps that keep rows and columns binary, as (i1, j1, i2, j2) rows.
+
+    A swap of labels a and b is valid when neither lands in a row or column
+    that already holds it; that also rules out a == b.
+    """
+    k, s = cells.shape
+    plan = _catalogue_plan(k, s, v, tuple(c for c in _CLASSES if c in classes))
+    labels = cells.ravel()
+    has = np.zeros(plan.size, dtype=bool)
+    has[plan.marks + labels] = True
+    clash = has[plan.probes + labels[plan.cells]]
+    return plan.index.compress(~clash.reshape(4, -1).any(axis=0), axis=0)
 
 
 # ---------------------------------------------------------------------------
 # objectives
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_term(k: int, s: int, alpha: float, beta: float) -> np.ndarray:
+    """``2 (alpha [i1 != i2] + beta [j1 != j2])`` for every flat cell pair (p1, p2), flattened."""
+    flat = np.arange(k * s)
+    i, j = flat // s, flat % s
+    term = 2.0 * (alpha * (i[:, None] != i) + beta * (j[:, None] != j))
+    term = term.ravel()
+    term.flags.writeable = False
+    return term
+
+
 class _ContractionObjective:
     """Average-efficiency evaluation and move screening on raw cell arrays.
 
-    ``value`` is exact: it rebuilds the scaled information matrix ``A_s`` and
-    takes its eigenvalues.  ``screen`` scores a catalogue from one state: a
-    swap of labels a, b changes ``A_s`` by a rank-2 term, so with
-    ``M = (A_s + qq')^-1`` (``q`` the unit null vector ``r^1/2 / |r^1/2|``)
-    each candidate's ``tr(A_s^+)`` follows from a 2x2 Woodbury capacitance
-    matrix in O(v) work.  The column Gram matrix can be pinned when a phase
-    only uses moves that keep columns fixed.
+    ``value`` is exact: it rebuilds the information matrix ``A``, scales it
+    to ``A_s = D A D`` with ``D = diag(r)^-1/2`` and takes its eigenvalues.
+    The column Gram matrix can be pinned when a phase only uses moves that
+    keep columns fixed.
+
+    ``screen`` scores a catalogue from one state.  A swap of label a at flat
+    cell p1 = i1*s + j1 with label b at p2 changes ``A`` by
+    ``-(u z' + z u') - c u u'``, where ``u = e_b - e_a``,
+    ``z = Z[:, p1] - Z[:, p2]`` and ``c = 2 (alpha [i1 != i2] + beta [j1 != j2])``.
+    Column i*s + j of the v x ks matrix ``Z`` is
+    ``alpha N_R[:, i] + beta N_C[:, j]``; ``alpha`` is 1/s (0 for the
+    columns-only design) and ``beta`` 1/k (0 with the Gram matrix pinned).
+    The unit null vector ``q = r^1/2 / |r^1/2|`` of ``A_s`` stays null
+    through every swap, so with ``M = (A_s + qq')^-1``,
+    ``P = D M D`` and ``Q = P diag(r) P`` the candidate's
+    ``tr(A_s^+) = tr(M) - 1 - tr(S^-1 T)``, from the 2x2 Woodbury matrices
+    ``S = [[u'Pu, u'Pz - 1], [., z'Pz + c]]`` and
+    ``T = [[u'Qu, u'Qz], [., z'Qz]]``.  Per state the screen tabulates
+    ``[P; Q]``, ``H = [P; Q] Z`` and ``G = Z' [P; Q] Z``, so each entry of
+    ``S`` and ``T`` is a sum of table entries at a, b, p1 and p2.
     """
 
     def __init__(self, v: int, s: int, k: int, r: np.ndarray, objective: str = "e_con"):
@@ -400,7 +464,7 @@ class _ContractionObjective:
         self.r = r.astype(float)
         self.r_diag = np.diag(self.r)
         self.rr_term = np.outer(self.r, self.r) / (k * s)
-        self.inv_sqrt = inv_sqrt = 1.0 / np.sqrt(self.r)
+        inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
         self.objective = objective
@@ -408,6 +472,7 @@ class _ContractionObjective:
         self.r_bar = k * s / v
         self._helmert_s = helmert_basis(s) if objective == "e_aug" else None
         self._last = (None, None, None), None
+        self._eig = None, None
 
     def column_gram(self, cells: np.ndarray) -> np.ndarray:
         _, n_c = _incidence_arrays(cells, self.v)
@@ -439,6 +504,7 @@ class _ContractionObjective:
 
     def _efficiency(self, a_s: np.ndarray) -> float:
         w = np.linalg.eigvalsh(a_s)
+        self._eig = a_s, w
         if w[1] <= _DISCONNECT_TOL:
             return 0.0
         return (self.v - 1) / float(np.sum(1.0 / w[1:]))
@@ -447,36 +513,54 @@ class _ContractionObjective:
                rows: bool = True):
         """``score(idx)``, the ``value`` of each of ``moves[idx]`` by rank-2 updates.
 
-        (``column_value`` if not ``rows``.)  The eigensolve and the other
-        per-state work run here, once, however many chunks are scored.  A
-        state that is disconnected or nearly so scores ``+inf`` for every move.
+        (``column_value`` if not ``rows``.)  The inverse and the per-state
+        tables are built here, once, however many chunks are scored.  A state
+        that is disconnected or nearly so scores ``+inf`` for every move.
+        ``A_s + qq'`` has the eigenvalues of ``A_s`` with the null one replaced
+        by 1, so its smallest is ``min(1, w[1])`` for the eigenvalues ``w`` of
+        ``A_s``.  Those are the ones the confirming ``value`` of the same
+        ``A_s`` took; only a state that no ``value`` saw takes its own.
         """
         a_s, n_r, n_c = self._scaled_info(cells, col_gram, rows)
-        w, vecs = np.linalg.eigh(a_s + self.null_term)
-        if w[0] < _SCREEN_MIN_EIG:
+        a_w, w = self._eig
+        if a_w is not a_s:
+            w = np.linalg.eigvalsh(a_s)
+        if min(1.0, w[1]) < _SCREEN_MIN_EIG:
             return _confirm_all(cells, moves)
-        m = (vecs / w) @ vecs.T
-        d = self.inv_sqrt
-        dn_r, dn_c = (n_r * d[:, None]).T, (n_c * d[:, None]).T
-        g_r, g_c = dn_r @ m, dn_c @ m
+        m = np.linalg.inv(a_s + self.null_term)
+        v, s, k = self.v, self.s, self.k
+        ks = k * s
+        alpha, beta = rows / s, (col_gram is None) / k
+        # [P; Q] with P = D M D and Q = P diag(r) P, both v x v
+        p = m * self.scale
+        pq = np.concatenate([p, (p * self.r) @ p]).reshape(2, v, v)
+        diag = pq.diagonal(axis1=1, axis2=2)
+        uu = (diag[:, :, None] + diag[:, None, :] - 2.0 * pq).reshape(2, v * v)
+        # Z, whose column i*s + j is alpha N_R[:, i] + beta N_C[:, j]
+        z = (n_r[:, :, None] * alpha + n_c[:, None, :] * beta).reshape(v, ks)
+        h = pq.reshape(2 * v, v) @ z
+        # G = Z' [P; Q] Z, kept as its diagonal and as c - 2G (c in the P half only)
+        cross = (-2.0 * z.T) @ h.reshape(2, v, ks)
+        gd = cross.diagonal(axis1=1, axis2=2) * -0.5
+        cross = cross.reshape(2, ks * ks)
+        cross[0] += _pair_term(k, s, alpha, beta)
+        h = h.reshape(2, v * ks)
+        trace = np.trace(m)
+        lab = cells.ravel() - 1
 
         def score(idx: np.ndarray) -> np.ndarray:
             i1, j1, i2, j2 = moves[idx].T
-            la, lb = cells[i1, j1] - 1, cells[i2, j2] - 1
-            alpha = (i1 != i2)[:, None] * (rows / self.s)
-            beta = (j1 != j2)[:, None] * ((col_gram is None) / self.k)
-            # Rows are the moves: D z, M D z and M D u with u = e_b - e_a.
-            dz = alpha * (dn_r[i1] - dn_r[i2]) + beta * (dn_c[j1] - dn_c[j2])
-            mz = alpha * (g_r[i1] - g_r[i2]) + beta * (g_c[j1] - g_c[j2])
-            mu = m[lb] * d[lb, None] - m[la] * d[la, None]
-            n = np.arange(len(idx))
-            s11 = d[lb] * mu[n, lb] - d[la] * mu[n, la]
-            s12 = d[lb] * mz[n, lb] - d[la] * mz[n, la] - 1.0
-            s22 = np.einsum("ij,ij->i", dz, mz) + 2.0 * (alpha + beta)[:, 0]
-            t11, t12, t22 = (np.einsum("ij,ij->i", x, y) for x, y in ((mu, mu), (mu, mz), (mz, mz)))
+            p1, p2 = i1 * s + j1, i2 * s + j2
+            a, b = lab[p1], lab[p2]
+            s11, t11 = uu.take(a * v + b, axis=1)
+            ha, hb = a * ks, b * ks
+            s12, t12 = (h.take(hb + p1, axis=1) - h.take(hb + p2, axis=1)
+                        - h.take(ha + p1, axis=1) + h.take(ha + p2, axis=1))
+            s12 -= 1.0
+            s22, t22 = gd.take(p1, axis=1) + gd.take(p2, axis=1) + cross.take(p1 * ks + p2, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 drop = (s22 * t11 - 2.0 * s12 * t12 + s11 * t22) / (s11 * s22 - s12 * s12)
-                return (self.v - 1) / (np.trace(m) - 1.0 - drop)
+                return (v - 1) / (trace - 1.0 - drop)
 
         return score
 

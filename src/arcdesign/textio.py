@@ -111,8 +111,12 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
 
 
 def read_design(path) -> ContractionDesign | AugmentedDesign:
-    """Parse a design file."""
-    return parse_design(Path(path).read_text())
+    """Parse a UTF-8 design file; bytes that are not UTF-8 raise ``ParseError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_design(text)
 
 
 def write_design(design: ContractionDesign | AugmentedDesign, path) -> None:

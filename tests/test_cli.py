@@ -120,6 +120,15 @@ class TestEvaluateCommand:
         assert result.exit_code == 2
         assert "line 2" in result.output
 
+    @pytest.mark.parametrize("command", ["evaluate", "augment"])
+    def test_non_utf8_file_exits_2(self, runner, tmp_path, command):
+        bad = tmp_path / "binary.txt"
+        bad.write_bytes(b"\xff\xfe\n")
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "binary.txt is not UTF-8 text" in errors[0]
+
 
 class TestGenerateCommand:
     def test_end_to_end_report_consistency(self, runner, tmp_path):

@@ -154,6 +154,15 @@ def _climb_modes(obj, cells):
     }
 
 
+def _mode_args(obj, cells):
+    """(pinned column Gram matrix, rows, move classes) of each hill climb that screens."""
+    return {
+        "full": (None, True, _CLASSES),
+        "columns": (None, False, ("within_row", "transpose")),
+        "pinned": (obj.column_gram(cells), True, ("within_column",)),
+    }
+
+
 def _screen_modes(obj, cells):
     """(catalogue, exact objective, screened values) for each objective hill climbing screens."""
     out = []
@@ -195,21 +204,70 @@ class TestScreen:
     def test_disconnected_state_confirms_every_candidate(self):
         for seed in range(200):
             c = random_contraction(12, 8, 3, seed=seed)
-            obj = _ContractionObjective(c.v, c.s, c.k, c.r)
-            if obj.value(c.cells) == 0.0:
+            if _ContractionObjective(c.v, c.s, c.k, c.r).value(c.cells) == 0.0:
                 break
         else:
             pytest.fail("no disconnected start found")
         moves = _catalogue(c.cells, c.v, _CLASSES)
+        # with and without the eigenvalues of the state's own value
+        for value_first in (True, False):
+            obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+            if value_first:
+                assert obj.value(c.cells) == 0.0
+            assert np.all(obj.screen(c.cells, moves)(np.arange(len(moves))) == np.inf)
         exact = np.array([obj.value(_swap(c.cells, m)) for m in moves])
         assert np.any(exact > 0.0)
-        assert np.all(obj.screen(c.cells, moves)(np.arange(len(moves))) == np.inf)
 
-    # Budgets that end a scan inside its first chunk (1, 9), at or just past
-    # that chunk's end (16, 17), inside a later chunk (37 to 500) or never.
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["full", "columns", "pinned"]))
+    @settings(max_examples=30, deadline=None)
+    def test_screen_without_cached_eigenvalues_matches(self, size, seed, mode):
+        # screen reads the eigenvalues the last value took of the same A_s,
+        # and takes them itself when there are none
+        c = random_contraction(*size, seed=seed)
+        runs = []
+        for warm in (True, False):
+            obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+            exact_fn, catalogue_fn, screen = _climb_modes(obj, c.cells)[mode]
+            if warm:
+                exact_fn(c.cells)
+            moves = catalogue_fn(c.cells)
+            runs.append(screen(c.cells, moves)(np.arange(len(moves))))
+        np.testing.assert_array_equal(*runs)
+        # a well-conditioned state is screened, not confirmed move by move
+        col_gram, rows, _ = _mode_args(obj, c.cells)[mode]
+        guard = min(1.0, np.linalg.eigvalsh(obj._scaled_info(c.cells, col_gram, rows)[0])[1])
+        if len(moves) and guard >= search._SCREEN_MIN_EIG:
+            assert np.isfinite(runs[0]).any()
+
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["full", "columns", "pinned"]), steps=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_guard_equals_smallest_eigenvalue_of_lifted_matrix(self, size, seed, mode, steps):
+        # A_s + qq' has the eigenvalues of A_s with the null one replaced by 1
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        col_gram, rows, classes = _mode_args(obj, c.cells)[mode]
+        rng = np.random.default_rng(seed)
+        cells = c.cells
+        for _ in range(steps):
+            moves = _catalogue(cells, c.v, classes)
+            if len(moves) == 0:
+                break
+            cells = _swap(cells, moves[rng.integers(len(moves))])
+        a_s = obj._scaled_info(cells, col_gram, rows)[0]
+        guard = min(1.0, np.linalg.eigvalsh(a_s)[1])
+        lifted = np.linalg.eigh(a_s + obj.null_term)[0][0]
+        assert abs(guard - lifted) <= 1e-12
+
+    # Budgets that end a scan at small positions (1 to 40), just before, at
+    # or just past the first chunk's end (_FIRST_CHUNK - 1 to + 1), just past
+    # the second's (2 * _FIRST_CHUNK + 1), later (100 to 500) or never.
     @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
            mode=st.sampled_from(["full", "columns", "pinned"]),
-           max_iters=st.sampled_from([1, 9, 16, 17, 37, 40, 100, 300, 500, 20000]))
+           max_iters=st.sampled_from([1, 9, 16, 17, 37, 40, 100, 300, 500, 20000,
+                                      search._FIRST_CHUNK - 1, search._FIRST_CHUNK,
+                                      search._FIRST_CHUNK + 1, 2 * search._FIRST_CHUNK + 1]))
     @example(size=(12, 8, 3), seed=0, mode="full", max_iters=20000)  # a disconnected start
     @example(size=(12, 8, 3), seed=0, mode="pinned", max_iters=40)
     @settings(max_examples=40, deadline=None)

@@ -88,3 +88,10 @@ def test_label_beyond_int64_reports_line_and_column(malformed_files):
 def test_augmented_header_k_beyond_v_reports_header_line(malformed_files):
     with pytest.raises(ParseError, match=r"k=99999999999 out of range .*line 1\)"):
         parse_design(malformed_files["augmented-k-beyond-v"])
+
+
+def test_non_utf8_file_raises_parse_error_naming_it(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ParseError, match=r"h\.txt is not UTF-8 text"):
+        read_design(path)
