@@ -19,20 +19,20 @@ from .errors import InvalidDesignError
 def augment(c: ContractionDesign) -> AugmentedDesign:
     """Expand a valid contraction into its v x s augmented design."""
     _require_valid(c)
-    v, s, k = c.v, c.s, c.k
+    return AugmentedDesign(k=c.k, cells=_augmented_cells(c.cells - 1, c.v))
+
+
+def _augmented_cells(check_rows: np.ndarray, v: int) -> np.ndarray:
+    """The v x s placement-rule array with check i of column j in row ``check_rows[i, j]``.
+
+    Rows are 0-based and must be distinct within each column.
+    """
+    k, s = check_rows.shape
     n_test = (v - k) * s
     cells = np.zeros((v, s), dtype=np.int64)
-    for i in range(k):
-        for j in range(s):
-            l = int(c.cells[i, j])
-            cells[l - 1, j] = n_test + i + 1
-    next_line = 1
-    for j in range(s):
-        for l in range(v):
-            if cells[l, j] == 0:
-                cells[l, j] = next_line
-                next_line += 1
-    return AugmentedDesign(k=k, cells=cells)
+    cells[check_rows, np.arange(s)] = n_test + 1 + np.arange(k)[:, None]
+    cells.T[cells.T == 0] = np.arange(1, n_test + 1)  # column by column, top to bottom
+    return cells
 
 
 def extract_contraction(a: AugmentedDesign) -> ContractionDesign:

@@ -126,7 +126,9 @@ def _search_options(fn):
         click.option("--workers", type=int, default=1, show_default=True,
                      help="Concurrent restarts; the result is identical to serial execution."),
         click.option("--objective", type=click.Choice(["e_con", "e_aug"]), default="e_con",
-                     show_default=True, help="Maximize the contraction or the augmented efficiency."),
+                     show_default=True,
+                     help="Maximize the contraction or the augmented efficiency "
+                          "(e_aug needs --strategy anneal)."),
     ]):
         fn = deco(fn)
     return fn

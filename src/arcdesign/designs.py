@@ -312,11 +312,11 @@ def incidence(c: ContractionDesign) -> IncidenceSet:
 def _incidence_arrays(cells: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
     # Assumes a binary array; shared with the search hot path.
     k, s = cells.shape
-    flat = cells.ravel() - 1
+    labels = cells - 1
     n_r = np.zeros((v, k))
-    n_r[flat, np.repeat(np.arange(k), s)] = 1.0
+    n_r[labels, np.arange(k)[:, None]] = 1.0
     n_c = np.zeros((v, s))
-    n_c[flat, np.tile(np.arange(s), k)] = 1.0
+    n_c[labels, np.arange(s)] = 1.0
     return n_r, n_c
 
 

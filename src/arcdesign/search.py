@@ -31,16 +31,18 @@ checks each pair against Python tables of the state's labels; the
 acceptance draws of the anneal fall between those calls.  Its first iterations
 probe the start state without moving, and the start temperature is a fixed
 multiple of the median objective change they see, so the anneal starts at
-the objective's own scale instead of at a fixed temperature.  For ``e_aug``
-it keeps the inverse of the contraction's (v+s) x (v+s) joint matrix and
-scores a swap by a rank-2 Woodbury update of it: O((v+s)^2) work per
-candidate instead of two eigensolves and a solve.  The inverse is rebuilt
-from scratch every 64 accepted swaps.  States and candidates that are badly
-conditioned, disconnected or nearly so are evaluated exactly, so
-disconnected ones score 0.0.  Values agree with the exact ones to about
-1e-12, so a seeded anneal only leaves the exact path where a candidate ties
-the current value exactly and rounding decides whether a random number is
-drawn.
+the objective's own scale instead of at a fixed temperature.
+
+The augmented efficiency ``e_aug`` is an objective of the anneal only.  For
+it the anneal keeps the inverse of the contraction's lifted (v+s) x (v+s)
+joint matrix and scores a swap by a rank-2 Woodbury update of it:
+O((v+s)^2) work per candidate instead of an eigensolve.  The inverse is
+rebuilt from scratch every 64 accepted swaps.  States and candidates that are
+badly conditioned, disconnected or nearly so are evaluated from that matrix's
+eigenvalues, so disconnected ones score 0.0.  Values agree with the exact
+ones to about 1e-12, so a seeded anneal only leaves the exact path where a
+candidate ties the current value exactly and rounding decides whether a
+random number is drawn.
 
 A direct search over the full augmented array is included as a baseline
 comparator; it moves check plots within columns and scores candidates with
@@ -60,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .augmentor import _augmented_cells
 from .designs import (
     AugmentedDesign,
     ContractionDesign,
@@ -67,14 +70,13 @@ from .designs import (
     balanced_replication,
     feasibility_df,
 )
-from .efficiency import _joint_matrix, e_aug_direct, e_aug_formula
+from .efficiency import _joint_matrix, e_aug_direct
 from .errors import (
     ConfigError,
     ConstructionError,
     DisconnectedDesignError,
     InfeasibleParametersError,
 )
-from .spectra import helmert_basis
 from .textio import format_design
 
 _STRATEGIES = ("hillclimb", "anneal", "column-first")
@@ -99,6 +101,8 @@ _T0_SCALE = 0.25
 _T0_TIES = 1e-9
 #: Cell pairs an anneal's sampler draws per generator call.
 _DRAW_BLOCK = 64
+#: Factor by which an anneal's temperature falls per iteration after its probe.
+_ANNEAL_DECAY = 0.999
 
 
 class Move(NamedTuple):
@@ -113,16 +117,16 @@ class Move(NamedTuple):
 class SearchConfig:
     """Parameters of the stochastic search; defaults suit desk-scale arrays.
 
+    The ``e_aug`` objective needs the anneal strategy: hill climbing on it
+    found no better designs than on ``e_con`` and took 16-30 times longer.
     An anneal sets its own start temperature from a probe of the start
-    state (see ``_anneal``); ``anneal_decay`` is the factor by which the
-    temperature falls per iteration after the probe.
+    state and cools by ``_ANNEAL_DECAY`` per iteration (see ``_anneal``).
     """
 
     seed: int = 0
     strategy: str = "hillclimb"
     restarts: int = 50
     max_iters: int = 20000
-    anneal_decay: float = 0.999
     time_budget: float | None = None
     workers: int = 1
     objective: str = "e_con"
@@ -134,6 +138,8 @@ class SearchConfig:
             raise ConfigError(f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
         if self.objective not in _OBJECTIVES:
             raise ConfigError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
+        if self.objective == "e_aug" and self.strategy != "anneal":
+            raise ConfigError(f"objective e_aug needs strategy 'anneal', got {self.strategy!r}")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         if self.max_iters < 1:
@@ -141,8 +147,6 @@ class SearchConfig:
         if self.time_budget is not None and not (math.isfinite(self.time_budget)
                                                  and self.time_budget > 0):
             raise ConfigError("time_budget must be a finite number > 0")
-        if not 0 < self.anneal_decay < 1:
-            raise ConfigError("anneal_decay must lie in (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -459,7 +463,7 @@ class _ContractionObjective:
     ``S`` and ``T`` is a sum of table entries at a, b, p1 and p2.
     """
 
-    def __init__(self, v: int, s: int, k: int, r: np.ndarray, objective: str = "e_con"):
+    def __init__(self, v: int, s: int, k: int, r: np.ndarray):
         self.v, self.s, self.k = v, s, k
         self.r = r.astype(float)
         self.r_diag = np.diag(self.r)
@@ -467,10 +471,6 @@ class _ContractionObjective:
         inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
-        self.objective = objective
-        self.v_star = (v - k) * s + k
-        self.r_bar = k * s / v
-        self._helmert_s = helmert_basis(s) if objective == "e_aug" else None
         self._last = (None, None, None), None
         self._eig = None, None
 
@@ -479,8 +479,6 @@ class _ContractionObjective:
         return (n_c @ n_c.T) / self.k
 
     def value(self, cells: np.ndarray, col_gram: np.ndarray | None = None) -> float:
-        if self.objective == "e_aug":
-            return self._value_e_aug(cells)
         return self._efficiency(self._scaled_info(cells, col_gram)[0])
 
     def column_value(self, cells: np.ndarray) -> float:
@@ -564,28 +562,6 @@ class _ContractionObjective:
 
         return score
 
-    def _value_e_aug(self, cells: np.ndarray) -> float:
-        # Closed-form augmented efficiency; costs one extra s x s reduction.
-        v, s, k = self.v, self.s, self.k
-        n_r, n_c = _incidence_arrays(cells, v)
-        w_mat = n_r @ n_r.T
-        a = self.r_diag - w_mat / s - (n_c @ n_c.T) / k + self.rr_term
-        w = np.linalg.eigvalsh(a)
-        if w[1] <= _DISCONNECT_TOL:
-            return 0.0
-        cbv = ((v - 1) / float(np.sum(1.0 / w[1:]))) / self.r_bar
-        f = n_c - np.outer(self.r, np.ones(s)) / s
-        middle = self.r_diag - w_mat / s + (self.r_bar**2 / v) * np.ones((v, v))
-        try:
-            bracket = np.eye(s) - (f.T @ np.linalg.solve(middle, f)) / k
-        except np.linalg.LinAlgError:
-            return 0.0
-        vals = np.linalg.eigvalsh(self._helmert_s.T @ bracket @ self._helmert_s)
-        if vals[0] <= _DISCONNECT_TOL:
-            return 0.0
-        cbs = (s - 1) / float(np.sum(1.0 / vals))
-        return e_aug_formula(self.v_star, v, s, k, cbv, cbs)
-
 
 class _SwapWalk:
     """Move sampler, swap and value of one contraction anneal, kept in step.
@@ -597,9 +573,11 @@ class _SwapWalk:
     as a flat Python list and the labels of each row and each column as
     Python sets, and it draws cell pairs ``_DRAW_BLOCK`` at a time.
 
-    For ``e_aug`` it also keeps ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  ``B~`` is
-    ``b_matrix`` lifted to eigenvalue 1 on its two trivial directions, and
-    ``e_aug = (v*-1) / (v*-v-s-1 + tr(B~^-1))``.  A swap of label a at
+    Without ``e_aug`` the walk scores ``obj.value``.  With it, ``B~`` is the
+    one evaluator: ``b_matrix`` lifted to eigenvalue 1 on its two trivial
+    directions, with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)`` over its
+    eigenvalues ``w``, or 0.0 if ``w[0] <= _DISCONNECT_TOL``.  The walk keeps
+    ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  A swap of label a at
     (i1, j1) with label b at (i2, j2) changes ``B~`` by ``u z' + z u'``, where
     ``u = D^-1/2 (e_b - e_a, 0)``,
     ``z = D^-1/2 (-[i1!=i2] (x + e_b - e_a)/s, [j1!=j2] (e_j1 - e_j2))``
@@ -612,17 +590,19 @@ class _SwapWalk:
     from scratch by an eigensolve after ``_REBUILD_EVERY`` updates.
 
     Rounding in the update grows with the conditioning of ``B~``, so the
-    unchanged exact value scores every candidate of a state whose smallest
-    eigenvalue lies below ``_WALK_MIN_EIG``, and every candidate that may
-    itself lie below it: ``|M'|_F``, which bounds 1/(smallest eigenvalue)
-    from above, follows from the same 2x2 algebra.  It also scores every
-    candidate with ``|det S| < _MIN_CAPACITANCE_DET``, so disconnected ones
-    score 0.0.  Accepting an exactly scored candidate rebuilds ``M``.
+    eigenvalues of its own ``B~`` score every candidate of a state whose
+    smallest eigenvalue lies below ``_WALK_MIN_EIG`` (the state's value comes
+    from its rebuild's eigensolve), and every candidate that may itself lie
+    below it: ``|M'|_F``, which bounds 1/(smallest eigenvalue) from above,
+    follows from the same 2x2 algebra.  They also score every candidate with
+    ``|det S| < _MIN_CAPACITANCE_DET``, so disconnected ones score 0.0.
+    Accepting an exactly scored candidate rebuilds ``M``.
     """
 
-    def __init__(self, obj: _ContractionObjective):
+    def __init__(self, obj: _ContractionObjective, e_aug: bool):
         self.obj = obj
-        self.inverse = obj.objective == "e_aug"
+        self.inverse = e_aug
+        self.v_star = (obj.v - obj.k) * obj.s + obj.k
         self.cells = self.cand = self.move = self.pending = None
         self.pairs = _swap_index(obj.k, obj.s, _CLASSES)
         self.draws: list[list[int]] = []
@@ -646,8 +626,6 @@ class _SwapWalk:
         self.cells = cells
 
     def _rebuild(self, cells: np.ndarray) -> None:
-        obj = self.obj
-        v, s, k = obj.v, obj.s, obj.k
         rows = cells.tolist()
         self.labels = [lab for row in rows for lab in row]
         self.rows = [set(row) for row in rows]
@@ -655,22 +633,36 @@ class _SwapWalk:
         if not self.inverse:
             return
         self.updates = 0
-        n_r, n_c = _incidence_arrays(cells, v)
-        self.xr = np.ascontiguousarray(n_r.T) * (self.dv / s)
-        joint = _joint_matrix(n_r, n_c, obj.r, k)
-        joint[:v, :v] += 1.0 / v  # t1 t1', t1 = (1_v, 0) / sqrt(v)
-        joint[v:, v:] += (1.0 - k / v) / s  # (1 - k/v) t2 t2', t2 = (0, 1_s) / sqrt(s)
+        n_r, joint = self._lifted_joint(cells)
+        self.xr = np.ascontiguousarray(n_r.T) * (self.dv / self.obj.s)
         w, vecs = np.linalg.eigh(joint)
+        self.val = self._exact(w)
         if w[0] < _WALK_MIN_EIG:
-            self.m, self.val = None, obj._value_e_aug(cells)
+            self.m = None
         else:
             self.m, self.tr = (vecs / w) @ vecs.T, float(np.sum(1.0 / w))
             self.norm2 = float(np.sum(w**-2.0))
-            self.val = self._e_aug(self.tr)
+
+    def _lifted_joint(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``N_R`` and ``B~`` of a state."""
+        v, s, k = self.obj.v, self.obj.s, self.obj.k
+        n_r, n_c = _incidence_arrays(cells, v)
+        joint = _joint_matrix(n_r, n_c, self.obj.r, k)
+        joint[:v, :v] += 1.0 / v  # t1 t1', t1 = (1_v, 0) / sqrt(v)
+        joint[v:, v:] += (1.0 - k / v) / s  # (1 - k/v) t2 t2', t2 = (0, 1_s) / sqrt(s)
+        return n_r, joint
+
+    def _exact(self, w: np.ndarray) -> float:
+        """``e_aug`` from the ascending eigenvalues of ``B~``; 0.0 if disconnected."""
+        if w[0] <= _DISCONNECT_TOL:
+            return 0.0
+        return self._e_aug(float(np.sum(1.0 / w)))
+
+    def _exact_value(self, cells: np.ndarray) -> float:
+        return self._exact(np.linalg.eigvalsh(self._lifted_joint(cells)[1]))
 
     def _e_aug(self, trace: float) -> float:
-        obj = self.obj
-        return (obj.v_star - 1) / (obj.v_star - obj.v - obj.s - 1 + trace)
+        return (self.v_star - 1) / (self.v_star - self.obj.v - self.obj.s - 1 + trace)
 
     def _commit(self) -> None:
         i1, j1, i2, j2 = self.move
@@ -733,7 +725,7 @@ class _SwapWalk:
             self._sync(cells)
             return self.val
         if self.m is None:
-            return self.obj._value_e_aug(cells)
+            return self._exact_value(cells)
         return self._score(cells)
 
     def _score(self, cand: np.ndarray) -> float:
@@ -759,7 +751,7 @@ class _SwapWalk:
         s11, s12, s22 = c11, 1.0 + c12, c22
         det = s11 * s22 - s12 * s12
         if abs(det) < _MIN_CAPACITANCE_DET:
-            return self.obj._value_e_aug(cand)
+            return self._exact_value(cand)
         # T = S^-1 G'G; M' = M - G S^-1 G' gives tr(M') = tr(M) - tr(T) and
         # |M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr(T^2)
         t11, t12 = (s22 * p11 - s12 * p21) / det, (s22 * p12 - s12 * p22) / det
@@ -767,7 +759,7 @@ class _SwapWalk:
         norm2 = (self.norm2 - 2.0 * (s22 * q11 - s12 * (q12 + q21) + s11 * q22) / det
                  + t11 * t11 + 2.0 * t12 * t21 + t22 * t22)
         if norm2 * _WALK_MIN_EIG**2 > 1.0:
-            return self.obj._value_e_aug(cand)
+            return self._exact_value(cand)
         trace = self.tr - (t11 + t22)
         self.pending = self.g, ((s22 / det, -s12 / det), (-s12 / det, s11 / det)), trace, norm2
         return self._e_aug(trace)
@@ -836,7 +828,7 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
     return state, cur_val, trace, evals, timed_out
 
 
-def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, decay, deadline):
+def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, deadline):
     """Metropolis acceptance on the objective difference; reports the running best.
 
     The first ``_T0_PROBE`` iterations are a probe: they score sampled moves
@@ -844,7 +836,7 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, decay, deadline)
     the differences they see (``_start_temp``).  They count in the budget and
     in the trace positions.  Each later iteration samples one move, scores
     its candidate with ``obj_fn`` and draws ``rng.random()`` only when the
-    difference is not positive; the temperature then decays by ``decay``.
+    difference is not positive; the temperature then falls by ``_ANNEAL_DECAY``.
     The state only ever moves to the candidate just scored, so the
     contraction search can pass the methods of one ``_SwapWalk``, which keep
     tables and, for ``e_aug``, a maintained inverse in step with the state;
@@ -878,7 +870,7 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, decay, deadline)
         if cur_val > best_val:
             best_state, best_val = state, cur_val
             trace.append((it, best_val))
-        temp *= decay
+        temp *= _ANNEAL_DECAY
     return best_state, best_val, trace, evals, timed_out
 
 
@@ -905,18 +897,16 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
     rng = np.random.default_rng(cfg.seed ^ restart)
     cells = _fill(v, s, k, r, rng, f"restart {restart}: could not build a starting contraction")
 
-    obj = _ContractionObjective(v, s, k, r, cfg.objective)
+    obj = _ContractionObjective(v, s, k, r)
     if cfg.strategy == "hillclimb":
-        screen = _confirm_all if cfg.objective == "e_aug" else obj.screen
         state, val, trace, _, timed = _hillclimb(
             cells, obj.value, lambda st: _catalogue(st, v, _CLASSES), _swap, rng,
-            cfg.max_iters, deadline, screen,
+            cfg.max_iters, deadline, obj.screen,
         )
     elif cfg.strategy == "anneal":
-        walk = _SwapWalk(obj)
+        walk = _SwapWalk(obj, cfg.objective == "e_aug")
         state, val, trace, _, timed = _anneal(
-            cells, walk.value, walk.sample, walk.apply, rng,
-            cfg.max_iters, cfg.anneal_decay, deadline,
+            cells, walk.value, walk.sample, walk.apply, rng, cfg.max_iters, deadline,
         )
     else:  # column-first
         state, val, trace, timed = _column_first(cells, obj, v, rng, cfg, deadline)
@@ -936,11 +926,10 @@ def _column_first(cells, obj, v, rng, cfg: SearchConfig, deadline):
     )
 
     col_gram = obj.column_gram(state1)
-    screen2 = _confirm_all if obj.objective == "e_aug" else (
-        lambda st, moves: obj.screen(st, moves, col_gram))
     state2, val2, trace2, _, timed2 = _hillclimb(
         state1, lambda st: obj.value(st, col_gram),
-        lambda st: _catalogue(st, v, ("within_column",)), _swap, rng, budget2, deadline, screen2,
+        lambda st: _catalogue(st, v, ("within_column",)), _swap, rng, budget2, deadline,
+        lambda st, moves: obj.screen(st, moves, col_gram),
     )
 
     timed = timed1 or timed2
@@ -1009,23 +998,8 @@ class _DirectMove(NamedTuple):
     target: int  # destination row (relocate) or second check index (exchange)
 
 
-def _direct_cells(check_rows: np.ndarray, v: int, s: int, k: int) -> np.ndarray:
-    n_test = (v - k) * s
-    cells = np.zeros((v, s), dtype=np.int64)
-    for j in range(s):
-        for i in range(k):
-            cells[check_rows[i, j], j] = n_test + i + 1
-    next_line = 1
-    for j in range(s):
-        for l in range(v):
-            if cells[l, j] == 0:
-                cells[l, j] = next_line
-                next_line += 1
-    return cells
-
-
 def _direct_objective(check_rows: np.ndarray, v: int, s: int, k: int) -> float:
-    design = AugmentedDesign(k=k, cells=_direct_cells(check_rows, v, s, k))
+    design = AugmentedDesign(k=k, cells=_augmented_cells(check_rows, v))
     try:
         return e_aug_direct(design)
     except DisconnectedDesignError:
@@ -1089,7 +1063,6 @@ def _direct_restart(v, s, k, cfg: SearchConfig, restart: int, deadline):
             _direct_apply,
             rng,
             cfg.max_iters,
-            cfg.anneal_decay,
             deadline,
         )
     else:
@@ -1128,7 +1101,7 @@ def search_augmented_direct(v: int, s: int, k: int, cfg: SearchConfig | None = N
     (restart, check_rows, val, trace, _), timed = _run_restarts(
         lambda i: _direct_restart(v, s, k, cfg, i, deadline), cfg, deadline
     )
-    design = AugmentedDesign(k=k, cells=_direct_cells(check_rows, v, s, k))
+    design = AugmentedDesign(k=k, cells=_augmented_cells(check_rows, v))
     row_counts = tuple(int(x) for x in (design.cells > design.n_test_lines).sum(axis=1))
     return DirectSearchResult(
         best=design,

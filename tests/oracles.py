@@ -4,8 +4,9 @@ Each function here deliberately takes a different computational route from
 the code under test: pairwise variances go through the Moore-Penrose inverse
 (SVD) instead of an eigendecomposition, concurrences are counted by explicit
 enumeration instead of a matrix product, and small search spaces are
-enumerated outright, the move catalogue is walked with plain loops, and the
-anneal's move sampler checks labels by scanning rows and columns.
+enumerated outright, the move catalogue is walked with plain loops, the
+anneal's move sampler checks labels by scanning rows and columns, and the
+augmented array is filled cell by cell.
 """
 
 import itertools
@@ -15,6 +16,23 @@ import numpy as np
 from arcdesign import ContractionDesign, e_con, validate_contraction
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.search import _CLASSES, Move, _draw_pairs, _swap_index
+
+
+def augmented_cells_by_loops(check_rows, v: int) -> np.ndarray:
+    """The placement rule cell by cell: checks at 0-based rows, then test lines column-major."""
+    k, s = check_rows.shape
+    n_test = (v - k) * s
+    cells = np.zeros((v, s), dtype=np.int64)
+    for j in range(s):
+        for i in range(k):
+            cells[check_rows[i, j], j] = n_test + i + 1
+    next_line = 1
+    for j in range(s):
+        for row in range(v):
+            if cells[row, j] == 0:
+                cells[row, j] = next_line
+                next_line += 1
+    return cells
 
 
 def pairwise_variance_efficiency(info_matrix, u) -> float:

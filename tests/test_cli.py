@@ -255,6 +255,15 @@ class TestSearchAndAugmentCommands:
         assert result.exit_code == 2
         assert result.output == "error: --time-budget must be a finite number > 0\n"
 
+    @pytest.mark.parametrize("command", ["generate", "search"])
+    def test_e_aug_objective_needs_anneal_exits_2(self, runner, tmp_path, command):
+        result = runner.invoke(main, [command, "--v", "12", "--s", "8", "--k", "3",
+                                      "--objective", "e_aug", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output == ("error: --objective e_aug needs strategy 'anneal', "
+                                 "got 'hillclimb'\n")
+        assert not (tmp_path / "x").exists()
+
     def test_search_stdout(self, runner):
         result = runner.invoke(main, ["search", "--v", "6", "--s", "4", "--k", "3",
                                       "--seed", "0", "--restarts", "2"])

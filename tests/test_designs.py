@@ -98,6 +98,8 @@ class TestIncidence:
             assert np.array_equal(np.diag(inc.w), c.r)
             assert set(np.unique(inc.n_r)) <= {0.0, 1.0}
             assert set(np.unique(inc.n_c)) <= {0.0, 1.0}
+            for (i, j), label in np.ndenumerate(c.cells):
+                assert inc.n_r[label - 1, i] == inc.n_c[label - 1, j] == 1.0
             assert np.array_equal(inc.w, concurrence_by_enumeration(c.cells, v))
 
 

@@ -10,9 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcdesign import (
+    ContractionDesign,
     SearchConfig,
     apply_move,
+    c_bar_s,
+    c_bar_v,
     e_aug_direct,
+    e_aug_formula,
     e_con,
     neighbor_moves,
     random_contraction,
@@ -23,7 +27,12 @@ from arcdesign import (
 )
 from arcdesign import search
 from arcdesign.designs import _incidence_arrays
-from arcdesign.errors import ConstructionError, InfeasibleParametersError
+from arcdesign.errors import (
+    ConfigError,
+    ConstructionError,
+    DisconnectedDesignError,
+    InfeasibleParametersError,
+)
 from arcdesign.search import (
     _CLASSES,
     Move,
@@ -311,7 +320,7 @@ class TestAnneal:
              value=lambda walk: walk.value):
         c = random_contraction(12, 8, 3, seed=0)
         obj = _ContractionObjective(c.v, c.s, c.k, c.r)
-        walk = _SwapWalk(obj)
+        walk = _SwapWalk(obj, False)
         calls = []
         value_fn = value(walk)
 
@@ -320,7 +329,7 @@ class TestAnneal:
             return value_fn(cells)
 
         out = _anneal(c.cells, counted, sampler(walk), walk.apply, np.random.default_rng(0),
-                      max_iters, 0.999, deadline)
+                      max_iters, deadline)
         return out[3], len(calls) - 1  # the starting state is not a move evaluation
 
     def test_full_budget_counts_every_evaluation(self):
@@ -376,14 +385,22 @@ def _walk_anneal(c, objective, seed, iters, t0=None, value=None, sample=None):
 
     A given ``t0`` replaces the start temperature the probe would set.
     """
-    walk = _SwapWalk(_ContractionObjective(c.v, c.s, c.k, c.r, objective))
+    walk = _SwapWalk(_ContractionObjective(c.v, c.s, c.k, c.r), objective == "e_aug")
     value_fn = walk.value if value is None else (lambda x: value(walk, x))
     sample_fn = walk.sample if sample is None else (lambda x, g: sample(walk, x, g))
     fixed = (contextlib.nullcontext() if t0 is None else
              mock.patch.object(search, "_start_temp", lambda probe: t0))
     with fixed:
         return _anneal(c.cells, value_fn, sample_fn, walk.apply, np.random.default_rng(seed),
-                       iters, 0.999, None)
+                       iters, None)
+
+
+def _closed_form_e_aug(c):
+    """The public closed form of ``e_aug``, 0.0 for a disconnected contraction."""
+    try:
+        return e_aug_formula((c.v - c.k) * c.s + c.k, c.v, c.s, c.k, c_bar_v(c), c_bar_s(c))
+    except DisconnectedDesignError:
+        return 0.0
 
 
 class TestSwapWalk:
@@ -406,7 +423,7 @@ class TestSwapWalk:
 
         def checked(walk, cells):
             val = walk.value(cells)
-            exact = walk.obj._value_e_aug(cells)
+            exact = _closed_form_e_aug(ContractionDesign(v=c.v, cells=cells, r=c.r))
             assert val == 0.0 if exact == 0.0 else abs(val - exact) <= 1e-10
             states.append(walk.cells)  # the state each candidate is scored from
             return val
@@ -438,7 +455,7 @@ class TestSwapWalk:
 
     def test_disconnected_examples_are_not_vacuous(self):
         c = random_contraction(12, 8, 3, seed=0)
-        assert _ContractionObjective(c.v, c.s, c.k, c.r, "e_aug").value(c.cells) == 0.0
+        assert _closed_form_e_aug(c) == 0.0
         assert self._exact_paths((10, 6, 3), 0)["disconnected"] >= 5
 
     def test_conditioning_examples_are_not_vacuous(self):
@@ -519,7 +536,7 @@ class TestSampler:
         assert sorted(pairs) == list(itertools.combinations(cells, 2))
 
     def test_latin_square_sampler_gives_up(self, latin3):
-        walk = _SwapWalk(_ContractionObjective(latin3.v, latin3.s, latin3.k, latin3.r))
+        walk = _SwapWalk(_ContractionObjective(latin3.v, latin3.s, latin3.k, latin3.r), False)
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         assert walk.sample(latin3.cells, rng) is None
         assert sample_move_by_scans(latin3.cells, twin, []) is None
@@ -549,22 +566,40 @@ _GOLDEN = {
     "capped-12x8": ((12, 8, 3), dict(seed=1, restarts=2, max_iters=40), (
         "ffe83e99c977ded3b4f366724940cb6b936026489461a2bf404f165e49a406ed", "0.535696027407117",
         "6ab0c627eac12ade4403554b6e90da6b43a4df2e4de20393d2a61ff07d3f27a2", 1)),
-    "e_aug-12x8": ((12, 8, 3), dict(seed=0, restarts=2, objective="e_aug"), (
-        "e90ce5b03915dc12a9222eb6e440e9cc2ff43b842265b40dfb0296f30a24f5ff", "0.3782862706913341",
-        "45f1baa4c79c2c23cd6578a821b567ff674bb87b1021175440061835962946f2", 0)),
 }
+
+
+#: The direct search, in the layout of ``_GOLDEN``; recorded from its loop
+#: fill of the augmented array.
+_GOLDEN_DIRECT = {
+    "direct-hillclimb-12x8": ((12, 8, 3), dict(seed=0, restarts=2, max_iters=250), (
+        "e83f416148057691576b61f1f8f79020e4dccbbb985de11a10a2cceb0ed42bdb", "0.35088171477149166",
+        "544b053857f93e29163793283c88d4367d43b2cacc66f118a00475518f0714e3", 1)),
+    "direct-anneal-12x8": ((12, 8, 3), dict(seed=0, strategy="anneal", restarts=2, max_iters=400), (
+        "6280fac73875fe7d2bd8027f63014ce7405a7790620c380e8d987bf5f7463e2c", "0.36314274947757885",
+        "49b24581de3974b6306545a847a2e13855484550cc2d84e0df042e6fe2fc86e3", 1)),
+}
+
+
+def _fingerprint(result):
+    return (
+        hashlib.sha256(result.best.cells.tobytes()).hexdigest(),
+        repr(result.objective),
+        hashlib.sha256(repr(result.trace).encode()).hexdigest(),
+        result.restart_of_best,
+    )
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_golden_trajectories(name):
     dims, options, expected = _GOLDEN[name]
-    result = search_contraction(*dims, SearchConfig(**options))
-    assert (
-        hashlib.sha256(result.best.cells.tobytes()).hexdigest(),
-        repr(result.objective),
-        hashlib.sha256(repr(result.trace).encode()).hexdigest(),
-        result.restart_of_best,
-    ) == expected
+    assert _fingerprint(search_contraction(*dims, SearchConfig(**options))) == expected
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DIRECT))
+def test_golden_direct(name):
+    dims, options, expected = _GOLDEN_DIRECT[name]
+    assert _fingerprint(search_augmented_direct(*dims, SearchConfig(**options))) == expected
 
 
 #: Anneal on ``e_aug``: (design sha256, restart of best, objective, trace).
@@ -673,9 +708,16 @@ class TestSearchContraction:
 
     def test_e_aug_objective(self):
         result = search_contraction(
-            12, 8, 3, SearchConfig(seed=0, restarts=4, objective="e_aug")
+            12, 8, 3, SearchConfig(seed=0, strategy="anneal", restarts=4, max_iters=2000,
+                                   objective="e_aug")
         )
         assert result.objective == pytest.approx(0.388112, abs=2e-3)
+
+    @pytest.mark.parametrize("strategy", ["hillclimb", "column-first"])
+    def test_e_aug_objective_needs_anneal(self, strategy):
+        with pytest.raises(ConfigError, match="^objective e_aug needs strategy 'anneal'"):
+            SearchConfig(strategy=strategy, objective="e_aug")
+        assert SearchConfig(strategy="anneal", objective="e_aug").objective == "e_aug"
 
     def test_infeasible_parameters_raise(self):
         with pytest.raises(InfeasibleParametersError):
