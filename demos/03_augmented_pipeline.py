@@ -8,6 +8,9 @@ full eigendecomposition of the v* x v* information matrix -- and the two
 agree to machine precision.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from arcdesign import (
@@ -46,5 +49,7 @@ print(f"eAug direct      = {direct:.10f}")
 print(f"difference       = {abs(closed_form - direct):.2e}")
 
 # Designs serialize to a one-line-per-row text format shared by the CLI.
-write_design(design, "augmented_10x6_k3.txt")
-print("\nwrote augmented_10x6_k3.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "augmented_10x6_k3.txt"
+    write_design(design, path)
+    print(f"\nwrote {path.name} ({path.stat().st_size} bytes)")

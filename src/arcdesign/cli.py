@@ -116,8 +116,10 @@ _format_option = click.option(
 def _search_options(fn):
     for deco in reversed([
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--strategy", type=click.Choice(["hillclimb", "anneal", "column-first"]),
-                     default="hillclimb", show_default=True),
+        click.option("--strategy", type=click.Choice(["hillclimb", "anneal", "tabu"]),
+                     default="hillclimb", show_default=True,
+                     help="Climb to a local optimum, anneal, or walk on past local optima "
+                          "with a tabu list; each restart is one climb, anneal or walk."),
         click.option("--restarts", type=int, default=50, show_default=True),
         click.option("--iters", type=int, default=20000, show_default=True,
                      help="Move-evaluation budget per restart."),
@@ -397,7 +399,7 @@ def cmd_reproduce_table1(formula_only, seed, restarts, iters, fmt):
         for row in rows:
             click.echo(sep.join(_csv_cell(row[h]) if fmt == "csv" else _table_cell(row[h]).rjust(len(h))
                                for h in header))
-    click.echo(f"# formula check: {len(rows) - failures}/{len(rows)} rows pass")
+    click.echo(f"# formula check: {len(rows) - failures}/{len(rows)} rows pass", err=fmt == "json")
     if failures:
         raise SystemExit(2)
 

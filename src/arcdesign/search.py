@@ -1,7 +1,7 @@
 """Seeded stochastic search for efficient contractions.
 
 The search walks the space of valid contractions (column- and row-binary
-arrays with a fixed replication vector) using three move classes:
+arrays with a fixed replication vector) by two-cell swaps of three kinds:
 
 * ``within_column`` -- swap two cells of one column; row membership changes,
   column contents and replications do not.
@@ -24,6 +24,10 @@ products with the cell incidences, so a candidate's score is a few table
 reads.  Only candidates that could beat the current value are evaluated
 exactly, and the exact value alone decides acceptance.  Trajectories, traces
 and evaluation counts are those of evaluating every candidate in turn.
+
+A tabu walk (Glover, 1989) goes on past local optima: each step screens the
+whole catalogue and moves to a best-scored swap that is not tabu, even a
+worse one, and confirms the state it reaches (see ``_tabu``).
 
 Annealing scores one sampled swap per iteration.  The sampler draws rows of
 a per-shape table of cell pairs, ``_DRAW_BLOCK`` per generator call, and
@@ -79,7 +83,7 @@ from .errors import (
 )
 from .textio import format_design
 
-_STRATEGIES = ("hillclimb", "anneal", "column-first")
+_STRATEGIES = ("hillclimb", "anneal", "tabu")
 _OBJECTIVES = ("e_con", "e_aug")
 #: Second-smallest eigenvalue below this means the candidate is disconnected.
 _DISCONNECT_TOL = 1e-8
@@ -103,6 +107,8 @@ _T0_TIES = 1e-9
 _DRAW_BLOCK = 64
 #: Factor by which an anneal's temperature falls per iteration after its probe.
 _ANNEAL_DECAY = 0.999
+#: A tabu walk's tenure is drawn per step from ``rng.integers(*_TABU_TENURE)``.
+_TABU_TENURE = (10, 21)
 
 
 class Move(NamedTuple):
@@ -321,15 +327,12 @@ def _match_rows(labels, row_sets, k: int, rng) -> list[int] | None:
 # ---------------------------------------------------------------------------
 # neighbourhood
 
-_CLASSES = ("within_column", "within_row", "transpose")
-
-
-def neighbor_moves(c: ContractionDesign, classes=_CLASSES):
+def neighbor_moves(c: ContractionDesign):
     """All validity-preserving two-cell swaps of a contraction, in canonical order."""
     return tuple(
         Move("within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose",
              (i1, j1), (i2, j2))
-        for i1, j1, i2, j2 in _catalogue(c.cells, c.v, classes).tolist()
+        for i1, j1, i2, j2 in _catalogue(c.cells, c.v).tolist()
     )
 
 
@@ -346,8 +349,8 @@ def _swap(cells: np.ndarray, move) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _swap_index(k: int, s: int, classes: tuple[str, ...]) -> np.ndarray:
-    """Every (i1, j1, i2, j2) cell pair of the given classes, in canonical order.
+def _swap_index(k: int, s: int) -> np.ndarray:
+    """Every (i1, j1, i2, j2) cell pair, in canonical order.
 
     Within-column pairs go by column, within-row pairs by row, transposes by
     row pair, then first and second column.  Built once per shape and shared
@@ -355,24 +358,21 @@ def _swap_index(k: int, s: int, classes: tuple[str, ...]) -> np.ndarray:
     """
     r1, r2 = np.triu_indices(k, 1)
     c1, c2 = np.triu_indices(s, 1)
-    parts = [np.empty((0, 4), dtype=np.intp)]
-    if "within_column" in classes:
-        j = np.repeat(np.arange(s), len(r1))
-        parts.append(np.column_stack([np.tile(r1, s), j, np.tile(r2, s), j]))
-    if "within_row" in classes:
-        i = np.repeat(np.arange(k), len(c1))
-        parts.append(np.column_stack([i, np.tile(c1, k), i, np.tile(c2, k)]))
-    if "transpose" in classes:
-        j1, j2 = np.nonzero(~np.eye(s, dtype=bool))
-        parts.append(np.column_stack([np.repeat(r1, len(j1)), np.tile(j1, len(r1)),
-                                      np.repeat(r2, len(j1)), np.tile(j2, len(r1))]))
-    index = np.concatenate(parts)
+    j = np.repeat(np.arange(s), len(r1))
+    i = np.repeat(np.arange(k), len(c1))
+    j1, j2 = np.nonzero(~np.eye(s, dtype=bool))
+    index = np.concatenate([
+        np.column_stack([np.tile(r1, s), j, np.tile(r2, s), j]),
+        np.column_stack([i, np.tile(c1, k), i, np.tile(c2, k)]),
+        np.column_stack([np.repeat(r1, len(j1)), np.tile(j1, len(r1)),
+                         np.repeat(r2, len(j1)), np.tile(j2, len(r1))]),
+    ])
     index.flags.writeable = False
     return index
 
 
 class _CataloguePlan(NamedTuple):
-    """Flat-index tables that check every cell pair of one shape and class set at once.
+    """Flat-index tables that check every cell pair of one shape at once.
 
     Cell (i, j) is flat cell ``i*s + j``, and pair n of ``index`` swaps label
     a at flat cell p1 with label b at p2.  A state's labels go into a zeroed
@@ -393,8 +393,8 @@ class _CataloguePlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _catalogue_plan(k: int, s: int, v: int, classes: tuple[str, ...]) -> _CataloguePlan:
-    index = _swap_index(k, s, classes)
+def _catalogue_plan(k: int, s: int, v: int) -> _CataloguePlan:
+    index = _swap_index(k, s)
     i1, j1, i2, j2 = index.T
     rows = np.stack([i1, i2]) * (v + 1)
     cols = np.stack([k + j1, k + j2]) * (v + 1)
@@ -408,14 +408,14 @@ def _catalogue_plan(k: int, s: int, v: int, classes: tuple[str, ...]) -> _Catalo
     return plan
 
 
-def _catalogue(cells: np.ndarray, v: int, classes) -> np.ndarray:
+def _catalogue(cells: np.ndarray, v: int) -> np.ndarray:
     """The swaps that keep rows and columns binary, as (i1, j1, i2, j2) rows.
 
     A swap of labels a and b is valid when neither lands in a row or column
     that already holds it; that also rules out a == b.
     """
     k, s = cells.shape
-    plan = _catalogue_plan(k, s, v, tuple(c for c in _CLASSES if c in classes))
+    plan = _catalogue_plan(k, s, v)
     labels = cells.ravel()
     has = np.zeros(plan.size, dtype=bool)
     has[plan.marks + labels] = True
@@ -428,11 +428,11 @@ def _catalogue(cells: np.ndarray, v: int, classes) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_term(k: int, s: int, alpha: float, beta: float) -> np.ndarray:
-    """``2 (alpha [i1 != i2] + beta [j1 != j2])`` for every flat cell pair (p1, p2), flattened."""
+def _pair_term(k: int, s: int) -> np.ndarray:
+    """``2 ([i1 != i2] / s + [j1 != j2] / k)`` for every flat cell pair (p1, p2), flattened."""
     flat = np.arange(k * s)
     i, j = flat // s, flat % s
-    term = 2.0 * (alpha * (i[:, None] != i) + beta * (j[:, None] != j))
+    term = 2.0 * ((i[:, None] != i) / s + (j[:, None] != j) / k)
     term = term.ravel()
     term.flags.writeable = False
     return term
@@ -443,16 +443,12 @@ class _ContractionObjective:
 
     ``value`` is exact: it rebuilds the information matrix ``A``, scales it
     to ``A_s = D A D`` with ``D = diag(r)^-1/2`` and takes its eigenvalues.
-    The column Gram matrix can be pinned when a phase only uses moves that
-    keep columns fixed.
 
     ``screen`` scores a catalogue from one state.  A swap of label a at flat
     cell p1 = i1*s + j1 with label b at p2 changes ``A`` by
     ``-(u z' + z u') - c u u'``, where ``u = e_b - e_a``,
-    ``z = Z[:, p1] - Z[:, p2]`` and ``c = 2 (alpha [i1 != i2] + beta [j1 != j2])``.
-    Column i*s + j of the v x ks matrix ``Z`` is
-    ``alpha N_R[:, i] + beta N_C[:, j]``; ``alpha`` is 1/s (0 for the
-    columns-only design) and ``beta`` 1/k (0 with the Gram matrix pinned).
+    ``z = Z[:, p1] - Z[:, p2]`` and ``c = 2 ([i1 != i2] / s + [j1 != j2] / k)``.
+    Column i*s + j of the v x ks matrix ``Z`` is ``N_R[:, i] / s + N_C[:, j] / k``.
     The unit null vector ``q = r^1/2 / |r^1/2|`` of ``A_s`` stays null
     through every swap, so with ``M = (A_s + qq')^-1``,
     ``P = D M D`` and ``Q = P diag(r) P`` the candidate's
@@ -471,55 +467,38 @@ class _ContractionObjective:
         inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
-        self._last = (None, None, None), None
+        self._last = None, None
         self._eig = None, None
 
-    def column_gram(self, cells: np.ndarray) -> np.ndarray:
-        _, n_c = _incidence_arrays(cells, self.v)
-        return (n_c @ n_c.T) / self.k
-
-    def value(self, cells: np.ndarray, col_gram: np.ndarray | None = None) -> float:
-        return self._efficiency(self._scaled_info(cells, col_gram)[0])
-
-    def column_value(self, cells: np.ndarray) -> float:
-        """Average efficiency factor of the columns-only block design."""
-        return self._efficiency(self._scaled_info(cells, rows=False)[0])
-
-    def _scaled_info(self, cells, col_gram=None, rows=True):
-        # The last result is kept for the screen of a just-accepted state.
-        key = (cells, col_gram, rows)
-        if all(a is b for a, b in zip(key, self._last[0])):
-            return self._last[1]
-        n_r, n_c = _incidence_arrays(cells, self.v)
-        if col_gram is None:
-            col_gram = (n_c @ n_c.T) / self.k
-        if rows:
-            a = self.r_diag - (n_r @ n_r.T) / self.s - col_gram + self.rr_term
-        else:
-            a = self.r_diag - col_gram
-        self._last = key, (a * self.scale, n_r, n_c)
-        return self._last[1]
-
-    def _efficiency(self, a_s: np.ndarray) -> float:
+    def value(self, cells: np.ndarray) -> float:
+        a_s = self._scaled_info(cells)[0]
         w = np.linalg.eigvalsh(a_s)
         self._eig = a_s, w
         if w[1] <= _DISCONNECT_TOL:
             return 0.0
         return (self.v - 1) / float(np.sum(1.0 / w[1:]))
 
-    def screen(self, cells: np.ndarray, moves: np.ndarray, col_gram: np.ndarray | None = None,
-               rows: bool = True):
+    def _scaled_info(self, cells):
+        # The last result is kept for the screen of a just-accepted state.
+        if cells is self._last[0]:
+            return self._last[1]
+        n_r, n_c = _incidence_arrays(cells, self.v)
+        a = self.r_diag - (n_r @ n_r.T) / self.s - (n_c @ n_c.T) / self.k + self.rr_term
+        self._last = cells, (a * self.scale, n_r, n_c)
+        return self._last[1]
+
+    def screen(self, cells: np.ndarray, moves: np.ndarray):
         """``score(idx)``, the ``value`` of each of ``moves[idx]`` by rank-2 updates.
 
-        (``column_value`` if not ``rows``.)  The inverse and the per-state
-        tables are built here, once, however many chunks are scored.  A state
-        that is disconnected or nearly so scores ``+inf`` for every move.
+        The inverse and the per-state tables are built here, once, however
+        many chunks are scored.  A state that is disconnected or nearly so
+        scores ``+inf`` for every move.
         ``A_s + qq'`` has the eigenvalues of ``A_s`` with the null one replaced
         by 1, so its smallest is ``min(1, w[1])`` for the eigenvalues ``w`` of
         ``A_s``.  Those are the ones the confirming ``value`` of the same
         ``A_s`` took; only a state that no ``value`` saw takes its own.
         """
-        a_s, n_r, n_c = self._scaled_info(cells, col_gram, rows)
+        a_s, n_r, n_c = self._scaled_info(cells)
         a_w, w = self._eig
         if a_w is not a_s:
             w = np.linalg.eigvalsh(a_s)
@@ -528,20 +507,19 @@ class _ContractionObjective:
         m = np.linalg.inv(a_s + self.null_term)
         v, s, k = self.v, self.s, self.k
         ks = k * s
-        alpha, beta = rows / s, (col_gram is None) / k
         # [P; Q] with P = D M D and Q = P diag(r) P, both v x v
         p = m * self.scale
         pq = np.concatenate([p, (p * self.r) @ p]).reshape(2, v, v)
         diag = pq.diagonal(axis1=1, axis2=2)
         uu = (diag[:, :, None] + diag[:, None, :] - 2.0 * pq).reshape(2, v * v)
-        # Z, whose column i*s + j is alpha N_R[:, i] + beta N_C[:, j]
-        z = (n_r[:, :, None] * alpha + n_c[:, None, :] * beta).reshape(v, ks)
+        # Z, whose column i*s + j is N_R[:, i] / s + N_C[:, j] / k
+        z = (n_r[:, :, None] / s + n_c[:, None, :] / k).reshape(v, ks)
         h = pq.reshape(2 * v, v) @ z
         # G = Z' [P; Q] Z, kept as its diagonal and as c - 2G (c in the P half only)
         cross = (-2.0 * z.T) @ h.reshape(2, v, ks)
         gd = cross.diagonal(axis1=1, axis2=2) * -0.5
         cross = cross.reshape(2, ks * ks)
-        cross[0] += _pair_term(k, s, alpha, beta)
+        cross[0] += _pair_term(k, s)
         h = h.reshape(2, v * ks)
         trace = np.trace(m)
         lab = cells.ravel() - 1
@@ -604,7 +582,7 @@ class _SwapWalk:
         self.inverse = e_aug
         self.v_star = (obj.v - obj.k) * obj.s + obj.k
         self.cells = self.cand = self.move = self.pending = None
-        self.pairs = _swap_index(obj.k, obj.s, _CLASSES)
+        self.pairs = _swap_index(obj.k, obj.s)
         self.draws: list[list[int]] = []
         # D^-1/2 on label and on column coordinates
         self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
@@ -782,6 +760,11 @@ def _confirm_all(state, moves):
     return lambda idx: np.full(len(idx), np.inf)
 
 
+def _margin(val: float) -> float:
+    """The rounding margin of an objective value; scores closer than it may be ties."""
+    return 1e-9 * max(1.0, abs(val))
+
+
 def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
                screen=_confirm_all):
     """First-improvement hill climbing; stops at a local optimum or budget.
@@ -804,7 +787,7 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
         if len(moves) == 0:
             break
         order = rng.permutation(len(moves))[: max_iters - evals]
-        floor = cur_val - 1e-9 * max(1.0, abs(cur_val))
+        floor = cur_val - _margin(cur_val)
         score = screen(state, moves)
         start, evals = evals, evals + len(order)
         improved = False
@@ -826,6 +809,57 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
         if not improved:
             break
     return state, cur_val, trace, evals, timed_out
+
+
+def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
+    """A tabu walk on ``e_con``; reports the best state ``obj.value`` confirmed.
+
+    Each step scores the catalogue with one ``obj.screen`` call, exactly
+    where it gives no finite score.  A swap is tabu if it puts a label back
+    into a cell the label left fewer than ``rng.integers(*_TABU_TENURE)``
+    steps ago, unless it beats the best value by more than the margin.  Of
+    the rest, the step takes the first in a ``rng.permutation`` that scores
+    within the margin of the top, so ties do not depend on rounding.  The
+    budget counts screened candidates; the walk stops before a step that
+    would exceed it, at a deadline checked once per step, or with no swap left.
+    """
+    v, s = obj.v, obj.s
+    best, best_val = cells, obj.value(cells)
+    trace = [(0, best_val)]
+    # [x - 1, p]: the first step at which label x may return to flat cell p
+    until = np.zeros((v, cells.size), dtype=np.int64)
+    evals = step = 0
+    timed_out = False
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            timed_out = True
+            break
+        moves = _catalogue(cells, v)
+        if len(moves) == 0 or evals + len(moves) > max_iters:
+            break
+        order = rng.permutation(len(moves))
+        evals += len(moves)
+        scores = obj.screen(cells, moves)(np.arange(len(moves)))
+        unscored = np.flatnonzero(~np.isfinite(scores))
+        scores[unscored] = [obj.value(_swap(cells, moves[n])) for n in unscored.tolist()]
+        i1, j1, i2, j2 = moves.T
+        p1, p2 = i1 * s + j1, i2 * s + j2
+        lab = cells.ravel() - 1
+        allowed = (((until[lab[p1], p2] <= step) & (until[lab[p2], p1] <= step))
+                   | (scores > best_val + _margin(best_val)))
+        if not allowed.any():
+            break
+        top = scores[allowed].max()
+        chosen = order[np.flatnonzero((allowed & (scores >= top - _margin(top)))[order])[0]]
+        until[lab[p1[chosen]], p1[chosen]] = until[lab[p2[chosen]], p2[chosen]] = (
+            step + rng.integers(*_TABU_TENURE))
+        cells = _swap(cells, moves[chosen])
+        val = obj.value(cells)
+        step += 1
+        if val > best_val:
+            best, best_val = cells, val
+            trace.append((evals, val))
+    return best, best_val, trace, evals, timed_out
 
 
 def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, deadline):
@@ -900,7 +934,7 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
     obj = _ContractionObjective(v, s, k, r)
     if cfg.strategy == "hillclimb":
         state, val, trace, _, timed = _hillclimb(
-            cells, obj.value, lambda st: _catalogue(st, v, _CLASSES), _swap, rng,
+            cells, obj.value, lambda st: _catalogue(st, v), _swap, rng,
             cfg.max_iters, deadline, obj.screen,
         )
     elif cfg.strategy == "anneal":
@@ -908,37 +942,10 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
         state, val, trace, _, timed = _anneal(
             cells, walk.value, walk.sample, walk.apply, rng, cfg.max_iters, deadline,
         )
-    else:  # column-first
-        state, val, trace, timed = _column_first(cells, obj, v, rng, cfg, deadline)
+    else:  # tabu
+        state, val, trace, _, timed = _tabu(cells, obj, rng, cfg.max_iters, deadline)
 
     return restart, state, val, tuple(trace), timed
-
-
-def _column_first(cells, obj, v, rng, cfg: SearchConfig, deadline):
-    """Optimize the column design first, then rows with columns pinned."""
-    initial_val = obj.value(cells)
-    budget1 = cfg.max_iters // 2
-    budget2 = cfg.max_iters - budget1
-
-    state1, _, _, evals1, timed1 = _hillclimb(
-        cells, obj.column_value, lambda st: _catalogue(st, v, ("within_row", "transpose")),
-        _swap, rng, budget1, deadline, lambda st, moves: obj.screen(st, moves, rows=False),
-    )
-
-    col_gram = obj.column_gram(state1)
-    state2, val2, trace2, _, timed2 = _hillclimb(
-        state1, lambda st: obj.value(st, col_gram),
-        lambda st: _catalogue(st, v, ("within_column",)), _swap, rng, budget2, deadline,
-        lambda st, moves: obj.screen(st, moves, col_gram),
-    )
-
-    timed = timed1 or timed2
-    if val2 > initial_val:
-        trace = [(0, initial_val)] + [
-            (evals1 + it, val) for it, val in trace2 if val > initial_val
-        ]
-        return state2, val2, trace, timed
-    return cells, initial_val, [(0, initial_val)], timed
 
 
 def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) -> SearchResult:
@@ -1057,26 +1064,12 @@ def _direct_restart(v, s, k, cfg: SearchConfig, restart: int, deadline):
 
     if cfg.strategy == "anneal":
         state, val, trace, _, timed = _anneal(
-            check_rows,
-            obj,
-            lambda st, g: _direct_sample(st, g, v, s, k),
-            _direct_apply,
-            rng,
-            cfg.max_iters,
-            deadline,
-        )
+            check_rows, obj, lambda st, g: _direct_sample(st, g, v, s, k), _direct_apply, rng,
+            cfg.max_iters, deadline)
     else:
-        # hillclimb; column-first has no meaning on the full array and falls
-        # back to plain hill climbing.
         state, val, trace, _, timed = _hillclimb(
-            check_rows,
-            obj,
-            lambda st: _direct_catalogue(st, v, s, k),
-            _direct_apply,
-            rng,
-            cfg.max_iters,
-            deadline,
-        )
+            check_rows, obj, lambda st: _direct_catalogue(st, v, s, k), _direct_apply, rng,
+            cfg.max_iters, deadline)
     return restart, state, val, tuple(trace), timed
 
 
@@ -1089,6 +1082,9 @@ def search_augmented_direct(v: int, s: int, k: int, cfg: SearchConfig | None = N
     eigendecomposition per candidate; use small budgets.
     """
     cfg = cfg or SearchConfig()
+    if cfg.strategy == "tabu":
+        raise ConfigError("strategy 'tabu' walks contractions only; "
+                          "the direct search takes 'hillclimb' or 'anneal'")
     if k > v:
         raise InfeasibleParametersError(f"k={k} checks exceed v={v} rows")
     df = feasibility_df(v, s, k)

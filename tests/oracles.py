@@ -15,7 +15,7 @@ import numpy as np
 
 from arcdesign import ContractionDesign, e_con, validate_contraction
 from arcdesign.errors import DisconnectedDesignError
-from arcdesign.search import _CLASSES, Move, _draw_pairs, _swap_index
+from arcdesign.search import Move, _draw_pairs, _swap_index
 
 
 def augmented_cells_by_loops(check_rows, v: int) -> np.ndarray:
@@ -129,11 +129,11 @@ def exhaustive_best_e_con(v: int, s: int):
     return best, count
 
 
-def catalogue_by_loops(cells, v: int, classes=("within_column", "within_row", "transpose")):
+def catalogue_by_loops(cells, v: int):
     """Every validity-preserving two-cell swap, found by looping over cell pairs.
 
-    Membership tables are filled label by label and each class is walked in
-    the canonical order (within-column by column, within-row by row,
+    Membership tables are filled label by label and each kind of swap is
+    walked in the canonical order (within-column by column, within-row by row,
     transposes by row pair, then first and second column).
     """
     cells = np.asarray(cells)
@@ -145,36 +145,33 @@ def catalogue_by_loops(cells, v: int, classes=("within_column", "within_row", "t
             row_has[i, cells[i, j]] = True
             col_has[j, cells[i, j]] = True
     moves = []
-    if "within_column" in classes:
-        for j in range(s):
-            for i1 in range(k - 1):
-                for i2 in range(i1 + 1, k):
-                    a, b = cells[i1, j], cells[i2, j]
-                    if a != b and not row_has[i1, b] and not row_has[i2, a]:
-                        moves.append(Move("within_column", (i1, j), (i2, j)))
-    if "within_row" in classes:
-        for i in range(k):
-            for j1 in range(s - 1):
-                for j2 in range(j1 + 1, s):
-                    a, b = cells[i, j1], cells[i, j2]
-                    if a != b and not col_has[j1, b] and not col_has[j2, a]:
-                        moves.append(Move("within_row", (i, j1), (i, j2)))
-    if "transpose" in classes:
+    for j in range(s):
         for i1 in range(k - 1):
             for i2 in range(i1 + 1, k):
-                for j1 in range(s):
-                    for j2 in range(s):
-                        if j1 == j2:
-                            continue
-                        a, b = cells[i1, j1], cells[i2, j2]
-                        if (
-                            a != b
-                            and not row_has[i1, b]
-                            and not row_has[i2, a]
-                            and not col_has[j1, b]
-                            and not col_has[j2, a]
-                        ):
-                            moves.append(Move("transpose", (i1, j1), (i2, j2)))
+                a, b = cells[i1, j], cells[i2, j]
+                if a != b and not row_has[i1, b] and not row_has[i2, a]:
+                    moves.append(Move("within_column", (i1, j), (i2, j)))
+    for i in range(k):
+        for j1 in range(s - 1):
+            for j2 in range(j1 + 1, s):
+                a, b = cells[i, j1], cells[i, j2]
+                if a != b and not col_has[j1, b] and not col_has[j2, a]:
+                    moves.append(Move("within_row", (i, j1), (i, j2)))
+    for i1 in range(k - 1):
+        for i2 in range(i1 + 1, k):
+            for j1 in range(s):
+                for j2 in range(s):
+                    if j1 == j2:
+                        continue
+                    a, b = cells[i1, j1], cells[i2, j2]
+                    if (
+                        a != b
+                        and not row_has[i1, b]
+                        and not row_has[i2, a]
+                        and not col_has[j1, b]
+                        and not col_has[j2, a]
+                    ):
+                        moves.append(Move("transpose", (i1, j1), (i2, j2)))
     return moves
 
 
@@ -185,7 +182,7 @@ def sample_move_by_scans(cells, rng, draws):
     and refills it with the library's ``_draw_pairs`` when it runs empty,
     exactly as its sampler does; invalid pairs are rejected.
     """
-    pairs = _swap_index(*cells.shape, _CLASSES)
+    pairs = _swap_index(*cells.shape)
     for _ in range(256):
         if not draws:
             draws.extend(_draw_pairs(pairs, rng))

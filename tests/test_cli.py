@@ -173,11 +173,11 @@ class TestGenerateCommand:
         for name in ("contraction.txt", "augmented.txt", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_column_first_strategy_on_large_grid(self, runner, tmp_path):
-        out = tmp_path / "cf"
+    def test_tabu_strategy_on_large_grid(self, runner, tmp_path):
+        out = tmp_path / "tabu"
         result = runner.invoke(main, [
             "generate", "--v", "24", "--s", "16", "--k", "5", "--seed", "7",
-            "--strategy", "column-first", "--restarts", "1", "--iters", "1500",
+            "--strategy", "tabu", "--restarts", "1", "--iters", "15000",
             "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
@@ -294,9 +294,10 @@ class TestReproduceCommand:
         result = runner.invoke(main, ["reproduce-table1", "--formula-only",
                                       "--format", "json"])
         assert result.exit_code == 0
-        rows = json.loads(result.output[: result.output.rindex("]") + 1])
+        rows = json.loads(result.stdout)
         assert len(rows) == 21
         assert all(row["formulaCheck"] == "pass" for row in rows)
+        assert result.stderr == "# formula check: 21/21 rows pass\n"
 
     def test_with_search_on_subset_budget(self, runner):
         result = runner.invoke(main, ["reproduce-table1", "--restarts", "1",

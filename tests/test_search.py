@@ -34,7 +34,6 @@ from arcdesign.errors import (
     InfeasibleParametersError,
 )
 from arcdesign.search import (
-    _CLASSES,
     Move,
     _anneal,
     _catalogue,
@@ -43,13 +42,13 @@ from arcdesign.search import (
     _swap,
     _swap_index,
     _SwapWalk,
+    _tabu,
 )
 
 from oracles import catalogue_by_loops, exhaustive_best_e_con, sample_move_by_scans
 
 #: Feasible sizes; (7,5,3), (10,6,3) and (24,16,5) carry unequal replication.
 _SIZES = [(4, 4, 2), (6, 4, 3), (7, 5, 3), (10, 6, 3), (12, 8, 3), (9, 9, 3), (24, 16, 5)]
-_CLASS_SETS = [_CLASSES, ("within_row", "transpose"), ("within_column",), ("transpose",)]
 
 
 class TestRandomContraction:
@@ -133,12 +132,11 @@ class TestNeighborMoves:
 
 
 class TestCatalogueOracle:
-    @given(size=st.sampled_from(_SIZES), classes=st.sampled_from(_CLASS_SETS),
-           seed=st.integers(0, 2**32 - 1))
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_loop_oracle_move_for_move(self, size, classes, seed):
+    def test_matches_loop_oracle_move_for_move(self, size, seed):
         c = random_contraction(*size, seed=seed)
-        assert neighbor_moves(c, classes) == tuple(catalogue_by_loops(c.cells, c.v, classes))
+        assert neighbor_moves(c) == tuple(catalogue_by_loops(c.cells, c.v))
 
     def test_unequal_replication_matches_oracle(self):
         c = random_contraction(24, 16, 5, seed=3)
@@ -147,38 +145,13 @@ class TestCatalogueOracle:
 
     def test_latin_square_matches_oracle(self, latin3):
         assert catalogue_by_loops(latin3.cells, latin3.v) == []
-        assert len(_catalogue(latin3.cells, latin3.v, _CLASSES)) == 0
+        assert len(_catalogue(latin3.cells, latin3.v)) == 0
 
 
-def _climb_modes(obj, cells):
-    """(exact objective, catalogue, screen) of each hill climb that screens, by name."""
-    v = obj.v
-    col_gram = obj.column_gram(cells)
-    return {
-        "full": (obj.value, lambda x: _catalogue(x, v, _CLASSES), obj.screen),
-        "columns": (obj.column_value, lambda x: _catalogue(x, v, ("within_row", "transpose")),
-                    lambda x, m: obj.screen(x, m, rows=False)),
-        "pinned": (lambda x: obj.value(x, col_gram), lambda x: _catalogue(x, v, ("within_column",)),
-                   lambda x, m: obj.screen(x, m, col_gram)),
-    }
-
-
-def _mode_args(obj, cells):
-    """(pinned column Gram matrix, rows, move classes) of each hill climb that screens."""
-    return {
-        "full": (None, True, _CLASSES),
-        "columns": (None, False, ("within_row", "transpose")),
-        "pinned": (obj.column_gram(cells), True, ("within_column",)),
-    }
-
-
-def _screen_modes(obj, cells):
-    """(catalogue, exact objective, screened values) for each objective hill climbing screens."""
-    out = []
-    for exact_fn, catalogue_fn, screen in _climb_modes(obj, cells).values():
-        moves = catalogue_fn(cells)
-        out.append((moves, exact_fn, screen(cells, moves)(np.arange(len(moves)))))
-    return out
+def _screened(obj, cells):
+    """The catalogue of a state and the screened value of each of its moves."""
+    moves = _catalogue(cells, obj.v)
+    return moves, obj.screen(cells, moves)(np.arange(len(moves)))
 
 
 class TestScreen:
@@ -190,22 +163,18 @@ class TestScreen:
         rng = np.random.default_rng(seed)
         cells = c.cells
         for _ in range(4):
-            for moves, exact_fn, screened in _screen_modes(obj, cells):
-                if len(moves) == 0:
-                    continue
-                cur = exact_fn(cells)
-                exact = np.array([exact_fn(_swap(cells, m)) for m in moves])
-                floor = cur - 1e-9 * max(1.0, abs(cur))
-                # sound: nothing the exact objective would accept is ruled out
-                assert not np.any((exact > cur) & (screened <= floor))
-                if cur > 0.0 and np.isfinite(screened).all():
-                    connected = exact > 0.0
-                    np.testing.assert_allclose(screened[connected], exact[connected],
-                                               rtol=0, atol=1e-10)
-            moves = _catalogue(cells, c.v, _CLASSES)
+            moves, screened = _screened(obj, cells)
             if len(moves) == 0:
                 break
             cur = obj.value(cells)
+            exact = np.array([obj.value(_swap(cells, m)) for m in moves])
+            floor = cur - search._margin(cur)
+            # sound: nothing the exact objective would accept is ruled out
+            assert not np.any((exact > cur) & (screened <= floor))
+            if cur > 0.0 and np.isfinite(screened).all():
+                connected = exact > 0.0
+                np.testing.assert_allclose(screened[connected], exact[connected],
+                                           rtol=0, atol=1e-10)
             better = [m for m in moves if obj.value(_swap(cells, m)) > cur]
             pool = better or list(moves)
             cells = _swap(cells, pool[rng.integers(len(pool))])
@@ -217,7 +186,7 @@ class TestScreen:
                 break
         else:
             pytest.fail("no disconnected start found")
-        moves = _catalogue(c.cells, c.v, _CLASSES)
+        moves = _catalogue(c.cells, c.v)
         # with and without the eigenvalues of the state's own value
         for value_first in (True, False):
             obj = _ContractionObjective(c.v, c.s, c.k, c.r)
@@ -227,44 +196,40 @@ class TestScreen:
         exact = np.array([obj.value(_swap(c.cells, m)) for m in moves])
         assert np.any(exact > 0.0)
 
-    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
-           mode=st.sampled_from(["full", "columns", "pinned"]))
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_screen_without_cached_eigenvalues_matches(self, size, seed, mode):
+    def test_screen_without_cached_eigenvalues_matches(self, size, seed):
         # screen reads the eigenvalues the last value took of the same A_s,
         # and takes them itself when there are none
         c = random_contraction(*size, seed=seed)
         runs = []
         for warm in (True, False):
             obj = _ContractionObjective(c.v, c.s, c.k, c.r)
-            exact_fn, catalogue_fn, screen = _climb_modes(obj, c.cells)[mode]
             if warm:
-                exact_fn(c.cells)
-            moves = catalogue_fn(c.cells)
-            runs.append(screen(c.cells, moves)(np.arange(len(moves))))
+                obj.value(c.cells)
+            moves, screened = _screened(obj, c.cells)
+            runs.append(screened)
         np.testing.assert_array_equal(*runs)
         # a well-conditioned state is screened, not confirmed move by move
-        col_gram, rows, _ = _mode_args(obj, c.cells)[mode]
-        guard = min(1.0, np.linalg.eigvalsh(obj._scaled_info(c.cells, col_gram, rows)[0])[1])
+        guard = min(1.0, np.linalg.eigvalsh(obj._scaled_info(c.cells)[0])[1])
         if len(moves) and guard >= search._SCREEN_MIN_EIG:
             assert np.isfinite(runs[0]).any()
 
     @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
-           mode=st.sampled_from(["full", "columns", "pinned"]), steps=st.integers(0, 6))
+           steps=st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
-    def test_guard_equals_smallest_eigenvalue_of_lifted_matrix(self, size, seed, mode, steps):
+    def test_guard_equals_smallest_eigenvalue_of_lifted_matrix(self, size, seed, steps):
         # A_s + qq' has the eigenvalues of A_s with the null one replaced by 1
         c = random_contraction(*size, seed=seed)
         obj = _ContractionObjective(c.v, c.s, c.k, c.r)
-        col_gram, rows, classes = _mode_args(obj, c.cells)[mode]
         rng = np.random.default_rng(seed)
         cells = c.cells
         for _ in range(steps):
-            moves = _catalogue(cells, c.v, classes)
+            moves = _catalogue(cells, c.v)
             if len(moves) == 0:
                 break
             cells = _swap(cells, moves[rng.integers(len(moves))])
-        a_s = obj._scaled_info(cells, col_gram, rows)[0]
+        a_s = obj._scaled_info(cells)[0]
         guard = min(1.0, np.linalg.eigvalsh(a_s)[1])
         lifted = np.linalg.eigh(a_s + obj.null_term)[0][0]
         assert abs(guard - lifted) <= 1e-12
@@ -273,46 +238,127 @@ class TestScreen:
     # or just past the first chunk's end (_FIRST_CHUNK - 1 to + 1), just past
     # the second's (2 * _FIRST_CHUNK + 1), later (100 to 500) or never.
     @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
-           mode=st.sampled_from(["full", "columns", "pinned"]),
            max_iters=st.sampled_from([1, 9, 16, 17, 37, 40, 100, 300, 500, 20000,
                                       search._FIRST_CHUNK - 1, search._FIRST_CHUNK,
                                       search._FIRST_CHUNK + 1, 2 * search._FIRST_CHUNK + 1]))
-    @example(size=(12, 8, 3), seed=0, mode="full", max_iters=20000)  # a disconnected start
-    @example(size=(12, 8, 3), seed=0, mode="pinned", max_iters=40)
+    @example(size=(12, 8, 3), seed=0, max_iters=20000)  # a disconnected start
+    @example(size=(12, 8, 3), seed=0, max_iters=40)
     @settings(max_examples=40, deadline=None)
-    def test_screened_hillclimb_equals_exhaustive(self, size, seed, mode, max_iters):
+    def test_screened_hillclimb_equals_exhaustive(self, size, seed, max_iters):
         c = random_contraction(*size, seed=seed)
         obj = _ContractionObjective(c.v, c.s, c.k, c.r)
-        obj_fn, catalogue_fn, screen = _climb_modes(obj, c.cells)[mode]
         runs = [
-            _hillclimb(c.cells, obj_fn, catalogue_fn, _swap, np.random.default_rng(seed),
-                       max_iters, None, *screen)
-            for screen in ((), (screen,))
+            _hillclimb(c.cells, obj.value, lambda x: _catalogue(x, c.v), _swap,
+                       np.random.default_rng(seed), max_iters, None, *screen)
+            for screen in ((), (obj.screen,))
         ]
         (state_a, *rest_a), (state_b, *rest_b) = runs
         assert np.array_equal(state_a, state_b)
         assert rest_a == rest_b
 
     @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
-           mode=st.sampled_from(["full", "columns", "pinned"]), ticks=st.integers(1, 400))
+           ticks=st.integers(1, 400))
     @settings(max_examples=30, deadline=None)
-    def test_chunks_keep_deadline_stops(self, size, seed, mode, ticks):
+    def test_chunks_keep_deadline_stops(self, size, seed, ticks):
         # A clock that advances one unit per reading: a stop depends only on
         # how many deadline checks came before it, which chunking must keep
         # equal to screening the whole catalogue in one chunk.
         c = random_contraction(*size, seed=seed)
         obj = _ContractionObjective(c.v, c.s, c.k, c.r)
-        obj_fn, catalogue_fn, screen = _climb_modes(obj, c.cells)[mode]
         runs = []
         for first_chunk in (search._FIRST_CHUNK, 1 << 30):
             clock = itertools.count()
             with mock.patch.object(search, "_FIRST_CHUNK", first_chunk), \
                     mock.patch.object(search.time, "monotonic", lambda: float(next(clock))):
-                runs.append(_hillclimb(c.cells, obj_fn, catalogue_fn, _swap,
-                                       np.random.default_rng(seed), 20000, float(ticks), screen))
+                runs.append(_hillclimb(c.cells, obj.value, lambda x: _catalogue(x, c.v), _swap,
+                                       np.random.default_rng(seed), 20000, float(ticks),
+                                       obj.screen))
         (state_a, *rest_a), (state_b, *rest_b) = runs
         assert np.array_equal(state_a, state_b)
         assert rest_a == rest_b
+
+
+class TestTabu:
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           max_iters=st.sampled_from([1, 100, 500, 2000, 8000]))
+    @example(size=(12, 8, 3), seed=0, max_iters=8000)  # a disconnected start
+    @settings(max_examples=40, deadline=None)
+    def test_confirmed_states_are_valid_and_the_best_is_exact(self, size, seed, max_iters):
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        confirmed = []
+        value = obj.value
+
+        def recorded(cells):
+            confirmed.append(cells)
+            return value(cells)
+
+        with mock.patch.object(obj, "value", recorded):
+            best, val, trace, evals, timed_out = _tabu(
+                c.cells, obj, np.random.default_rng(seed), max_iters, None)
+        assert not timed_out
+        assert evals <= max_iters
+        for cells in confirmed:
+            assert validate_contraction(ContractionDesign(v=c.v, cells=cells, r=c.r)).ok
+        assert any(cells is best for cells in confirmed)
+        design = ContractionDesign(v=c.v, cells=best, r=c.r)
+        if val == 0.0:
+            with pytest.raises(DisconnectedDesignError):
+                e_con(design)
+        else:
+            assert abs(val - e_con(design)) <= 1e-12
+        values = [v for _, v in trace]
+        assert values == sorted(values) and values[-1] == val
+        positions = [it for it, _ in trace]
+        assert positions == sorted(positions) and positions[-1] <= evals
+
+    @pytest.mark.parametrize("ticks", [0, 5])
+    def test_deadline_stop_sets_timed_out(self, ticks):
+        # a clock that advances one unit per reading, read once per step
+        c = random_contraction(24, 16, 5, seed=3)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        clock = itertools.count()
+        with mock.patch.object(search.time, "monotonic", lambda: float(next(clock))):
+            *_, evals, timed_out = _tabu(c.cells, obj, np.random.default_rng(3), 10**6,
+                                         ticks - 0.5)
+        assert timed_out
+        assert (evals == 0) == (ticks == 0)
+
+    def test_walks_past_local_optima(self):
+        # the screen sees each state the walk moves through; some moves go downhill
+        c = random_contraction(12, 8, 3, seed=5)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        states = []
+        screen = obj.screen
+        with mock.patch.object(obj, "screen", lambda x, m: states.append(x) or screen(x, m)):
+            _tabu(c.cells, obj, np.random.default_rng(5), 20000, None)
+        values = [obj.value(x) for x in states]
+        assert len(values) > 50
+        assert any(b < a for a, b in zip(values, values[1:]))
+
+
+    def test_labels_stay_out_of_cells_they_left(self):
+        # Replays the walk from the states it screens: a label that left a cell
+        # returns to it within the shortest tenure only by beating the best value.
+        c = random_contraction(12, 8, 3, seed=5)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        states = []
+        screen = obj.screen
+        with mock.patch.object(obj, "screen", lambda x, m: states.append(x) or screen(x, m)):
+            _tabu(c.cells, obj, np.random.default_rng(5), 20000, None)
+        shortest = search._TABU_TENURE[0]
+        left, best = {}, obj.value(states[0])
+        for step, (before, after) in enumerate(zip(states, states[1:])):
+            before, after = before.ravel(), after.ravel()
+            cells = np.flatnonzero(before != after)
+            assert len(cells) == 2
+            val = obj.value(after.reshape(c.cells.shape))
+            for p in cells.tolist():
+                if step - left.get((int(after[p]), p), -shortest) < shortest:
+                    assert val > best + search._margin(best)
+                left[int(before[p]), p] = step
+            best = max(best, val)
+        assert len(states) > 50
 
 
 class TestAnneal:
@@ -531,7 +577,7 @@ class TestSampler:
     @pytest.mark.parametrize("k, s", [(3, 8), (5, 16), (6, 32)])
     def test_pair_table_lists_every_cell_pair_once(self, k, s):
         # so drawing rows of it iid is uniform over unordered cell pairs
-        pairs = [((i1, j1), (i2, j2)) for i1, j1, i2, j2 in _swap_index(k, s, _CLASSES).tolist()]
+        pairs = [((i1, j1), (i2, j2)) for i1, j1, i2, j2 in _swap_index(k, s).tolist()]
         cells = [(i, j) for i in range(k) for j in range(s)]
         assert sorted(pairs) == list(itertools.combinations(cells, 2))
 
@@ -543,8 +589,9 @@ class TestSampler:
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-#: (design sha256, repr(objective), sha256 of repr(trace), restart of best),
-#: recorded from the exhaustive hill climb before screening existed; any
+#: (design sha256, repr(objective), sha256 of repr(trace), restart of best);
+#: the climbs and the anneal were recorded from the exhaustive hill climb
+#: before screening existed, the tabu walks under 1 and 2 BLAS threads.  Any
 #: change of trajectory changes one of them.
 _GOLDEN = {
     "hillclimb-12x8": ((12, 8, 3), dict(seed=7, restarts=3), (
@@ -553,15 +600,16 @@ _GOLDEN = {
     "anneal-12x8": ((12, 8, 3), dict(seed=7, strategy="anneal", restarts=3, max_iters=2000), (
         "092bee41d313afc1353fa61c4065e2c070bf6438382be9b62d1805c6c930fa78", "0.5739130434782612",
         "b914af07a5ab602dae71671ccda0139ccb71bc4da8c87081d87e614614629a5d", 0)),
-    "column-first-12x8": ((12, 8, 3), dict(seed=7, strategy="column-first", restarts=3), (
-        "fa0c850d18072159bd5a1ee2af5038f11b1bb6a06ec46f0a413efa1648c1eab5", "0.5630003552573966",
-        "92244b57f1247801086eb55f90985f9e6c743e9bc3a2d95930f552e9ff324f3a", 0)),
+    # restart 0 starts disconnected, so its first step evaluates every move exactly
+    "tabu-12x8": ((12, 8, 3), dict(seed=0, strategy="tabu", restarts=2), (
+        "5e518dba7866082c34b4d1b3cf032be5b6fd70180495f33d74ea29a99e7948ca", "0.5739130434782612",
+        "66b59117fec4a7e00255daf911122df70520e3649656be7e2181fda953d95bd6", 0)),
     "hillclimb-24x16": ((24, 16, 5), dict(seed=3, restarts=2), (
         "4401fe24c955d921fca6f1b34ba0538b20fa91174d64186ee34ee7d17ce6007e", "0.7876033464134794",
         "a568b023a75d64850394fd635514b03dc70416673a5f0cd78e4fb9cc2a3a5ecd", 1)),
-    "column-first-24x16": ((24, 16, 5), dict(seed=3, strategy="column-first", restarts=2), (
-        "5551554ca7d7e00313c990e6dfc2e1be480678828a7f0e4643c304c917457706", "0.7886713594856065",
-        "2edfc4d5ac4bb4b684d067ee42d2b6896e7dcd43bbff7efea78ae75b461a0f92", 0)),
+    "tabu-24x16": ((24, 16, 5), dict(seed=3, strategy="tabu", restarts=2, max_iters=100000), (
+        "52388cd6c9bdc13ea1fa154f846c2a758f944526e7e5c2f28e3c5a3567cf105d", "0.7898788073079485",
+        "48f682400f1db4e3e97f3c68debd6fd46db0e659458796c76e7963cf03722931", 0)),
     # a disconnected start and an iteration cap that cuts a catalogue scan
     "capped-12x8": ((12, 8, 3), dict(seed=1, restarts=2, max_iters=40), (
         "ffe83e99c977ded3b4f366724940cb6b936026489461a2bf404f165e49a406ed", "0.535696027407117",
@@ -699,12 +747,12 @@ class TestSearchContraction:
         assert values == sorted(values)
         assert result.objective >= 0.52
 
-    def test_column_first_strategy(self):
+    def test_tabu_strategy(self):
         result = search_contraction(
-            12, 8, 3, SearchConfig(seed=2, strategy="column-first", restarts=8)
+            12, 8, 3, SearchConfig(seed=2, strategy="tabu", restarts=2)
         )
         assert validate_contraction(result.best).ok
-        assert result.objective >= 0.52
+        assert result.objective >= 0.5739
 
     def test_e_aug_objective(self):
         result = search_contraction(
@@ -713,7 +761,7 @@ class TestSearchContraction:
         )
         assert result.objective == pytest.approx(0.388112, abs=2e-3)
 
-    @pytest.mark.parametrize("strategy", ["hillclimb", "column-first"])
+    @pytest.mark.parametrize("strategy", ["hillclimb", "tabu"])
     def test_e_aug_objective_needs_anneal(self, strategy):
         with pytest.raises(ConfigError, match="^objective e_aug needs strategy 'anneal'"):
             SearchConfig(strategy=strategy, objective="e_aug")
@@ -732,6 +780,10 @@ class TestSearchContraction:
 
 
 class TestSearchAugmentedDirect:
+    def test_tabu_is_refused(self):
+        with pytest.raises(ConfigError, match="^strategy 'tabu' walks contractions only"):
+            search_augmented_direct(12, 8, 3, SearchConfig(strategy="tabu", restarts=1))
+
     def test_small_budget_12x8(self):
         cfg = SearchConfig(seed=0, restarts=2, max_iters=250)
         result = search_augmented_direct(12, 8, 3, cfg)
