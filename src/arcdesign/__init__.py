@@ -49,7 +49,6 @@ from .errors import (
 )
 from .planner import DesignPlan, plan, plan_fixed_grid
 from .search import (
-    DirectSearchResult,
     SearchConfig,
     SearchResult,
     apply_move,
@@ -70,7 +69,6 @@ __all__ = [
     "ConstructionError",
     "ContractionDesign",
     "DesignPlan",
-    "DirectSearchResult",
     "DisconnectedDesignError",
     "EfficiencyReport",
     "IncidenceSet",

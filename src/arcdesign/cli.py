@@ -23,7 +23,14 @@ import click
 from . import __version__
 from .augmentor import augment
 from .designs import ContractionDesign, validate_augmented
-from .efficiency import e_aug_direct, e_aug_formula, full_report
+from .efficiency import (
+    c_bar_s,
+    e_aug_direct,
+    e_aug_formula,
+    e_dual_column,
+    full_report,
+    is_generally_balanced,
+)
 from .errors import (
     ConfigError,
     DisconnectedDesignError,
@@ -358,10 +365,6 @@ def cmd_reproduce_table1(formula_only, seed, restarts, iters, fmt):
     reproduce the published six-decimal efficiency within 1e-4; with searches
     enabled, the achieved values for a fresh design are reported alongside.
     """
-    from .efficiency import c_bar_s as _cbs
-    from .efficiency import e_dual_column as _edual
-    from .efficiency import is_generally_balanced as _gb
-
     rows = []
     failures = 0
     for ref in REFERENCE_ROWS:
@@ -379,13 +382,14 @@ def cmd_reproduce_table1(formula_only, seed, restarts, iters, fmt):
                                time_budget=None, workers=1, objective="e_con")
             found = search_contraction(ref.v, ref.s, ref.k, cfg)
             best = found.best
+            cbs = c_bar_s(best)
             row.update({
                 "eConFound": round(found.objective, 4),
-                "cBarSFound": round(_cbs(best), 4),
-                "eDualFound": round(_edual(best), 4),
-                "generallyBalanced": _gb(best),
+                "cBarSFound": round(cbs, 4),
+                "eDualFound": round(e_dual_column(best), 4),
+                "generallyBalanced": is_generally_balanced(best),
                 "eAugFound": round(
-                    e_aug_formula(ref.v_star, ref.v, ref.s, ref.k, found.objective, _cbs(best)), 6
+                    e_aug_formula(ref.v_star, ref.v, ref.s, ref.k, found.objective, cbs), 6
                 ),
             })
         rows.append(row)

@@ -33,6 +33,25 @@ def feasibility_df(v: int, s: int, k: int) -> int:
     return k * s - 1 - (k - 1) - (s - 1) - (v - 1)
 
 
+def _require_feasible(v: int, s: int, k: int) -> None:
+    """Raise ``InfeasibleParametersError`` unless (v, s, k) admits a contraction by size.
+
+    v, s and k must be positive, k at most v (a column holds k distinct
+    labels) and ``feasibility_df(v, s, k)`` non-negative.
+    """
+    if k < 1 or s < 1 or v < 1:
+        raise InfeasibleParametersError("v, k, s must all be positive")
+    if k > v:
+        raise InfeasibleParametersError(
+            f"k={k} checks cannot be column-distinct among v={v} labels"
+        )
+    df = feasibility_df(v, s, k)
+    if df < 0:
+        raise InfeasibleParametersError(
+            f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; need >= 0"
+        )
+
+
 def _frozen_int_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.int64, copy=True)
     arr.setflags(write=False)
@@ -328,17 +347,7 @@ def balanced_replication(v: int, k: int, s: int) -> np.ndarray:
     canonical form: which labels carry the extra replicate is immaterial to
     any efficiency quantity, and the search permutes cell contents anyway.
     """
-    if k < 1 or s < 1 or v < 1:
-        raise InfeasibleParametersError("v, k, s must all be positive")
-    if k > v:
-        raise InfeasibleParametersError(
-            f"k={k} checks cannot be column-distinct among v={v} labels"
-        )
-    df = feasibility_df(v, s, k)
-    if df < 0:
-        raise InfeasibleParametersError(
-            f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; need >= 0"
-        )
+    _require_feasible(v, s, k)
     base, extra = divmod(k * s, v)
     r = np.full(v, base, dtype=np.int64)
     r[:extra] += 1

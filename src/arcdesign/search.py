@@ -71,8 +71,8 @@ from .designs import (
     AugmentedDesign,
     ContractionDesign,
     _incidence_arrays,
+    _require_feasible,
     balanced_replication,
-    feasibility_df,
 )
 from .efficiency import _joint_matrix, e_aug_direct
 from .errors import (
@@ -159,46 +159,17 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best contraction found, with the improvement trace of its restart."""
+    """Best design found, with the improvement trace of its restart.
 
-    best: ContractionDesign
-    objective: float
-    trace: tuple[tuple[int, float], ...]
-    elapsed: float
-    restart_of_best: int
-    timed_out: bool = False
-
-    def to_dict(self, include_elapsed: bool = True) -> dict:
-        d = {
-            "design": format_design(self.best),
-            "objective": self.objective,
-            "trace": [[i, v] for i, v in self.trace],
-            "restartOfBest": self.restart_of_best,
-            "timedOut": self.timed_out,
-        }
-        if include_elapsed:
-            d["elapsed"] = self.elapsed
-        return d
-
-    def to_json(self, indent: int | None = 2, include_elapsed: bool = True) -> str:
-        return json.dumps(self.to_dict(include_elapsed=include_elapsed), indent=indent)
-
-
-@dataclass(frozen=True)
-class DirectSearchResult:
-    """Best augmented design from the direct (full-array) baseline search.
-
-    ``row_check_counts`` reports how many checks each row carries; the direct
-    moves keep columns valid but do not constrain rows, so this is
-    informational rather than enforced.
+    ``best`` is a contraction from ``search_contraction`` and an augmented
+    design from ``search_augmented_direct``.
     """
 
-    best: AugmentedDesign
+    best: ContractionDesign | AugmentedDesign
     objective: float
     trace: tuple[tuple[int, float], ...]
     elapsed: float
     restart_of_best: int
-    row_check_counts: tuple[int, ...]
     timed_out: bool = False
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
@@ -207,7 +178,6 @@ class DirectSearchResult:
             "objective": self.objective,
             "trace": [[i, v] for i, v in self.trace],
             "restartOfBest": self.restart_of_best,
-            "rowCheckCounts": list(self.row_check_counts),
             "timedOut": self.timed_out,
         }
         if include_elapsed:
@@ -241,6 +211,7 @@ def random_contraction(v: int, s: int, k: int, r=None, seed: int = 0) -> Contrac
 
 
 def _check_replication(v: int, s: int, k: int, r: np.ndarray) -> None:
+    _require_feasible(v, s, k)
     if len(r) != v:
         raise InfeasibleParametersError(f"r has length {len(r)}, expected v={v}")
     if int(r.sum()) != k * s:
@@ -250,11 +221,6 @@ def _check_replication(v: int, s: int, k: int, r: np.ndarray) -> None:
     if int(r.max()) > min(k, s):
         raise InfeasibleParametersError(
             f"replication {int(r.max())} exceeds min(k, s)={min(k, s)}; no binary array exists"
-        )
-    df = feasibility_df(v, s, k)
-    if df < 0:
-        raise InfeasibleParametersError(
-            f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; need >= 0"
         )
 
 
@@ -924,28 +890,60 @@ def _start_temp(probe: list[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# contraction search
+# restarts and the contraction search
 
 
-def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, deadline):
-    rng = np.random.default_rng(cfg.seed ^ restart)
+def _run_restarts(cfg: SearchConfig, restart_fn, design_fn) -> SearchResult:
+    """Run ``cfg.restarts`` restarts and keep the best as a ``SearchResult``.
+
+    Restart i calls ``restart_fn(i, rng, deadline)`` with
+    ``rng = default_rng(cfg.seed ^ i)`` and gets a driver's
+    (state, value, trace, evaluations, timed out) tuple back.  Restarts run
+    serially or on ``cfg.workers`` threads and are reduced by (objective,
+    restart index, lexicographic array), so both agree; a serial run starts
+    no restart after the deadline once one has finished.  ``design_fn``
+    turns the best state into the reported design.
+    """
+    start = time.monotonic()
+    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
+
+    def run(i: int):
+        return (i, *restart_fn(i, np.random.default_rng(cfg.seed ^ i), deadline))
+
+    indices = list(range(cfg.restarts))
+    skipped = False
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            outcomes = list(pool.map(run, indices))
+    else:
+        outcomes = []
+        for i in indices:
+            if deadline is not None and time.monotonic() > deadline and outcomes:
+                skipped = True
+                break
+            outcomes.append(run(i))
+    restart, state, val, trace, _, _ = min(
+        outcomes, key=lambda o: (-o[2], o[0], tuple(o[1].ravel())))
+    return SearchResult(
+        best=design_fn(state),
+        objective=val,
+        trace=tuple(trace),
+        elapsed=time.monotonic() - start,
+        restart_of_best=restart,
+        timed_out=skipped or any(o[5] for o in outcomes),
+    )
+
+
+def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, rng, deadline):
     cells = _fill(v, s, k, r, rng, f"restart {restart}: could not build a starting contraction")
-
     obj = _ContractionObjective(v, s, k, r)
     if cfg.strategy == "hillclimb":
-        state, val, trace, _, timed = _hillclimb(
-            cells, obj.value, lambda st: _catalogue(st, v), _swap, rng,
-            cfg.max_iters, deadline, obj.screen,
-        )
-    elif cfg.strategy == "anneal":
+        return _hillclimb(cells, obj.value, lambda st: _catalogue(st, v), _swap, rng,
+                          cfg.max_iters, deadline, obj.screen)
+    if cfg.strategy == "anneal":
         walk = _SwapWalk(obj, cfg.objective == "e_aug")
-        state, val, trace, _, timed = _anneal(
-            cells, walk.value, walk.sample, walk.apply, rng, cfg.max_iters, deadline,
-        )
-    else:  # tabu
-        state, val, trace, _, timed = _tabu(cells, obj, rng, cfg.max_iters, deadline)
-
-    return restart, state, val, tuple(trace), timed
+        return _anneal(cells, walk.value, walk.sample, walk.apply, rng, cfg.max_iters, deadline)
+    return _tabu(cells, obj, rng, cfg.max_iters, deadline)
 
 
 def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) -> SearchResult:
@@ -957,41 +955,8 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
     """
     cfg = cfg or SearchConfig()
     r = balanced_replication(v, k, s)
-    start = time.monotonic()
-    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    (restart, cells, val, trace, _), timed = _run_restarts(
-        lambda i: _contraction_restart(v, s, k, r, cfg, i, deadline), cfg, deadline
-    )
-    return SearchResult(
-        best=ContractionDesign(v=v, cells=cells, r=r),
-        objective=val,
-        trace=trace,
-        elapsed=time.monotonic() - start,
-        restart_of_best=restart,
-        timed_out=timed,
-    )
-
-
-def _run_restarts(restart_fn, cfg: SearchConfig, deadline):
-    """The best restart outcome, and whether any restart ran out of time.
-
-    Restarts run serially or on ``cfg.workers`` threads and are reduced by
-    (objective, restart index, lexicographic array), so both agree.
-    """
-    indices = list(range(cfg.restarts))
-    skipped = False
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(restart_fn, indices))
-    else:
-        outcomes = []
-        for i in indices:
-            if deadline is not None and time.monotonic() > deadline and outcomes:
-                skipped = True
-                break
-            outcomes.append(restart_fn(i))
-    best = min(outcomes, key=lambda o: (-o[2], o[0], tuple(o[1].ravel())))
-    return best, skipped or any(o[4] for o in outcomes)
+    return _run_restarts(cfg, functools.partial(_contraction_restart, v, s, k, r, cfg),
+                         lambda cells: ContractionDesign(v=v, cells=cells, r=r))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +1018,7 @@ def _direct_sample(check_rows: np.ndarray, rng, v: int, s: int, k: int) -> _Dire
     return None
 
 
-def _direct_restart(v, s, k, cfg: SearchConfig, restart: int, deadline):
-    rng = np.random.default_rng(cfg.seed ^ restart)
+def _direct_restart(v, s, k, cfg: SearchConfig, rng, deadline):
     check_rows = np.empty((k, s), dtype=np.int64)
     for j in range(s):
         check_rows[:, j] = rng.choice(v, size=k, replace=False)
@@ -1063,48 +1027,24 @@ def _direct_restart(v, s, k, cfg: SearchConfig, restart: int, deadline):
         return _direct_objective(state, v, s, k)
 
     if cfg.strategy == "anneal":
-        state, val, trace, _, timed = _anneal(
-            check_rows, obj, lambda st, g: _direct_sample(st, g, v, s, k), _direct_apply, rng,
-            cfg.max_iters, deadline)
-    else:
-        state, val, trace, _, timed = _hillclimb(
-            check_rows, obj, lambda st: _direct_catalogue(st, v, s, k), _direct_apply, rng,
-            cfg.max_iters, deadline)
-    return restart, state, val, tuple(trace), timed
+        return _anneal(check_rows, obj, lambda st, g: _direct_sample(st, g, v, s, k),
+                       _direct_apply, rng, cfg.max_iters, deadline)
+    return _hillclimb(check_rows, obj, lambda st: _direct_catalogue(st, v, s, k), _direct_apply,
+                      rng, cfg.max_iters, deadline)
 
 
-def search_augmented_direct(v: int, s: int, k: int, cfg: SearchConfig | None = None) -> DirectSearchResult:
+def search_augmented_direct(v: int, s: int, k: int, cfg: SearchConfig | None = None) -> SearchResult:
     """Baseline search over check placements in the full v x s array.
 
     Moves swap a check with a test-line plot or two checks within one column,
-    so every candidate keeps each check exactly once per column.  The
-    objective is the direct augmented-design efficiency, evaluated by a full
-    eigendecomposition per candidate; use small budgets.
+    so every candidate keeps each check exactly once per column; rows are not
+    constrained.  The objective is the direct augmented-design efficiency,
+    evaluated by a full eigendecomposition per candidate; use small budgets.
     """
     cfg = cfg or SearchConfig()
     if cfg.strategy == "tabu":
         raise ConfigError("strategy 'tabu' walks contractions only; "
                           "the direct search takes 'hillclimb' or 'anneal'")
-    if k > v:
-        raise InfeasibleParametersError(f"k={k} checks exceed v={v} rows")
-    df = feasibility_df(v, s, k)
-    if df < 0:
-        raise InfeasibleParametersError(
-            f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; need >= 0"
-        )
-    start = time.monotonic()
-    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    (restart, check_rows, val, trace, _), timed = _run_restarts(
-        lambda i: _direct_restart(v, s, k, cfg, i, deadline), cfg, deadline
-    )
-    design = AugmentedDesign(k=k, cells=_augmented_cells(check_rows, v))
-    row_counts = tuple(int(x) for x in (design.cells > design.n_test_lines).sum(axis=1))
-    return DirectSearchResult(
-        best=design,
-        objective=val,
-        trace=trace,
-        elapsed=time.monotonic() - start,
-        restart_of_best=restart,
-        row_check_counts=row_counts,
-        timed_out=timed,
-    )
+    _require_feasible(v, s, k)
+    return _run_restarts(cfg, lambda i, rng, deadline: _direct_restart(v, s, k, cfg, rng, deadline),
+                         lambda rows: AugmentedDesign(k=k, cells=_augmented_cells(rows, v)))

@@ -48,11 +48,9 @@ class Spectrum:
     def __len__(self):
         return len(self.eigenvalues)
 
-    def nontrivial(self, tol: float | None = None) -> np.ndarray:
-        """Eigenvalues whose magnitude is at least ``tol``."""
-        if tol is None:
-            tol = trivial_tolerance(self.eigenvalues)
-        return self.eigenvalues[np.abs(self.eigenvalues) >= tol]
+    def nontrivial(self) -> np.ndarray:
+        """Eigenvalues whose magnitude is at least ``trivial_tolerance``."""
+        return self.eigenvalues[np.abs(self.eigenvalues) >= trivial_tolerance(self.eigenvalues)]
 
 
 def eig_symmetric(m) -> Spectrum:
@@ -86,16 +84,15 @@ def eig_symmetric(m) -> Spectrum:
     return Spectrum(eigenvalues=vals, trivial_count=int(np.sum(np.abs(vals) < trivial_tolerance(vals))))
 
 
-def harmonic_mean_nontrivial(sp: Spectrum, expected_trivial: int, tol: float | None = None) -> float:
+def harmonic_mean_nontrivial(sp: Spectrum, expected_trivial: int) -> float:
     """Harmonic mean of the non-trivial eigenvalues, ``m / sum(1/lambda)``.
 
-    Exactly ``expected_trivial`` eigenvalues must fall below ``tol`` in
-    magnitude: more means the underlying design is disconnected, fewer means
-    the matrix lost a structural zero it should have.
+    Exactly ``expected_trivial`` eigenvalues must fall below
+    ``trivial_tolerance`` in magnitude: more means the underlying design is
+    disconnected, fewer means the matrix lost a structural zero it should have.
     """
     vals = sp.eigenvalues
-    if tol is None:
-        tol = trivial_tolerance(vals)
+    tol = trivial_tolerance(vals)
     near_zero = int(np.sum(np.abs(vals) < tol))
     if near_zero > expected_trivial:
         raise DisconnectedDesignError(

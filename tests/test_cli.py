@@ -242,6 +242,7 @@ class TestSearchAndAugmentCommands:
         assert result.exit_code == 0
         search_data = json.loads((out / "search.json").read_text())
         assert "elapsed" not in search_data
+        assert list(search_data) == ["design", "objective", "trace", "restartOfBest", "timedOut"]
         assert search_data["objective"] > 0.5
         design = read_design(out / "contraction.txt")
         assert (design.v, design.s, design.k) == (12, 8, 3)

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import itertools
+import json
 import warnings
 from unittest import mock
 
@@ -19,6 +20,7 @@ from arcdesign import (
     e_aug_formula,
     e_con,
     neighbor_moves,
+    parse_design,
     random_contraction,
     search_augmented_direct,
     search_contraction,
@@ -791,8 +793,20 @@ class TestSearchAugmentedDirect:
         assert result.objective == pytest.approx(e_aug_direct(result.best), abs=1e-12)
         report = validate_augmented(result.best)
         assert report.ok  # column structure and test-line uniqueness hold
-        assert len(result.row_check_counts) == 12
-        assert sum(result.row_check_counts) == 24
+        row_check_counts = (result.best.cells > result.best.n_test_lines).sum(axis=1)
+        assert len(row_check_counts) == 12
+        assert sum(row_check_counts) == 24
+
+    @pytest.mark.parametrize("dims", [(1, 1, 0), (1, 1, -1), (12, 8, 13)])
+    def test_infeasible_parameters_raise(self, dims):
+        with pytest.raises(InfeasibleParametersError):
+            search_augmented_direct(*dims, SearchConfig(restarts=1, max_iters=1))
+
+    def test_json_has_the_contraction_search_keys(self):
+        result = search_augmented_direct(6, 4, 3, SearchConfig(seed=1, restarts=2, max_iters=30))
+        d = json.loads(result.to_json(include_elapsed=False))
+        assert list(d) == ["design", "objective", "trace", "restartOfBest", "timedOut"]
+        assert parse_design(d["design"]) == result.best
 
     def test_determinism(self):
         cfg = SearchConfig(seed=5, restarts=2, max_iters=120)
