@@ -41,7 +41,7 @@ from .errors import (
 from .planner import plan as plan_dimensions
 from .planner import plan_fixed_grid
 from .reference import REFERENCE_ROWS
-from .search import SearchConfig, search_contraction
+from .search import _OBJECTIVES, _STRATEGIES, SearchConfig, search_contraction
 from .textio import format_design, read_design
 
 _USER_ERRORS = (ConfigError, InfeasibleParametersError, InvalidDesignError, ParseError,
@@ -123,7 +123,7 @@ _format_option = click.option(
 def _search_options(fn):
     for deco in reversed([
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--strategy", type=click.Choice(["hillclimb", "anneal", "tabu"]),
+        click.option("--strategy", type=click.Choice(_STRATEGIES),
                      default="hillclimb", show_default=True,
                      help="Climb to a local optimum, anneal, or walk on past local optima "
                           "with a tabu list; each restart is one climb, anneal or walk."),
@@ -134,7 +134,7 @@ def _search_options(fn):
                      help="Wall-clock cap in seconds (makes results budget-dependent)."),
         click.option("--workers", type=int, default=1, show_default=True,
                      help="Concurrent restarts; the result is identical to serial execution."),
-        click.option("--objective", type=click.Choice(["e_con", "e_aug"]), default="e_con",
+        click.option("--objective", type=click.Choice(_OBJECTIVES), default="e_con",
                      show_default=True,
                      help="Maximize the contraction or the augmented efficiency "
                           "(e_aug needs --strategy anneal)."),

@@ -41,6 +41,9 @@ from .spectra import (
     trivial_tolerance,
 )
 
+#: Largest |W N_C - r_bar^2| entry at which a contraction counts as generally balanced.
+_BALANCE_TOL = 1e-8
+
 
 def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
     """Row-column information matrix of the contraction.
@@ -49,13 +52,24 @@ def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
     are zero, so the matrix has rank at most v-1.
     """
     inc = incidence(c)
-    r = c.r.astype(float)
-    return (
-        np.diag(r)
-        - inc.w / c.s
-        - (inc.n_c @ inc.n_c.T) / c.k
-        + np.outer(r, r) / (c.k * c.s)
-    )
+    return _info_matrix(inc.n_r, inc.n_c, c.r.astype(float), c.k)
+
+
+def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    # info_matrix_contraction from raw incidence arrays, shared with the search hot path.
+    s = n_c.shape[1]
+    return _row_block(n_r, r, s) - (n_c @ n_c.T) / k + np.outer(r, r) / (k * s)
+
+
+def _row_block(n_r: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
+    # diag(r) - (1/s) N_R N_R': the rows-only part of the information matrix.
+    return np.diag(r) - (n_r @ n_r.T) / s
+
+
+def _centered_columns(n_c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # N_C - (1/s) r 1', the column incidence with row effects swept out.
+    s = n_c.shape[1]
+    return n_c - np.outer(r, np.ones(s)) / s
 
 
 def contraction_cefs(c: ContractionDesign) -> Spectrum:
@@ -80,16 +94,6 @@ def c_bar_v(c: ContractionDesign) -> float:
     return c_v / c.r_bar
 
 
-def _centered_column_incidence(c: ContractionDesign, inc) -> np.ndarray:
-    # N_C - (1/s) r 1', the column incidence with row effects swept out.
-    return inc.n_c - np.outer(c.r.astype(float), np.ones(c.s)) / c.s
-
-
-def _row_component(c: ContractionDesign, inc) -> np.ndarray:
-    # diag(r) - (1/s) W: the rows-only part of the information matrix.
-    return np.diag(c.r.astype(float)) - inc.w / c.s
-
-
 def c_bar_s(c: ContractionDesign) -> float:
     """Harmonic-mean eigenvalue of the column block of the joint matrix inverse.
 
@@ -102,9 +106,10 @@ def c_bar_s(c: ContractionDesign) -> float:
     explicit orthonormal complement.
     """
     inc = incidence(c)
-    f = _centered_column_incidence(c, inc)
+    r = c.r.astype(float)
+    f = _centered_columns(inc.n_c, r)
     ridge = (c.r_bar**2 / c.v) * np.ones((c.v, c.v))
-    middle = _row_component(c, inc) + ridge
+    middle = _row_block(inc.n_r, r, c.s) + ridge
 
     w = np.linalg.eigvalsh(middle)
     if w[0] <= 1e-10 * max(1.0, w[-1]):
@@ -138,8 +143,8 @@ def b_matrix(c: ContractionDesign) -> np.ndarray:
 def _joint_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
     # b_matrix from raw incidence arrays, shared with the search hot path.
     v, s = n_c.shape
-    f = n_c - np.outer(r, np.ones(s)) / s
-    top = np.hstack([np.diag(r) - (n_r @ n_r.T) / s, f])
+    f = _centered_columns(n_c, r)
+    top = np.hstack([_row_block(n_r, r, s), f])
     bottom = np.hstack([f.T, k * np.eye(s)])
     d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
     return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
@@ -173,7 +178,7 @@ def e_dual_column(c: ContractionDesign) -> float:
     return harmonic_mean_nontrivial(sp, expected_trivial=1)
 
 
-def is_generally_balanced(c: ContractionDesign, tol: float = 1e-8) -> bool:
+def is_generally_balanced(c: ContractionDesign) -> bool:
     """Whether row and column structures commute: ``W N_C`` constant at r_bar^2.
 
     When true, the column block of the joint matrix collapses to the dual
@@ -181,7 +186,7 @@ def is_generally_balanced(c: ContractionDesign, tol: float = 1e-8) -> bool:
     """
     inc = incidence(c)
     target = c.r_bar**2
-    return float(np.abs(inc.w @ inc.n_c - target).max()) <= tol
+    return float(np.abs(inc.w @ inc.n_c - target).max()) <= _BALANCE_TOL
 
 
 def e_aug_formula(v_star: int, v: int, s: int, k: int, c_bar_v: float, c_bar_s: float) -> float:

@@ -50,16 +50,10 @@ class DesignPlan:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _minimal_feasible_s(v: int, k: int) -> int | None:
-    # Smallest s with non-negative residual df for this (v, k); None if k < 2.
-    if k < 2:
-        return None
-    s = 1
-    while feasibility_df(v, s, k) < 0:
-        s += 1
-        if s > 10_000:
-            return None
-    return s
+def _minimal_feasible_s(v: int, k: int) -> int:
+    # Smallest s with non-negative residual df for this (v, k), k >= 2:
+    # feasibility_df(v, s, k) = (k-1)s - (v+k-2), so s = ceil((v+k-2)/(k-1)).
+    return -(-(v + k - 2) // (k - 1))
 
 
 def plan(k: int, target_proportion: float, n_test_lines: int) -> DesignPlan:
@@ -95,7 +89,7 @@ def plan(k: int, target_proportion: float, n_test_lines: int) -> DesignPlan:
     df = feasibility_df(v, s, k)
     if df < 0:
         s_ok = _minimal_feasible_s(v, k)
-        capacity = (v - k) * s_ok if s_ok else None
+        capacity = (v - k) * s_ok
         raise InfeasibleParametersError(
             f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; "
             f"nearest feasible: s={s_ok} (capacity {capacity}, surplus {capacity - n_test_lines})",

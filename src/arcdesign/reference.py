@@ -74,10 +74,6 @@ _FIXTURES = {
 }
 
 
-def fixture_names() -> tuple[str, ...]:
-    return tuple(_FIXTURES)
-
-
 def load_reference_design(name: str):
     """Load one of the bundled reference designs by short name."""
     try:

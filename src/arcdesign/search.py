@@ -74,19 +74,13 @@ from .designs import (
     _require_feasible,
     balanced_replication,
 )
-from .efficiency import _joint_matrix, e_aug_direct
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    DisconnectedDesignError,
-    InfeasibleParametersError,
-)
+from .efficiency import _info_matrix, _joint_matrix, e_aug_direct
+from .errors import ConfigError, ConstructionError, DisconnectedDesignError
+from .spectra import trivial_tolerance
 from .textio import format_design
 
 _STRATEGIES = ("hillclimb", "anneal", "tabu")
 _OBJECTIVES = ("e_con", "e_aug")
-#: Second-smallest eigenvalue below this means the candidate is disconnected.
-_DISCONNECT_TOL = 1e-8
 #: Smallest eigenvalue of A_s + qq' below which a state's moves are not screened.
 _SCREEN_MIN_EIG = 1e-4
 #: Size of a hill-climb screen's first chunk; each later chunk ends at twice the last end.
@@ -192,8 +186,8 @@ class SearchResult:
 # random construction
 
 
-def random_contraction(v: int, s: int, k: int, r=None, seed: int = 0) -> ContractionDesign:
-    """A seeded random valid contraction for the given replication vector.
+def random_contraction(v: int, s: int, k: int, seed: int = 0) -> ContractionDesign:
+    """A seeded random valid contraction with the ``balanced_replication`` vector.
 
     Fills column by column: labels that must appear in every remaining column
     are forced in, the rest are drawn at random, and a matching assigns them
@@ -201,27 +195,10 @@ def random_contraction(v: int, s: int, k: int, r=None, seed: int = 0) -> Contrac
     the whole array; the preconditions guarantee an array exists, so bounded
     retries suffice.
     """
-    if r is None:
-        r = balanced_replication(v, k, s)
-    r = np.asarray(r, dtype=np.int64)
-    _check_replication(v, s, k, r)
+    r = balanced_replication(v, k, s)
     cells = _fill(v, s, k, r, np.random.default_rng(seed),
                   f"failed to fill a {k}x{s} array on {v} labels after bounded retries")
     return ContractionDesign(v=v, cells=cells, r=r)
-
-
-def _check_replication(v: int, s: int, k: int, r: np.ndarray) -> None:
-    _require_feasible(v, s, k)
-    if len(r) != v:
-        raise InfeasibleParametersError(f"r has length {len(r)}, expected v={v}")
-    if int(r.sum()) != k * s:
-        raise InfeasibleParametersError(f"r sums to {int(r.sum())}, expected k*s={k * s}")
-    if r.min() < 0:
-        raise InfeasibleParametersError("replication counts must be non-negative")
-    if int(r.max()) > min(k, s):
-        raise InfeasibleParametersError(
-            f"replication {int(r.max())} exceeds min(k, s)={min(k, s)}; no binary array exists"
-        )
 
 
 def _fill(v: int, s: int, k: int, r: np.ndarray, rng, failure: str) -> np.ndarray:
@@ -428,8 +405,6 @@ class _ContractionObjective:
     def __init__(self, v: int, s: int, k: int, r: np.ndarray):
         self.v, self.s, self.k = v, s, k
         self.r = r.astype(float)
-        self.r_diag = np.diag(self.r)
-        self.rr_term = np.outer(self.r, self.r) / (k * s)
         inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
@@ -440,7 +415,7 @@ class _ContractionObjective:
         a_s = self._scaled_info(cells)[0]
         w = np.linalg.eigvalsh(a_s)
         self._eig = a_s, w
-        if w[1] <= _DISCONNECT_TOL:
+        if w[1] < trivial_tolerance(w):
             return 0.0
         return (self.v - 1) / float(np.sum(1.0 / w[1:]))
 
@@ -449,7 +424,7 @@ class _ContractionObjective:
         if cells is self._last[0]:
             return self._last[1]
         n_r, n_c = _incidence_arrays(cells, self.v)
-        a = self.r_diag - (n_r @ n_r.T) / self.s - (n_c @ n_c.T) / self.k + self.rr_term
+        a = _info_matrix(n_r, n_c, self.r, self.k)
         self._last = cells, (a * self.scale, n_r, n_c)
         return self._last[1]
 
@@ -520,7 +495,7 @@ class _SwapWalk:
     Without ``e_aug`` the walk scores ``obj.value``.  With it, ``B~`` is the
     one evaluator: ``b_matrix`` lifted to eigenvalue 1 on its two trivial
     directions, with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)`` over its
-    eigenvalues ``w``, or 0.0 if ``w[0] <= _DISCONNECT_TOL``.  The walk keeps
+    eigenvalues ``w``, or 0.0 if ``w[0] < trivial_tolerance(w)``.  The walk keeps
     ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  A swap of label a at
     (i1, j1) with label b at (i2, j2) changes ``B~`` by ``u z' + z u'``, where
     ``u = D^-1/2 (e_b - e_a, 0)``,
@@ -598,7 +573,7 @@ class _SwapWalk:
 
     def _exact(self, w: np.ndarray) -> float:
         """``e_aug`` from the ascending eigenvalues of ``B~``; 0.0 if disconnected."""
-        if w[0] <= _DISCONNECT_TOL:
+        if w[0] < trivial_tolerance(w):
             return 0.0
         return self._e_aug(float(np.sum(1.0 / w)))
 
@@ -900,28 +875,27 @@ def _run_restarts(cfg: SearchConfig, restart_fn, design_fn) -> SearchResult:
     ``rng = default_rng(cfg.seed ^ i)`` and gets a driver's
     (state, value, trace, evaluations, timed out) tuple back.  Restarts run
     serially or on ``cfg.workers`` threads and are reduced by (objective,
-    restart index, lexicographic array), so both agree; a serial run starts
-    no restart after the deadline once one has finished.  ``design_fn``
-    turns the best state into the reported design.
+    restart index, lexicographic array), so both agree.  Either way no
+    restart after the first starts once the deadline has passed; ``run``
+    returns None for a skipped one.  ``design_fn`` turns the best state into
+    the reported design.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
 
     def run(i: int):
+        if i > 0 and deadline is not None and time.monotonic() > deadline:
+            return None
         return (i, *restart_fn(i, np.random.default_rng(cfg.seed ^ i), deadline))
 
-    indices = list(range(cfg.restarts))
-    skipped = False
+    indices = range(cfg.restarts)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(run, indices))
+            runs = list(pool.map(run, indices))
     else:
-        outcomes = []
-        for i in indices:
-            if deadline is not None and time.monotonic() > deadline and outcomes:
-                skipped = True
-                break
-            outcomes.append(run(i))
+        runs = [run(i) for i in indices]
+    outcomes = [o for o in runs if o is not None]
+    skipped = len(outcomes) < len(runs)
     restart, state, val, trace, _, _ = min(
         outcomes, key=lambda o: (-o[2], o[0], tuple(o[1].ravel())))
     return SearchResult(

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from arcdesign import feasibility_df, plan, plan_fixed_grid
 from arcdesign.errors import InfeasibleParametersError
+from arcdesign.planner import _minimal_feasible_s
 
 
 class TestPlan:
@@ -84,6 +87,19 @@ class TestPlanFixedGrid:
     def test_too_many_checks(self):
         with pytest.raises(InfeasibleParametersError):
             plan_fixed_grid(4, 3, 5, orientation="rows")
+
+    def test_infeasible_grid_names_a_large_minimum(self):
+        # (20000, 1, 2) needs 20000 columns, beyond any bounded scan
+        with pytest.raises(InfeasibleParametersError,
+                           match="minimum feasible column count for this \\(v, k\\) is 20000$"):
+            plan_fixed_grid(20000, 1, 2)
+
+
+def test_minimal_feasible_s_is_the_smallest_feasible_column_count():
+    for v in range(1, 40):
+        for k in range(2, 12):
+            smallest = next(s for s in itertools.count(1) if feasibility_df(v, s, k) >= 0)
+            assert _minimal_feasible_s(v, k) == smallest
 
 
 class TestPlanSerialization:

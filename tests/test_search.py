@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import time
 import warnings
 from unittest import mock
 
@@ -41,6 +42,7 @@ from arcdesign.search import (
     _catalogue,
     _ContractionObjective,
     _hillclimb,
+    _run_restarts,
     _swap,
     _swap_index,
     _SwapWalk,
@@ -55,7 +57,7 @@ _SIZES = [(4, 4, 2), (6, 4, 3), (7, 5, 3), (10, 6, 3), (12, 8, 3), (9, 9, 3), (2
 
 class TestRandomContraction:
     def test_valid_for_reference_dimensions(self):
-        c = random_contraction(12, 8, 3, r=np.full(12, 2), seed=1)
+        c = random_contraction(12, 8, 3, seed=1)
         assert validate_contraction(c).ok
 
     def test_deterministic(self):
@@ -66,7 +68,7 @@ class TestRandomContraction:
     def test_seed_sweep_valid_and_diverse(self):
         seen = set()
         for seed in range(1, 101):
-            c = random_contraction(4, 4, 2, r=np.full(4, 2), seed=seed)
+            c = random_contraction(4, 4, 2, seed=seed)
             assert validate_contraction(c).ok
             seen.add(c.cells.tobytes())
         assert len(seen) > 10
@@ -79,8 +81,6 @@ class TestRandomContraction:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleParametersError):
             random_contraction(10, 3, 2, seed=0)
-        with pytest.raises(InfeasibleParametersError):
-            random_contraction(12, 8, 3, r=np.full(12, 3), seed=0)
 
     def test_fill_failures_keep_their_messages(self):
         with mock.patch.object(search, "_try_fill", return_value=None) as tries:
@@ -154,6 +154,34 @@ def _screened(obj, cells):
     """The catalogue of a state and the screened value of each of its moves."""
     moves = _catalogue(cells, obj.v)
     return moves, obj.screen(cells, moves)(np.arange(len(moves)))
+
+
+class TestContractionObjective:
+    @given(size=st.sampled_from(_SIZES[:6]), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(0, 12))
+    @example(size=(12, 8, 3), seed=0, steps=0)  # a disconnected start
+    @settings(max_examples=40, deadline=None)
+    def test_zero_value_exactly_when_e_con_finds_it_disconnected(self, size, seed, steps):
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        rng = np.random.default_rng(seed)
+        cells = c.cells
+        for _ in range(steps + 1):
+            try:
+                e_con(ContractionDesign(v=c.v, cells=cells, r=c.r))
+                disconnected = False
+            except DisconnectedDesignError:
+                disconnected = True
+            assert (obj.value(cells) == 0.0) == disconnected
+            moves = _catalogue(cells, c.v)
+            if len(moves) == 0:
+                break
+            cells = _swap(cells, moves[rng.integers(len(moves))])
+
+    def test_disconnected_example_is_not_vacuous(self):
+        c = random_contraction(12, 8, 3, seed=0)
+        with pytest.raises(DisconnectedDesignError):
+            e_con(c)
 
 
 class TestScreen:
@@ -779,6 +807,19 @@ class TestSearchContraction:
         )
         assert result.timed_out
         assert validate_contraction(result.best).ok
+
+    def test_threaded_restarts_start_none_after_the_deadline(self):
+        started = []
+
+        def restart(i, rng, deadline):
+            started.append(i)
+            time.sleep(0.1)
+            return np.zeros((1, 1)), 0.0, [(0, 0.0)], 1, False
+
+        cfg = SearchConfig(restarts=8, workers=2, time_budget=0.05)
+        result = _run_restarts(cfg, restart, lambda state: state)
+        assert sorted(started) == [0, 1]
+        assert result.timed_out
 
 
 class TestSearchAugmentedDirect:
