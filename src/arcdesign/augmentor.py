@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .designs import AugmentedDesign, ContractionDesign, _require_valid
-from .errors import InvalidDesignError
 
 
 def augment(c: ContractionDesign) -> AugmentedDesign:
@@ -39,21 +38,12 @@ def extract_contraction(a: AugmentedDesign) -> ContractionDesign:
     """Recover the generating contraction from an augmented design.
 
     Inverts the placement rule above: the row holding check ``(v-k)s + i`` in
-    column j becomes contraction cell (i, j).  Raises if any column misses a
-    check or holds one twice, since then no generating contraction exists.
+    column j becomes contraction cell (i, j).  Raises ``InvalidDesignError``
+    unless ``a`` is valid, since only then does a generating contraction exist.
     """
-    v, s, k = a.v, a.s, a.k
-    n_test = a.n_test_lines
-    cells = np.zeros((k, s), dtype=np.int64)
-    for j in range(s):
-        col = a.cells[:, j]
-        for i in range(k):
-            rows = np.nonzero(col == n_test + i + 1)[0]
-            if len(rows) == 0:
-                raise InvalidDesignError(f"column {j + 1} is missing check {n_test + i + 1}")
-            if len(rows) > 1:
-                raise InvalidDesignError(
-                    f"column {j + 1} holds check {n_test + i + 1} {len(rows)} times"
-                )
-            cells[i, j] = rows[0] + 1
-    return ContractionDesign.from_cells(cells, v=v)
+    _require_valid(a)
+    is_check = a.cells > a.n_test_lines
+    rows, cols = np.nonzero(is_check)
+    cells = np.zeros((a.k, a.s), dtype=np.int64)
+    cells[a.cells[is_check] - a.n_test_lines - 1, cols] = rows + 1
+    return ContractionDesign.from_cells(cells, v=a.v)

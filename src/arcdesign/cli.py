@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .augmentor import augment
-from .designs import ContractionDesign, validate_augmented
+from .designs import ContractionDesign, _require_valid
 from .efficiency import (
     c_bar_s,
     e_aug_direct,
@@ -217,9 +217,7 @@ def cmd_search(v, s, k, seed, strategy, restarts, iters, time_budget, workers, o
     out.mkdir(parents=True, exist_ok=True)
     outputs = {
         "contraction.txt": _write_artifact(out / "contraction.txt", format_design(result.best)),
-        "search.json": _write_artifact(
-            out / "search.json", result.to_json(include_elapsed=False) + "\n"
-        ),
+        "search.json": _write_artifact(out / "search.json", result.to_json() + "\n"),
     }
     params = dict(v=v, s=s, k=k, strategy=strategy, restarts=restarts, iters=iters,
                   timeBudget=time_budget, workers=workers, objective=objective)
@@ -280,9 +278,7 @@ def cmd_evaluate(design_file, direct, fmt):
             click.echo(json.dumps(d, indent=2) if fmt == "json"
                        else _render_pairs(list(d.items()), "csv"))
         return
-    report = validate_augmented(design)
-    if not report.ok:
-        raise InvalidDesignError(f"{design_file} failed validation", report.violations)
+    _require_valid(design)
     value = e_aug_direct(design)
     pairs = [("kind", "augmented"), ("v", design.v), ("s", design.s), ("k", design.k),
              ("vStar", design.v_star), ("eAugDirect", value)]

@@ -224,24 +224,7 @@ def validate_contraction(c: ContractionDesign) -> ValidationReport:
             violations.append(f"label {cells[i, j]} at ({i + 1},{j + 1}) outside 1..{v}")
         return ValidationReport(tuple(violations))
 
-    for j in range(s):
-        col = cells[:, j]
-        labels, counts = np.unique(col, return_counts=True)
-        for lab, cnt in zip(labels, counts):
-            if cnt > 1:
-                rows = [str(i + 1) for i in np.nonzero(col == lab)[0]]
-                violations.append(
-                    f"column {j + 1} non-binary: label {lab} occurs {cnt} times (rows {', '.join(rows)})"
-                )
-    for i in range(k):
-        row = cells[i, :]
-        labels, counts = np.unique(row, return_counts=True)
-        for lab, cnt in zip(labels, counts):
-            if cnt > 1:
-                cols = [str(j + 1) for j in np.nonzero(row == lab)[0]]
-                violations.append(
-                    f"row {i + 1} non-binary: label {lab} occurs {cnt} times (columns {', '.join(cols)})"
-                )
+    violations += _repeats(cells.T, "column", "rows") + _repeats(cells, "row", "columns")
 
     counts = np.bincount(cells.ravel(), minlength=v + 1)[1 : v + 1]
     if int(c.r.sum()) != k * s:
@@ -261,6 +244,17 @@ def validate_contraction(c: ContractionDesign) -> ValidationReport:
         violations.append(f"negative residual degrees of freedom ({df}) for a {k}x{s} array on {v} labels")
 
     return ValidationReport(tuple(violations))
+
+
+def _repeats(lines: np.ndarray, line: str, other: str) -> list[str]:
+    """One "non-binary" violation per label repeated within a row of ``lines``."""
+    violations = []
+    for n, values in enumerate(lines):
+        labels, counts = np.unique(values, return_counts=True)
+        for lab, cnt in zip(labels[counts > 1], counts[counts > 1]):
+            where = ", ".join(str(p + 1) for p in np.nonzero(values == lab)[0])
+            violations.append(f"{line} {n + 1} non-binary: label {lab} occurs {cnt} times ({other} {where})")
+    return violations
 
 
 def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
@@ -306,15 +300,19 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _require_valid(c: ContractionDesign) -> None:
-    """Raise ``InvalidDesignError`` unless ``c`` is valid; validates each design once.
+def _require_valid(design: ContractionDesign | AugmentedDesign) -> None:
+    """Raise ``InvalidDesignError`` unless ``design`` is valid; validates each object once.
 
-    A design's arrays are read-only, so one successful validation holds for
-    its lifetime and later checks of the same object are free.
+    Both design kinds keep read-only arrays, so one successful validation
+    holds for the object's lifetime and later checks of it are free.
     """
-    if not c.__dict__.get("_valid"):
-        validate_contraction(c).raise_if_invalid("contraction")
-        object.__setattr__(c, "_valid", True)
+    if design.__dict__.get("_valid"):
+        return
+    if isinstance(design, ContractionDesign):
+        validate_contraction(design).raise_if_invalid("contraction")
+    else:
+        validate_augmented(design).raise_if_invalid("augmented design")
+    object.__setattr__(design, "_valid", True)
 
 
 def incidence(c: ContractionDesign) -> IncidenceSet:

@@ -23,13 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (
-    AugmentedDesign,
-    ContractionDesign,
-    _require_valid,
-    incidence,
-    validate_augmented,
-)
+from .augmentor import augment
+from .designs import AugmentedDesign, ContractionDesign, _require_valid, incidence
 from .errors import DisconnectedDesignError
 from .spectra import (
     Spectrum,
@@ -52,18 +47,21 @@ def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
     are zero, so the matrix has rank at most v-1.
     """
     inc = incidence(c)
-    return _info_matrix(inc.n_r, inc.n_c, c.r.astype(float), c.k)
+    r = c.r.astype(float)
+    return _info_matrix(inc.n_r, inc.n_c, np.diag(r), np.outer(r, r) / (c.k * c.s))
 
 
-def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
-    # info_matrix_contraction from raw incidence arrays, shared with the search hot path.
-    s = n_c.shape[1]
-    return _row_block(n_r, r, s) - (n_c @ n_c.T) / k + np.outer(r, r) / (k * s)
+def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r_diag: np.ndarray,
+                 rr_term: np.ndarray) -> np.ndarray:
+    # info_matrix_contraction from raw incidence arrays and the per-shape terms
+    # diag(r) and rr'/(ks), shared with the search hot path, which builds those once.
+    k, s = n_r.shape[1], n_c.shape[1]
+    return _row_block(n_r, r_diag, s) - (n_c @ n_c.T) / k + rr_term
 
 
-def _row_block(n_r: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
+def _row_block(n_r: np.ndarray, r_diag: np.ndarray, s: int) -> np.ndarray:
     # diag(r) - (1/s) N_R N_R': the rows-only part of the information matrix.
-    return np.diag(r) - (n_r @ n_r.T) / s
+    return r_diag - (n_r @ n_r.T) / s
 
 
 def _centered_columns(n_c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -79,7 +77,7 @@ def contraction_cefs(c: ContractionDesign) -> Spectrum:
 
 def e_con(c: ContractionDesign) -> float:
     """Average efficiency factor of the contraction: harmonic mean of its v-1 cefs."""
-    return harmonic_mean_nontrivial(contraction_cefs(c), expected_trivial=1)
+    return harmonic_mean_nontrivial(contraction_cefs(c))
 
 
 def c_bar_v(c: ContractionDesign) -> float:
@@ -89,9 +87,7 @@ def c_bar_v(c: ContractionDesign) -> float:
     the two differ because the scaling here uses the mean rather than the
     per-label replications.
     """
-    sp = eig_symmetric(info_matrix_contraction(c))
-    c_v = harmonic_mean_nontrivial(sp, expected_trivial=1)
-    return c_v / c.r_bar
+    return harmonic_mean_nontrivial(eig_symmetric(info_matrix_contraction(c))) / c.r_bar
 
 
 def c_bar_s(c: ContractionDesign) -> float:
@@ -109,7 +105,7 @@ def c_bar_s(c: ContractionDesign) -> float:
     r = c.r.astype(float)
     f = _centered_columns(inc.n_c, r)
     ridge = (c.r_bar**2 / c.v) * np.ones((c.v, c.v))
-    middle = _row_block(inc.n_r, r, c.s) + ridge
+    middle = _row_block(inc.n_r, np.diag(r), c.s) + ridge
 
     w = np.linalg.eigvalsh(middle)
     if w[0] <= 1e-10 * max(1.0, w[-1]):
@@ -144,7 +140,7 @@ def _joint_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np
     # b_matrix from raw incidence arrays, shared with the search hot path.
     v, s = n_c.shape
     f = _centered_columns(n_c, r)
-    top = np.hstack([_row_block(n_r, r, s), f])
+    top = np.hstack([_row_block(n_r, np.diag(r), s), f])
     bottom = np.hstack([f.T, k * np.eye(s)])
     d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
     return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
@@ -174,8 +170,7 @@ def e_dual_column(c: ContractionDesign) -> float:
     inc = incidence(c)
     r = c.r.astype(float)
     dual_info = c.k * np.eye(c.s) - inc.n_c.T @ np.diag(1.0 / r) @ inc.n_c
-    sp = cefs_from_info(dual_info, np.full(c.s, float(c.k)))
-    return harmonic_mean_nontrivial(sp, expected_trivial=1)
+    return harmonic_mean_nontrivial(cefs_from_info(dual_info, np.full(c.s, float(c.k))))
 
 
 def is_generally_balanced(c: ContractionDesign) -> bool:
@@ -210,7 +205,7 @@ def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
     replication-products term carries the 1/n factor required for zero row
     sums.  ``M_R``/``M_C`` count treatment occurrences per row/column.
     """
-    validate_augmented(a).raise_if_invalid("augmented design")
+    _require_valid(a)
     v, s = a.v, a.s
     v_star, n = a.v_star, v * s
     labels = a.cells - 1
@@ -231,7 +226,7 @@ def augmented_cefs(a: AugmentedDesign) -> Spectrum:
 
 def e_aug_direct(a: AugmentedDesign) -> float:
     """Average efficiency factor from the full v* x v* eigenproblem."""
-    return harmonic_mean_nontrivial(augmented_cefs(a), expected_trivial=1)
+    return harmonic_mean_nontrivial(augmented_cefs(a))
 
 
 def _clamped_cefs(sp: Spectrum) -> tuple[float, ...]:
@@ -296,10 +291,7 @@ def full_report(c: ContractionDesign, include_direct: bool = False) -> Efficienc
         cefs_contraction=_clamped_cefs(contraction_cefs(c)),
     )
     if include_direct:
-        from .augmentor import augment
-
-        a = augment(c)
-        sp = augmented_cefs(a)
-        report["e_aug_direct"] = harmonic_mean_nontrivial(sp, expected_trivial=1)
+        sp = augmented_cefs(augment(c))
+        report["e_aug_direct"] = harmonic_mean_nontrivial(sp)
         report["cefs_augmented"] = _clamped_cefs(sp)
     return EfficiencyReport(**report)

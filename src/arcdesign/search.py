@@ -166,20 +166,18 @@ class SearchResult:
     restart_of_best: int
     timed_out: bool = False
 
-    def to_dict(self, include_elapsed: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """The seeded outcome; ``elapsed`` is left out so equal runs give equal JSON."""
+        return {
             "design": format_design(self.best),
             "objective": self.objective,
             "trace": [[i, v] for i, v in self.trace],
             "restartOfBest": self.restart_of_best,
             "timedOut": self.timed_out,
         }
-        if include_elapsed:
-            d["elapsed"] = self.elapsed
-        return d
 
-    def to_json(self, indent: int | None = 2, include_elapsed: bool = True) -> str:
-        return json.dumps(self.to_dict(include_elapsed=include_elapsed), indent=indent)
+    def to_json(self, indent: int | None = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +403,7 @@ class _ContractionObjective:
     def __init__(self, v: int, s: int, k: int, r: np.ndarray):
         self.v, self.s, self.k = v, s, k
         self.r = r.astype(float)
+        self.r_diag, self.rr_term = np.diag(self.r), np.outer(self.r, self.r) / (k * s)
         inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
@@ -424,7 +423,7 @@ class _ContractionObjective:
         if cells is self._last[0]:
             return self._last[1]
         n_r, n_c = _incidence_arrays(cells, self.v)
-        a = _info_matrix(n_r, n_c, self.r, self.k)
+        a = _info_matrix(n_r, n_c, self.r_diag, self.rr_term)
         self._last = cells, (a * self.scale, n_r, n_c)
         return self._last[1]
 

@@ -11,7 +11,7 @@ of trivial (structurally zero) eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,28 +29,36 @@ def trivial_tolerance(eigenvalues: np.ndarray) -> float:
     Relative to the largest magnitude with a floor of 1 so the classification
     stays scale-free but never collapses for near-zero matrices.
     """
-    scale = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
+    scale = float(np.abs(eigenvalues).max()) if len(eigenvalues) else 0.0
     return 1e-7 * max(1.0, scale)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending plus the count classified as trivial zeros."""
+    """Eigenvalues sorted descending plus the count classified as trivial zeros.
+
+    An eigenvalue is trivial when its magnitude is below ``trivial_tolerance``;
+    the classification is made once, here, from the eigenvalues alone.
+    """
 
     eigenvalues: np.ndarray
-    trivial_count: int
+    trivial_count: int = field(init=False)
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=float, copy=True)
         vals.setflags(write=False)
+        kept = vals[np.abs(vals) >= trivial_tolerance(vals)]
+        kept.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "trivial_count", len(vals) - len(kept))
+        object.__setattr__(self, "_nontrivial", kept)
 
     def __len__(self):
         return len(self.eigenvalues)
 
     def nontrivial(self) -> np.ndarray:
-        """Eigenvalues whose magnitude is at least ``trivial_tolerance``."""
-        return self.eigenvalues[np.abs(self.eigenvalues) >= trivial_tolerance(self.eigenvalues)]
+        """The eigenvalues not classified as trivial, in their stored order."""
+        return self._nontrivial
 
 
 def eig_symmetric(m) -> Spectrum:
@@ -80,29 +88,30 @@ def eig_symmetric(m) -> Spectrum:
             f"eigendecomposition residual {residual:.3e} exceeds {_RESIDUAL_RTOL:.0e} * {norm:.3e}"
         )
 
-    vals = w[::-1]
-    return Spectrum(eigenvalues=vals, trivial_count=int(np.sum(np.abs(vals) < trivial_tolerance(vals))))
+    return Spectrum(eigenvalues=w[::-1])
 
 
-def harmonic_mean_nontrivial(sp: Spectrum, expected_trivial: int) -> float:
+def _require_one_trivial(sp: Spectrum) -> None:
+    """Raise unless ``sp`` has exactly one trivial zero, as a connected design's spectrum has.
+
+    More means the underlying design is disconnected, fewer means the matrix
+    lost a structural zero it should have.
+    """
+    if sp.trivial_count > 1:
+        raise DisconnectedDesignError(
+            f"{sp.trivial_count} near-zero eigenvalues where 1 expected: disconnected design"
+        )
+    if sp.trivial_count < 1:
+        raise RankAnomalyError("no near-zero eigenvalue where 1 expected")
+
+
+def harmonic_mean_nontrivial(sp: Spectrum) -> float:
     """Harmonic mean of the non-trivial eigenvalues, ``m / sum(1/lambda)``.
 
-    Exactly ``expected_trivial`` eigenvalues must fall below
-    ``trivial_tolerance`` in magnitude: more means the underlying design is
-    disconnected, fewer means the matrix lost a structural zero it should have.
+    The spectrum must have exactly one trivial zero (``_require_one_trivial``).
     """
-    vals = sp.eigenvalues
-    tol = trivial_tolerance(vals)
-    near_zero = int(np.sum(np.abs(vals) < tol))
-    if near_zero > expected_trivial:
-        raise DisconnectedDesignError(
-            f"{near_zero} near-zero eigenvalues where {expected_trivial} expected: disconnected design"
-        )
-    if near_zero < expected_trivial:
-        raise RankAnomalyError(
-            f"only {near_zero} near-zero eigenvalues where {expected_trivial} expected"
-        )
-    kept = vals[np.abs(vals) >= tol]
+    _require_one_trivial(sp)
+    kept = sp.nontrivial()
     return len(kept) / float(np.sum(1.0 / kept))
 
 
@@ -126,12 +135,7 @@ def cefs_from_info(a, u) -> Spectrum:
     inv_sqrt = 1.0 / np.sqrt(u)
     a_star = a * np.outer(inv_sqrt, inv_sqrt)
     sp = eig_symmetric(a_star)
-    if sp.trivial_count > 1:
-        raise DisconnectedDesignError(
-            f"{sp.trivial_count} near-zero canonical efficiency factors: disconnected design"
-        )
-    if sp.trivial_count < 1:
-        raise RankAnomalyError("scaled information matrix has no trivial zero eigenvalue")
+    _require_one_trivial(sp)
     return sp
 
 

@@ -58,14 +58,21 @@ class TestExtractContraction:
         cells = ex1_augmented.cells.copy()
         cells[2, 0] = 1  # overwrite check 73 in column 1
         broken = AugmentedDesign(k=3, cells=cells)
-        with pytest.raises(InvalidDesignError, match="column 1 is missing check 73"):
+        with pytest.raises(InvalidDesignError, match="column 1 has check 73 0 times"):
             extract_contraction(broken)
 
     def test_duplicate_check_raises(self, ex1_augmented):
         cells = ex1_augmented.cells.copy()
         cells[0, 0] = 73  # second 73 in column 1
         broken = AugmentedDesign(k=3, cells=cells)
-        with pytest.raises(InvalidDesignError, match="column 1 holds check 73 2 times"):
+        with pytest.raises(InvalidDesignError, match="column 1 has check 73 2 times"):
+            extract_contraction(broken)
+
+    def test_broken_test_line_layout_raises(self, ex1_augmented):
+        cells = ex1_augmented.cells.copy()
+        cells[1, 0] = cells[0, 0]  # test line 1 twice, test line 2 lost; every check in place
+        broken = AugmentedDesign(k=3, cells=cells)
+        with pytest.raises(InvalidDesignError, match="test line 1 occurs 2 times"):
             extract_contraction(broken)
 
 

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from arcdesign import ConfigError, SearchConfig, read_design
+from arcdesign import designs
 from arcdesign.cli import main
 from arcdesign.reference import load_reference_design
 from arcdesign.textio import write_design
@@ -79,6 +80,14 @@ class TestEvaluateCommand:
         d = json.loads(result.output)
         assert d["eAugDirect"] == pytest.approx(0.6031, abs=5e-5)
         assert d["vStar"] == 309
+
+    def test_augmented_file_validated_once(self, runner, ex1_files, monkeypatch):
+        calls, validate = [], designs.validate_augmented
+        monkeypatch.setattr(designs, "validate_augmented",
+                            lambda a: calls.append(a) or validate(a))
+        result = runner.invoke(main, ["evaluate", str(ex1_files["augmented_12x8_k3"])])
+        assert result.exit_code == 0
+        assert len(calls) == 1
 
     def test_corrupted_file_exits_2_naming_column(self, runner, ex1_files, tmp_path):
         design = load_reference_design("augmented_12x8_k3")

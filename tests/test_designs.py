@@ -41,6 +41,18 @@ class TestValidateContraction:
         report = validate_contraction(c)
         assert any("row 1 non-binary" in v for v in report.violations)
 
+    def test_repeat_messages_and_order(self):
+        # columns first, then rows, each in index order, every position listed
+        c = ContractionDesign.from_cells([[1, 1, 2, 1], [2, 3, 3, 4], [2, 4, 1, 4]], v=4)
+        assert validate_contraction(c).violations == (
+            "column 1 non-binary: label 2 occurs 2 times (rows 2, 3)",
+            "column 4 non-binary: label 4 occurs 2 times (rows 2, 3)",
+            "row 1 non-binary: label 1 occurs 3 times (columns 1, 2, 4)",
+            "row 2 non-binary: label 3 occurs 2 times (columns 2, 3)",
+            "row 3 non-binary: label 4 occurs 2 times (columns 2, 4)",
+            "replication spread exceeds 1 (min 2, max 4)",
+        )
+
     def test_v_smaller_than_s_is_reported(self):
         c = ContractionDesign(
             v=3, cells=np.array([[1, 2, 3, 1], [2, 3, 1, 2]]), r=np.array([3, 3, 2])

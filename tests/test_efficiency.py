@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from arcdesign import (
+    AugmentedDesign,
     ContractionDesign,
     augment,
     augmented_cefs,
@@ -17,6 +18,7 @@ from arcdesign import (
     e_aug_formula,
     e_con,
     e_dual_column,
+    extract_contraction,
     feasibility_df,
     full_report,
     info_matrix_augmented,
@@ -24,7 +26,7 @@ from arcdesign import (
     is_generally_balanced,
     random_contraction,
 )
-from arcdesign import augmentor, designs, efficiency
+from arcdesign import designs, efficiency
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.reference import load_reference_design
 from arcdesign.search import SearchConfig, search_contraction
@@ -240,7 +242,7 @@ class TestInfoMatrixAugmented:
 
     def test_reference_efficiency(self, ex1_augmented):
         sp = augmented_cefs(ex1_augmented)
-        assert harmonic_mean_nontrivial(sp, expected_trivial=1) == pytest.approx(0.3881, abs=5e-5)
+        assert harmonic_mean_nontrivial(sp) == pytest.approx(0.3881, abs=5e-5)
 
     def test_zero_row_sums(self, ex1_augmented):
         a = info_matrix_augmented(ex1_augmented)
@@ -305,18 +307,26 @@ class TestFullReport:
 
     def test_validates_once(self, monkeypatch):
         c = load_reference_design("contraction_24x16_k5")  # a design never validated before
-        calls, validate = [], designs.validate_contraction
+        calls = []
 
-        def counted(design):
-            calls.append(design)
-            return validate(design)
+        def counted(validate):
+            return lambda design: calls.append(design) or validate(design)
 
-        for module in (designs, efficiency, augmentor):
-            monkeypatch.setattr(module, "validate_contraction", counted, raising=False)
+        # the one gate reaches both validators through their names in ``designs``
+        for name in ("validate_contraction", "validate_augmented"):
+            monkeypatch.setattr(designs, name, counted(getattr(designs, name)))
         full_report(c, include_direct=True)
-        assert calls == [c]
-        full_report(c)  # a design validated once stays valid: its arrays are read-only
-        assert calls == [c]
+        assert [type(d) for d in calls] == [ContractionDesign, AugmentedDesign]
+        assert calls[0] is c
+        # a design validated once stays valid: its arrays are read-only
+        a = augment(c)
+        e_aug_direct(a)
+        calls.clear()
+        full_report(c)
+        e_aug_direct(a)
+        info_matrix_augmented(a)
+        assert extract_contraction(a) == c
+        assert calls == []
 
     # sha256 of the report JSON of the bundled (24,16,5) reference, recorded
     # before validation was shared: the values must not move by one bit.
@@ -337,7 +347,7 @@ class TestFullReport:
         formula_only = full_report(load_reference_design("contraction_24x16_k5"))
         assert dataclasses.replace(report, e_aug_direct=None, cefs_augmented=None) == formula_only
         sp = augmented_cefs(augment(load_reference_design("contraction_24x16_k5")))
-        assert report.e_aug_direct == harmonic_mean_nontrivial(sp, expected_trivial=1)
+        assert report.e_aug_direct == harmonic_mean_nontrivial(sp)
         assert report.cefs_augmented == efficiency._clamped_cefs(sp)
 
     def test_json_round_trip_field_names(self, latin3):

@@ -845,7 +845,7 @@ class TestSearchAugmentedDirect:
 
     def test_json_has_the_contraction_search_keys(self):
         result = search_augmented_direct(6, 4, 3, SearchConfig(seed=1, restarts=2, max_iters=30))
-        d = json.loads(result.to_json(include_elapsed=False))
+        d = json.loads(result.to_json())
         assert list(d) == ["design", "objective", "trace", "restartOfBest", "timedOut"]
         assert parse_design(d["design"]) == result.best
 

@@ -68,29 +68,29 @@ class TestEigSymmetric:
 
 class TestHarmonicMean:
     def test_units_with_one_zero(self):
-        sp = Spectrum(eigenvalues=np.array([1.0, 1.0, 1.0, 0.0]), trivial_count=1)
-        assert harmonic_mean_nontrivial(sp, expected_trivial=1) == pytest.approx(1.0)
+        sp = Spectrum(eigenvalues=np.array([1.0, 1.0, 1.0, 0.0]))
+        assert harmonic_mean_nontrivial(sp) == pytest.approx(1.0)
 
     def test_mixed_values(self):
-        sp = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.0]), trivial_count=1)
-        assert harmonic_mean_nontrivial(sp, expected_trivial=1) == pytest.approx(2 / 3)
+        sp = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.0]))
+        assert harmonic_mean_nontrivial(sp) == pytest.approx(2 / 3)
 
     def test_reference_contraction_unscaled_harmonic(self, ex1_contraction):
         # harmonic mean of the raw information-matrix eigenvalues is r_bar
         # times the replication-scaled summary: 2 * 0.5739
         sp = eig_symmetric(info_matrix_contraction(ex1_contraction))
-        value = harmonic_mean_nontrivial(sp, expected_trivial=1)
+        value = harmonic_mean_nontrivial(sp)
         assert value == pytest.approx(2 * 0.5739, abs=1e-4)
 
     def test_too_many_zeros_is_disconnected(self):
-        sp = Spectrum(eigenvalues=np.array([1.0, 0.0, 0.0]), trivial_count=2)
+        sp = Spectrum(eigenvalues=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(DisconnectedDesignError):
-            harmonic_mean_nontrivial(sp, expected_trivial=1)
+            harmonic_mean_nontrivial(sp)
 
     def test_too_few_zeros_is_rank_anomaly(self):
-        sp = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.2]), trivial_count=0)
+        sp = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.2]))
         with pytest.raises(RankAnomalyError):
-            harmonic_mean_nontrivial(sp, expected_trivial=1)
+            harmonic_mean_nontrivial(sp)
 
 
 class TestCefsFromInfo:
@@ -102,7 +102,7 @@ class TestCefsFromInfo:
         sp = cefs_from_info(info_matrix_augmented(ex1_augmented), ex1_augmented.u)
         vals = sp.nontrivial()
         assert len(vals) == 74
-        assert harmonic_mean_nontrivial(sp, expected_trivial=1) == pytest.approx(0.3881, abs=5e-5)
+        assert harmonic_mean_nontrivial(sp) == pytest.approx(0.3881, abs=5e-5)
 
     def test_cefs_match_pairwise_variance_oracle(self):
         # random connected 2-row x 3-column contraction (v = 3, all labels twice)
@@ -111,7 +111,7 @@ class TestCefsFromInfo:
         c = random_contraction(3, 3, 2, seed=11)
         a = info_matrix_contraction(c)
         sp = cefs_from_info(a, c.r.astype(float))
-        harmonic = harmonic_mean_nontrivial(sp, expected_trivial=1)
+        harmonic = harmonic_mean_nontrivial(sp)
         assert harmonic == pytest.approx(pairwise_variance_efficiency(a, c.r), abs=1e-10)
 
     def test_cef_range(self, ex1_contraction, ex2_contraction):
