@@ -24,7 +24,6 @@ from .efficiency import (
     EfficiencyReport,
     augmented_cefs,
     b_matrix,
-    b_nontrivial_eigenvalues,
     c_bar_s,
     c_bar_v,
     contraction_cefs,
@@ -51,7 +50,6 @@ from .planner import DesignPlan, plan, plan_fixed_grid
 from .search import (
     SearchConfig,
     SearchResult,
-    apply_move,
     neighbor_moves,
     random_contraction,
     search_augmented_direct,
@@ -80,11 +78,9 @@ __all__ = [
     "SearchResult",
     "Spectrum",
     "ValidationReport",
-    "apply_move",
     "augment",
     "augmented_cefs",
     "b_matrix",
-    "b_nontrivial_eigenvalues",
     "balanced_replication",
     "c_bar_s",
     "c_bar_v",

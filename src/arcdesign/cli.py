@@ -12,9 +12,11 @@ out-of-range option, or a validation/parse failure (design or plan file).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -46,17 +48,31 @@ from .textio import format_design, read_design
 
 _USER_ERRORS = (ConfigError, InfeasibleParametersError, InvalidDesignError, ParseError,
                 DisconnectedDesignError)
+#: The command-line flag of each ``SearchConfig`` field.
+_FLAGS = {f.name: "--iters" if f.name == "max_iters" else "--" + f.name.replace("_", "-")
+          for f in dataclasses.fields(SearchConfig)}
+_FIELD_RE = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
 
 
 def _user_errors_exit_2(fn):
+    """Print a user error as one ``error:`` line and exit 2.
+
+    A command on a design file names the file, unless the message already
+    begins with it; a ``ConfigError`` names the command-line flags where the
+    library names ``SearchConfig`` fields.
+    """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except _USER_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            for violation in getattr(exc, "violations", ()):
-                click.echo(f"  - {violation}", err=True)
+            message = str(exc)
+            if isinstance(exc, ConfigError):
+                message = _FIELD_RE.sub(lambda m: _FLAGS[m[0]], message)
+            path = str(kwargs.get("design_file", ""))
+            if path and not message.startswith(path):
+                message = f"{path}: {message}"
+            click.echo(f"error: {message}", err=True)
             raise SystemExit(2) from exc
 
     return wrapper
@@ -144,20 +160,8 @@ def _search_options(fn):
 
 
 def _make_config(seed, strategy, restarts, iters, time_budget, workers, objective) -> SearchConfig:
-    try:
-        return SearchConfig(
-            seed=seed,
-            strategy=strategy,
-            restarts=restarts,
-            max_iters=iters,
-            time_budget=time_budget,
-            workers=workers,
-            objective=objective,
-        )
-    except ConfigError as exc:
-        field, _, problem = str(exc).partition(" ")
-        flag = "--iters" if field == "max_iters" else "--" + field.replace("_", "-")
-        raise ConfigError(f"{flag} {problem}") from exc
+    return SearchConfig(seed=seed, strategy=strategy, restarts=restarts, max_iters=iters,
+                        time_budget=time_budget, workers=workers, objective=objective)
 
 
 @click.group()

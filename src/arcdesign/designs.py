@@ -33,23 +33,36 @@ def feasibility_df(v: int, s: int, k: int) -> int:
     return k * s - 1 - (k - 1) - (s - 1) - (v - 1)
 
 
-def _require_feasible(v: int, s: int, k: int) -> None:
-    """Raise ``InfeasibleParametersError`` unless (v, s, k) admits a contraction by size.
+def _size_violations(v: int, s: int, k: int) -> list[str]:
+    """Why a k x s contraction on v labels cannot exist by size; empty if it can.
 
-    v, s and k must be positive, k at most v (a column holds k distinct
-    labels) and ``feasibility_df(v, s, k)`` non-negative.
+    v, s and k must be positive and v at least 2 (one label has no contrast).
+    k <= v because a column holds k distinct labels, and s <= v because a
+    label occurs at most once per row, so the mean replication ks/v is at
+    most k.  ``feasibility_df(v, s, k)`` must be non-negative; with v >= 2
+    that forces k, s >= 2.
     """
     if k < 1 or s < 1 or v < 1:
-        raise InfeasibleParametersError("v, k, s must all be positive")
+        return ["v, k, s must all be positive"]
+    violations = []
+    if v < 2:
+        violations.append(f"needs at least 2 pseudo-treatments (v={v})")
     if k > v:
-        raise InfeasibleParametersError(
-            f"k={k} checks cannot be column-distinct among v={v} labels"
-        )
+        violations.append(f"k={k} checks cannot be column-distinct among v={v} labels")
+    if v < s:
+        violations.append(f"needs at least as many pseudo-treatments as columns (v={v} < s={s})")
     df = feasibility_df(v, s, k)
     if df < 0:
-        raise InfeasibleParametersError(
-            f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; need >= 0"
-        )
+        violations.append(
+            f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; need >= 0")
+    return violations
+
+
+def _require_feasible(v: int, s: int, k: int) -> None:
+    """Raise ``InfeasibleParametersError`` unless (v, s, k) admits a contraction by size."""
+    violations = _size_violations(v, s, k)
+    if violations:
+        raise InfeasibleParametersError("; ".join(violations))
 
 
 def _frozen_int_array(values, name: str) -> np.ndarray:
@@ -211,18 +224,12 @@ def validate_contraction(c: ContractionDesign) -> ValidationReport:
     Violations are returned as data (with cell coordinates) rather than
     raised, so callers can print actionable diagnostics.
     """
-    violations: list[str] = []
     k, s, v = c.k, c.s, c.v
     cells = c.cells
-
-    if v < s:
-        violations.append(f"needs at least as many pseudo-treatments as columns (v={v} < s={s})")
-
-    bad = (cells < 1) | (cells > v)
-    if bad.any():
-        for i, j in zip(*np.nonzero(bad)):
-            violations.append(f"label {cells[i, j]} at ({i + 1},{j + 1}) outside 1..{v}")
-        return ValidationReport(tuple(violations))
+    violations = _size_violations(v, s, k)
+    outside = _labels_outside(cells, v)
+    if outside:
+        return ValidationReport(tuple(violations + outside))
 
     violations += _repeats(cells.T, "column", "rows") + _repeats(cells, "row", "columns")
 
@@ -239,11 +246,13 @@ def validate_contraction(c: ContractionDesign) -> ValidationReport:
             f"replication spread exceeds 1 (min {int(c.r.min())}, max {int(c.r.max())})"
         )
 
-    df = feasibility_df(v, s, k)
-    if df < 0:
-        violations.append(f"negative residual degrees of freedom ({df}) for a {k}x{s} array on {v} labels")
-
     return ValidationReport(tuple(violations))
+
+
+def _labels_outside(cells: np.ndarray, top: int) -> list[str]:
+    """One violation per cell whose label lies outside 1..top, in row-major order."""
+    return [f"label {cells[i, j]} at ({i + 1},{j + 1}) outside 1..{top}"
+            for i, j in zip(*np.nonzero((cells < 1) | (cells > top)))]
 
 
 def _repeats(lines: np.ndarray, line: str, other: str) -> list[str]:
@@ -264,38 +273,30 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     exactly once overall.  When the generating contraction's replication
     vector ``r`` is supplied, per-row check counts are verified against it.
     """
-    violations: list[str] = []
-    v, s, k = a.v, a.s, a.k
+    s, k = a.s, a.k
     cells = a.cells
     n_test = a.n_test_lines
+    outside = _labels_outside(cells, a.v_star)
+    if outside:
+        return ValidationReport(tuple(outside))
 
-    bad = (cells < 1) | (cells > a.v_star)
-    if bad.any():
-        for i, j in zip(*np.nonzero(bad)):
-            violations.append(f"label {cells[i, j]} at ({i + 1},{j + 1}) outside 1..{a.v_star}")
-        return ValidationReport(tuple(violations))
+    # [j, c]: how often check n_test + c + 1 occurs in column j
+    is_check = cells > n_test
+    per_column = np.bincount(
+        (np.nonzero(is_check)[1] * k + cells[is_check] - n_test - 1), minlength=s * k
+    ).reshape(s, k)
+    violations = [f"column {j + 1} has check {n_test + c + 1} {per_column[j, c]} times (expected once)"
+                  for j, c in zip(*np.nonzero(per_column != 1))]
 
-    for j in range(s):
-        col = cells[:, j]
-        for lab in a.check_labels:
-            cnt = int(np.count_nonzero(col == lab))
-            if cnt != 1:
-                violations.append(f"column {j + 1} has check {lab} {cnt} times (expected once)")
-
-    counts = np.bincount(cells.ravel(), minlength=a.v_star + 1)[1:]
-    for t in range(n_test):
-        if counts[t] != 1:
-            violations.append(f"test line {t + 1} occurs {int(counts[t])} times (expected once)")
+    counts = np.bincount(cells.ravel(), minlength=a.v_star + 1)[1 : n_test + 1]
+    violations += [f"test line {t + 1} occurs {counts[t]} times (expected once)"
+                   for t in np.flatnonzero(counts != 1)]
 
     if r is not None:
         r = np.asarray(r, dtype=np.int64)
-        is_check = cells > n_test
         row_counts = is_check.sum(axis=1)
-        for h in range(v):
-            if row_counts[h] != r[h]:
-                violations.append(
-                    f"row {h + 1} holds {int(row_counts[h])} checks, expected {int(r[h])}"
-                )
+        violations += [f"row {h + 1} holds {row_counts[h]} checks, expected {r[h]}"
+                       for h in np.flatnonzero(row_counts != r)]
 
     return ValidationReport(tuple(violations))
 
@@ -349,8 +350,4 @@ def balanced_replication(v: int, k: int, s: int) -> np.ndarray:
     base, extra = divmod(k * s, v)
     r = np.full(v, base, dtype=np.int64)
     r[:extra] += 1
-    if r.max() > min(k, s):
-        raise InfeasibleParametersError(
-            f"replication {int(r.max())} exceeds min(k, s)={min(k, s)}; no binary array exists"
-        )
     return r

@@ -53,10 +53,12 @@ def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
 
 def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r_diag: np.ndarray,
                  rr_term: np.ndarray) -> np.ndarray:
-    # info_matrix_contraction from raw incidence arrays and the per-shape terms
-    # diag(r) and rr'/(ks), shared with the search hot path, which builds those once.
-    k, s = n_r.shape[1], n_c.shape[1]
-    return _row_block(n_r, r_diag, s) - (n_c @ n_c.T) / k + rr_term
+    # The row-column information matrix from incidence arrays and the terms
+    # diag(r) and rr'/n.  It serves both design kinds (for an augmented design
+    # n_r has one column per array row) and the search hot path, which builds
+    # the terms once per shape.
+    rows, s = n_r.shape[1], n_c.shape[1]
+    return _row_block(n_r, r_diag, s) - (n_c @ n_c.T) / rows + rr_term
 
 
 def _row_block(n_r: np.ndarray, r_diag: np.ndarray, s: int) -> np.ndarray:
@@ -146,17 +148,6 @@ def _joint_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np
     return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
 
 
-def b_nontrivial_eigenvalues(c: ContractionDesign) -> np.ndarray:
-    """The (v-1)+(s-1) eigenvalues of ``b_matrix`` off its two trivial directions."""
-    b = b_matrix(c)
-    hv = helmert_basis(c.v)
-    hs = helmert_basis(c.s)
-    basis = np.zeros((c.v + c.s, (c.v - 1) + (c.s - 1)))
-    basis[: c.v, : c.v - 1] = hv
-    basis[c.v :, c.v - 1 :] = hs
-    return restricted_eigenvalues(b, basis)
-
-
 def e_dual_column(c: ContractionDesign) -> float:
     """Average efficiency factor of the dual of the contraction's column design.
 
@@ -165,8 +156,6 @@ def e_dual_column(c: ContractionDesign) -> float:
     incidence ``N_C'``.  The dual's non-unit cefs coincide with the column
     design's, so this is also the unit-padded column-design summary.
     """
-    if c.s < 2:
-        raise ValueError("dual of a single-column design is degenerate")
     inc = incidence(c)
     r = c.r.astype(float)
     dual_info = c.k * np.eye(c.s) - inc.n_c.T @ np.diag(1.0 / r) @ inc.n_c
@@ -216,7 +205,7 @@ def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
     np.add.at(m_r, (labels.ravel(), rows), 1.0)
     np.add.at(m_c, (labels.ravel(), cols), 1.0)
     u = a.u
-    return np.diag(u) - (m_r @ m_r.T) / s - (m_c @ m_c.T) / v + np.outer(u, u) / n
+    return _info_matrix(m_r, m_c, np.diag(u), np.outer(u, u) / n)
 
 
 def augmented_cefs(a: AugmentedDesign) -> Spectrum:

@@ -277,11 +277,6 @@ def neighbor_moves(c: ContractionDesign):
     )
 
 
-def apply_move(c: ContractionDesign, move: Move) -> ContractionDesign:
-    """The contraction obtained by performing one move; replications are unchanged."""
-    return ContractionDesign(v=c.v, cells=_swap(c.cells, (*move.a, *move.b)), r=c.r)
-
-
 def _swap(cells: np.ndarray, move) -> np.ndarray:
     i1, j1, i2, j2 = move
     out = cells.copy()
@@ -924,12 +919,19 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
 
     Deterministic given the seed; restarts are reduced in fixed index order
     (ties by restart index, then lexicographically smallest array), so serial
-    and concurrent execution agree.
+    and concurrent execution agree.  Raises ``ConfigError`` when the budget
+    left every restart at a disconnected design (objective 0.0).
     """
     cfg = cfg or SearchConfig()
     r = balanced_replication(v, k, s)
-    return _run_restarts(cfg, functools.partial(_contraction_restart, v, s, k, r, cfg),
-                         lambda cells: ContractionDesign(v=v, cells=cells, r=r))
+    result = _run_restarts(cfg, functools.partial(_contraction_restart, v, s, k, r, cfg),
+                           lambda cells: ContractionDesign(v=v, cells=cells, r=r))
+    if result.objective == 0.0:
+        budget = f"max_iters {cfg.max_iters}"
+        if cfg.time_budget is not None:
+            budget += f" and time_budget {cfg.time_budget:g}"
+        raise ConfigError(f"{budget} left every restart at a disconnected design; raise the budget")
+    return result
 
 
 # ---------------------------------------------------------------------------

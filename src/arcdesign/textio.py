@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .designs import AugmentedDesign, ContractionDesign, feasibility_df
+from .designs import AugmentedDesign, ContractionDesign, _size_violations
 from .errors import ParseError
 
 _HEADER_RE = re.compile(
@@ -60,12 +60,8 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
     kind, v, s, k = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
     # Checked before anything is sized by v: a feasible header has v <= k*s,
     # the number of cells the body must hold.
-    if kind == "contraction" and feasibility_df(v, s, k) < 0:
-        raise ParseError(
-            f"header (v={v}, s={s}, k={k}) leaves {feasibility_df(v, s, k)} residual degrees "
-            "of freedom; need >= 0",
-            line=idx + 1,
-        )
+    if kind == "contraction" and (violations := _size_violations(v, s, k)):
+        raise ParseError("header: " + "; ".join(violations), line=idx + 1)
     if kind == "augmented" and not 1 <= k <= v:
         raise ParseError(f"header k={k} out of range for a {v}-row array", line=idx + 1)
 

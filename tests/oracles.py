@@ -13,9 +13,30 @@ import itertools
 
 import numpy as np
 
-from arcdesign import ContractionDesign, e_con, validate_contraction
+from arcdesign import ContractionDesign, b_matrix, e_con, validate_contraction
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.search import Move, _draw_pairs, _swap_index
+
+
+def apply_move(c: ContractionDesign, move: Move) -> ContractionDesign:
+    """The contraction after one two-cell swap; replications are unchanged."""
+    cells = np.array(c.cells)
+    (i1, j1), (i2, j2) = move.a, move.b
+    cells[i1, j1], cells[i2, j2] = c.cells[i2, j2], c.cells[i1, j1]
+    return ContractionDesign(v=c.v, cells=cells, r=c.r)
+
+
+def b_nontrivial_eigenvalues(c: ContractionDesign) -> np.ndarray:
+    """The (v-1)+(s-1) eigenvalues of ``b_matrix`` off its trivial directions (1_v, 0), (0, 1_s).
+
+    The complement of each all-ones vector comes from a QR factorisation, not
+    the library's Helmert basis.
+    """
+    basis = np.zeros((c.v + c.s, c.v + c.s - 2))
+    for lo, n, col in ((0, c.v, 0), (c.v, c.s, c.v - 1)):
+        q = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, :-1]]))[0]
+        basis[lo : lo + n, col : col + n - 1] = q[:, 1:]
+    return np.linalg.eigvalsh(basis.T @ b_matrix(c) @ basis)
 
 
 def augmented_cells_by_loops(check_rows, v: int) -> np.ndarray:

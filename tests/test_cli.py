@@ -100,6 +100,10 @@ class TestEvaluateCommand:
         result = runner.invoke(main, ["evaluate", str(bad)])
         assert result.exit_code == 2
         assert "column 1" in result.output
+        # one line, naming the file, each violation once
+        assert result.output == (
+            f"error: {bad}: invalid augmented design: column 1 has check 73 0 times "
+            "(expected once); column 1 has check 75 2 times (expected once)\n")
 
     def test_huge_header_v_exits_2(self, runner, tmp_path):
         bad = tmp_path / "huge.txt"
@@ -137,6 +141,7 @@ class TestEvaluateCommand:
         assert result.exit_code == 2
         errors = [line for line in result.output.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "binary.txt is not UTF-8 text" in errors[0]
+        assert errors[0].count(str(bad)) == 1  # a message that names the file is not prefixed
 
 
 class TestGenerateCommand:
@@ -243,7 +248,41 @@ class TestGenerateCommand:
         assert "not a plan JSON" in result.output
 
 
+@pytest.mark.parametrize("dims, message", [
+    ((1, 1, 1), "needs at least 2 pseudo-treatments (v=1)"),
+    ((8, 12, 3), "needs at least as many pseudo-treatments as columns (v=8 < s=12)"),
+    ((10, 3, 2), "(v=10, s=3, k=2) leaves -7 residual degrees of freedom; need >= 0"),
+])
+class TestSizeRuleExits2:
+    @pytest.mark.parametrize("command", ["generate", "search"])
+    def test_search_commands(self, runner, tmp_path, dims, message, command):
+        v, s, k = dims
+        result = runner.invoke(main, [command, "--v", str(v), "--s", str(s), "--k", str(k),
+                                      "--restarts", "1", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_evaluate(self, runner, tmp_path, dims, message):
+        v, s, k = dims
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# contraction v={v} s={s} k={k}\n"
+                        + "".join(",".join(["1"] * s) + "\n" for _ in range(k)))
+        result = runner.invoke(main, ["evaluate", str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {path}: header: {message} (line 1)\n"
+
+
 class TestSearchAndAugmentCommands:
+    def test_budget_that_leaves_every_restart_disconnected_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "--v", "12", "--s", "8", "--k", "3",
+                                      "--strategy", "tabu", "--restarts", "1", "--iters", "50",
+                                      "--time-budget", "30", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output == ("error: --iters 50 and --time-budget 30 left every restart "
+                                 "at a disconnected design; raise the budget\n")
+        assert not (tmp_path / "x").exists()
+
     def test_search_writes_artifacts(self, runner, tmp_path):
         out = tmp_path / "s"
         result = runner.invoke(main, ["search", "--v", "12", "--s", "8", "--k", "3",
@@ -270,7 +309,7 @@ class TestSearchAndAugmentCommands:
         result = runner.invoke(main, [command, "--v", "12", "--s", "8", "--k", "3",
                                       "--objective", "e_aug", "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
-        assert result.output == ("error: --objective e_aug needs strategy 'anneal', "
+        assert result.output == ("error: --objective e_aug needs --strategy 'anneal', "
                                  "got 'hillclimb'\n")
         assert not (tmp_path / "x").exists()
 

@@ -4,14 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcdesign import (
+    AugmentedDesign,
     ContractionDesign,
+    SearchConfig,
     balanced_replication,
     feasibility_df,
     incidence,
+    parse_design,
     random_contraction,
+    search_contraction,
+    validate_augmented,
     validate_contraction,
 )
-from arcdesign.errors import InfeasibleParametersError, InvalidDesignError
+from arcdesign.designs import _require_feasible
+from arcdesign.errors import InfeasibleParametersError, InvalidDesignError, ParseError
+from arcdesign.reference import load_reference_design
 
 from oracles import concurrence_by_enumeration
 
@@ -72,6 +79,60 @@ class TestValidateContraction:
         report = validate_contraction(c)
         assert any("degrees of freedom" in v for v in report.violations)
         assert any("spread" in v for v in report.violations)
+
+
+#: One size for each of three size rules, with the rule's message.
+_BAD_SIZES = [
+    ((1, 1, 1), "needs at least 2 pseudo-treatments (v=1)"),
+    ((8, 12, 3), "needs at least as many pseudo-treatments as columns (v=8 < s=12)"),
+    ((10, 3, 2), "(v=10, s=3, k=2) leaves -7 residual degrees of freedom; need >= 0"),
+]
+
+
+@pytest.mark.parametrize("dims, message", _BAD_SIZES)
+class TestSizeRule:
+    """Every entry point refuses a bad (v, s, k) with the one size rule's message."""
+
+    def test_require_feasible(self, dims, message):
+        with pytest.raises(InfeasibleParametersError) as raised:
+            _require_feasible(*dims)
+        assert str(raised.value) == message
+
+    def test_search_contraction(self, dims, message):
+        with pytest.raises(InfeasibleParametersError) as raised:
+            search_contraction(*dims, SearchConfig(restarts=1, max_iters=10))
+        assert str(raised.value) == message
+
+    def test_parse_design_header(self, dims, message):
+        v, s, k = dims
+        body = "\n".join(",".join(["1"] * s) for _ in range(k))
+        with pytest.raises(ParseError) as raised:
+            parse_design(f"# contraction v={v} s={s} k={k}\n{body}\n")
+        assert str(raised.value) == f"header: {message} (line 1)"
+
+    def test_validate_contraction_reports_it_first(self, dims, message):
+        v, s, k = dims
+        c = ContractionDesign.from_cells(np.ones((k, s), dtype=np.int64), v=v)
+        assert validate_contraction(c).violations[0] == message
+
+
+class TestValidateAugmented:
+    def test_violation_messages_and_order(self, ex1_contraction):
+        # check counts by column then label, test lines by label, then rows
+        cells = load_reference_design("augmented_12x8_k3").cells.copy()
+        cells[2, 0] = cells[6, 0]  # check 75 twice in column 1, check 73 gone
+        cells[0, 2] = 74  # check 74 twice in column 3, test line 19 gone
+        cells[11, 4] = 5  # test line 5 twice, test line 45 gone
+        report = validate_augmented(AugmentedDesign(k=3, cells=cells), r=ex1_contraction.r)
+        assert report.violations == (
+            "column 1 has check 73 0 times (expected once)",
+            "column 1 has check 75 2 times (expected once)",
+            "column 3 has check 74 2 times (expected once)",
+            "test line 5 occurs 2 times (expected once)",
+            "test line 19 occurs 0 times (expected once)",
+            "test line 45 occurs 0 times (expected once)",
+            "row 1 holds 3 checks, expected 2",
+        )
 
 
 class TestIncidence:
@@ -142,9 +203,11 @@ class TestBalancedReplication:
         try:
             r = balanced_replication(v, k, s)
         except InfeasibleParametersError:
-            # only the no-binary-array guard may fire here
-            assert -(-k * s // v) > min(k, s)
+            # only the size rule's s <= v may fire here; it also keeps every
+            # entry at most min(k, s), so a binary array can hold r
+            assert s > v
             return
+        assert int(r.max()) <= min(k, s)
         assert int(r.sum()) == k * s
         assert int(r.max()) - int(r.min()) <= 1
         # larger values always lead

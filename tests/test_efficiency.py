@@ -10,7 +10,6 @@ from arcdesign import (
     augment,
     augmented_cefs,
     b_matrix,
-    b_nontrivial_eigenvalues,
     c_bar_s,
     c_bar_v,
     contraction_cefs,
@@ -29,10 +28,12 @@ from arcdesign import (
 from arcdesign import designs, efficiency
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.reference import load_reference_design
-from arcdesign.search import SearchConfig, search_contraction
+from arcdesign.search import SearchConfig, search_augmented_direct, search_contraction
 from arcdesign.spectra import harmonic_mean_nontrivial
 
 from oracles import (
+    apply_move,
+    b_nontrivial_eigenvalues,
     column_product_by_enumeration,
     info_matrix_by_bracket_expansion,
     pairwise_variance_efficiency,
@@ -205,7 +206,7 @@ class TestGeneralBalance:
         )
 
     def test_perturbation_breaks_balance(self, ex1_contraction):
-        from arcdesign import apply_move, neighbor_moves
+        from arcdesign import neighbor_moves
 
         moves = neighbor_moves(ex1_contraction)
         flipped = [
@@ -247,6 +248,24 @@ class TestInfoMatrixAugmented:
     def test_zero_row_sums(self, ex1_augmented):
         a = info_matrix_augmented(ex1_augmented)
         assert np.abs(a.sum(axis=1)).max() < 1e-10
+
+    @pytest.mark.parametrize("source", ["augmented_12x8_k3", "augmented_24x16_k5", "direct"])
+    def test_bit_identical_to_the_four_term_expression(self, source):
+        if source == "direct":
+            a = search_augmented_direct(6, 4, 3, SearchConfig(restarts=1, max_iters=20)).best
+            checks = np.where(a.cells > a.n_test_lines, a.cells, 0)
+            assert any(len(set(row[row > 0])) < np.count_nonzero(row) for row in checks)
+        else:
+            a = load_reference_design(source)
+        # diag(u) - M_R M_R'/s - M_C M_C'/v + uu'/n, with the counts taken cell by cell
+        m_r, m_c = np.zeros((a.v_star, a.v)), np.zeros((a.v_star, a.s))
+        for (i, j), label in np.ndenumerate(a.cells):
+            m_r[label - 1, i] += 1.0
+            m_c[label - 1, j] += 1.0
+        u = a.u
+        expected = (np.diag(u) - (m_r @ m_r.T) / a.s - (m_c @ m_c.T) / a.v
+                    + np.outer(u, u) / (a.v * a.s))
+        assert np.array_equal(info_matrix_augmented(a), expected)
 
     def test_tiny_case_matches_pairwise_oracle(self):
         c = random_contraction(3, 3, 2, seed=2)

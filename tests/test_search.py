@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from arcdesign import (
     ContractionDesign,
     SearchConfig,
-    apply_move,
     c_bar_s,
     c_bar_v,
     e_aug_direct,
@@ -49,7 +48,12 @@ from arcdesign.search import (
     _tabu,
 )
 
-from oracles import catalogue_by_loops, exhaustive_best_e_con, sample_move_by_scans
+from oracles import (
+    apply_move,
+    catalogue_by_loops,
+    exhaustive_best_e_con,
+    sample_move_by_scans,
+)
 
 #: Feasible sizes; (7,5,3), (10,6,3) and (24,16,5) carry unequal replication.
 _SIZES = [(4, 4, 2), (6, 4, 3), (7, 5, 3), (10, 6, 3), (12, 8, 3), (9, 9, 3), (24, 16, 5)]
@@ -820,6 +824,14 @@ class TestSearchContraction:
         result = _run_restarts(cfg, restart, lambda state: state)
         assert sorted(started) == [0, 1]
         assert result.timed_out
+
+    @pytest.mark.parametrize("strategy, iters", [("hillclimb", 1), ("anneal", 10), ("tabu", 50)])
+    def test_budget_that_leaves_every_restart_disconnected_raises(self, strategy, iters):
+        # at seed 0 each budget ends its one restart on a disconnected (12,8,3) design
+        with pytest.raises(ConfigError, match=f"^max_iters {iters} left every restart at a "
+                                              "disconnected design; raise the budget$"):
+            search_contraction(12, 8, 3, SearchConfig(strategy=strategy, restarts=1,
+                                                      max_iters=iters))
 
 
 class TestSearchAugmentedDirect:
