@@ -24,15 +24,8 @@ import click
 
 from . import __version__
 from .augmentor import augment
-from .designs import ContractionDesign, _require_valid
-from .efficiency import (
-    c_bar_s,
-    e_aug_direct,
-    e_aug_formula,
-    e_dual_column,
-    full_report,
-    is_generally_balanced,
-)
+from .designs import ContractionDesign
+from .efficiency import e_aug_direct, e_aug_formula, full_report
 from .errors import (
     ConfigError,
     DisconnectedDesignError,
@@ -52,6 +45,7 @@ _USER_ERRORS = (ConfigError, InfeasibleParametersError, InvalidDesignError, Pars
 _FLAGS = {f.name: "--iters" if f.name == "max_iters" else "--" + f.name.replace("_", "-")
           for f in dataclasses.fields(SearchConfig)}
 _FIELD_RE = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
+_DEFAULTS = SearchConfig()
 
 
 def _user_errors_exit_2(fn):
@@ -86,6 +80,12 @@ def _write_artifact(path: Path, text: str) -> str:
     data = text.encode()
     path.write_bytes(data)
     return _sha256_bytes(data)
+
+
+def _manifest_options(cfg: SearchConfig) -> dict:
+    # Each search field but the seed, keyed by its flag in camelCase (--time-budget: timeBudget).
+    return {re.sub(r"-(\w)", lambda m: m[1].upper(), _FLAGS[f.name][2:]): getattr(cfg, f.name)
+            for f in dataclasses.fields(cfg) if f.name != "seed"}
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int | None,
@@ -137,31 +137,27 @@ _format_option = click.option(
 
 
 def _search_options(fn):
+    # One flag per SearchConfig field, passed under the field's name with the field's default.
     for deco in reversed([
-        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--seed", type=int, default=_DEFAULTS.seed, show_default=True),
         click.option("--strategy", type=click.Choice(_STRATEGIES),
-                     default="hillclimb", show_default=True,
+                     default=_DEFAULTS.strategy, show_default=True,
                      help="Climb to a local optimum, anneal, or walk on past local optima "
                           "with a tabu list; each restart is one climb, anneal or walk."),
-        click.option("--restarts", type=int, default=50, show_default=True),
-        click.option("--iters", type=int, default=20000, show_default=True,
-                     help="Move-evaluation budget per restart."),
-        click.option("--time-budget", type=float, default=None,
+        click.option("--restarts", type=int, default=_DEFAULTS.restarts, show_default=True),
+        click.option("--iters", "max_iters", type=int, default=_DEFAULTS.max_iters,
+                     show_default=True, help="Move-evaluation budget per restart."),
+        click.option("--time-budget", type=float, default=_DEFAULTS.time_budget,
                      help="Wall-clock cap in seconds (makes results budget-dependent)."),
-        click.option("--workers", type=int, default=1, show_default=True,
+        click.option("--workers", type=int, default=_DEFAULTS.workers, show_default=True,
                      help="Concurrent restarts; the result is identical to serial execution."),
-        click.option("--objective", type=click.Choice(_OBJECTIVES), default="e_con",
+        click.option("--objective", type=click.Choice(_OBJECTIVES), default=_DEFAULTS.objective,
                      show_default=True,
                      help="Maximize the contraction or the augmented efficiency "
                           "(e_aug needs --strategy anneal)."),
     ]):
         fn = deco(fn)
     return fn
-
-
-def _make_config(seed, strategy, restarts, iters, time_budget, workers, objective) -> SearchConfig:
-    return SearchConfig(seed=seed, strategy=strategy, restarts=restarts, max_iters=iters,
-                        time_budget=time_budget, workers=workers, objective=objective)
 
 
 @click.group()
@@ -209,10 +205,10 @@ def cmd_plan(k, prop, test_lines, grid, orient, fmt):
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None,
               help="Directory for contraction.txt, search.json, manifest.json.")
 @_user_errors_exit_2
-def cmd_search(v, s, k, seed, strategy, restarts, iters, time_budget, workers, objective, out):
+def cmd_search(v, s, k, out, **options):
     """Search for an efficient contraction and write or print it."""
     t0 = time.monotonic()
-    cfg = _make_config(seed, strategy, restarts, iters, time_budget, workers, objective)
+    cfg = SearchConfig(**options)
     result = search_contraction(v, s, k, cfg)
     if out is None:
         click.echo(format_design(result.best), nl=False)
@@ -223,9 +219,8 @@ def cmd_search(v, s, k, seed, strategy, restarts, iters, time_budget, workers, o
         "contraction.txt": _write_artifact(out / "contraction.txt", format_design(result.best)),
         "search.json": _write_artifact(out / "search.json", result.to_json() + "\n"),
     }
-    params = dict(v=v, s=s, k=k, strategy=strategy, restarts=restarts, iters=iters,
-                  timeBudget=time_budget, workers=workers, objective=objective)
-    _write_manifest(out, "search", params, seed, {}, outputs, time.monotonic() - t0)
+    params = dict(v=v, s=s, k=k, **_manifest_options(cfg))
+    _write_manifest(out, "search", params, cfg.seed, {}, outputs, time.monotonic() - t0)
     click.echo(f"wrote {', '.join(outputs)} to {out} (objective {result.objective:.6f})")
 
 
@@ -270,19 +265,15 @@ def cmd_evaluate(design_file, direct, fmt):
     """Compute the efficiency report of a design file."""
     design = read_design(design_file)
     if isinstance(design, ContractionDesign):
-        report = full_report(design, include_direct=direct)
-        d = report.to_dict()
+        d = full_report(design, include_direct=direct).to_dict()
+        pairs = list(d.items())
         if fmt == "table":
             pairs = [(name, d[name]) for name in
                      ("eCon", "cBarV", "cBarS", "eDual", "eAugFormula", "eAugDirect",
                       "generallyBalanced")]
             pairs.append(("cefsContraction", f"{len(d['cefsContraction'])} values"))
-            click.echo(_render_pairs(pairs, fmt))
-        else:
-            click.echo(json.dumps(d, indent=2) if fmt == "json"
-                       else _render_pairs(list(d.items()), "csv"))
+        click.echo(_render_pairs(pairs, fmt))
         return
-    _require_valid(design)
     value = e_aug_direct(design)
     pairs = [("kind", "augmented"), ("v", design.v), ("s", design.s), ("k", design.k),
              ("vStar", design.v_star), ("eAugDirect", value)]
@@ -315,8 +306,7 @@ def _read_plan(path: Path) -> tuple[int, int, int]:
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=Path("."),
               show_default=True, help="Output directory.")
 @_user_errors_exit_2
-def cmd_generate(v, s, k, plan_file, seed, strategy, restarts, iters, time_budget, workers,
-                 objective, direct, out):
+def cmd_generate(v, s, k, plan_file, direct, out, **options):
     """Search, augment, and report in one run, writing all artifacts."""
     t0 = time.monotonic()
     inputs = {}
@@ -326,7 +316,7 @@ def cmd_generate(v, s, k, plan_file, seed, strategy, restarts, iters, time_budge
     if v is None or s is None or k is None:
         raise click.UsageError("either --plan or all of --v, --s, --k are required")
 
-    cfg = _make_config(seed, strategy, restarts, iters, time_budget, workers, objective)
+    cfg = SearchConfig(**options)
     result = search_contraction(v, s, k, cfg)
     augmented = augment(result.best)
     report = full_report(result.best, include_direct=direct)
@@ -337,10 +327,9 @@ def cmd_generate(v, s, k, plan_file, seed, strategy, restarts, iters, time_budge
         "augmented.txt": _write_artifact(out / "augmented.txt", format_design(augmented)),
         "report.json": _write_artifact(out / "report.json", report.to_json() + "\n"),
     }
-    params = dict(v=v, s=s, k=k, strategy=strategy, restarts=restarts, iters=iters,
-                  timeBudget=time_budget, workers=workers, objective=objective, direct=direct,
+    params = dict(v=v, s=s, k=k, **_manifest_options(cfg), direct=direct,
                   planFile=str(plan_file) if plan_file else None)
-    _write_manifest(out, "generate", params, seed, inputs, outputs, time.monotonic() - t0)
+    _write_manifest(out, "generate", params, cfg.seed, inputs, outputs, time.monotonic() - t0)
     click.echo(
         f"wrote {', '.join(outputs)} to {out} "
         f"(objective {result.objective:.6f}, eAugFormula {report.e_aug_formula:.6f})"
@@ -353,18 +342,19 @@ def cmd_generate(v, s, k, plan_file, seed, strategy, restarts, iters, time_budge
 @main.command("reproduce-table1")
 @click.option("--formula-only", is_flag=True, default=False,
               help="Skip the searches; only check the closed form against published values.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--restarts", type=int, default=50, show_default=True)
-@click.option("--iters", type=int, default=20000, show_default=True)
+@click.option("--seed", type=int, default=_DEFAULTS.seed, show_default=True)
+@click.option("--restarts", type=int, default=_DEFAULTS.restarts, show_default=True)
+@click.option("--iters", "max_iters", type=int, default=_DEFAULTS.max_iters, show_default=True)
 @_format_option
 @_user_errors_exit_2
-def cmd_reproduce_table1(formula_only, seed, restarts, iters, fmt):
+def cmd_reproduce_table1(formula_only, seed, restarts, max_iters, fmt):
     """Recompute the bundled 21-row reference table.
 
     For every row the closed form applied to the published summaries must
     reproduce the published six-decimal efficiency within 1e-4; with searches
     enabled, the achieved values for a fresh design are reported alongside.
     """
+    cfg = None if formula_only else SearchConfig(seed=seed, restarts=restarts, max_iters=max_iters)
     rows = []
     failures = 0
     for ref in REFERENCE_ROWS:
@@ -377,20 +367,14 @@ def cmd_reproduce_table1(formula_only, seed, restarts, iters, fmt):
             "eAugFromPublished": round(from_printed, 6),
             "formulaCheck": "pass" if ok else "FAIL",
         }
-        if not formula_only:
-            cfg = _make_config(seed=seed, strategy="hillclimb", restarts=restarts, iters=iters,
-                               time_budget=None, workers=1, objective="e_con")
-            found = search_contraction(ref.v, ref.s, ref.k, cfg)
-            best = found.best
-            cbs = c_bar_s(best)
+        if cfg is not None:
+            report = full_report(search_contraction(ref.v, ref.s, ref.k, cfg).best)
             row.update({
-                "eConFound": round(found.objective, 4),
-                "cBarSFound": round(cbs, 4),
-                "eDualFound": round(e_dual_column(best), 4),
-                "generallyBalanced": is_generally_balanced(best),
-                "eAugFound": round(
-                    e_aug_formula(ref.v_star, ref.v, ref.s, ref.k, found.objective, cbs), 6
-                ),
+                "eConFound": round(report.e_con, 4),
+                "cBarSFound": round(report.c_bar_s, 4),
+                "eDualFound": round(report.e_dual, 4),
+                "generallyBalanced": report.generally_balanced,
+                "eAugFound": round(report.e_aug_formula, 6),
             })
         rows.append(row)
 

@@ -269,6 +269,7 @@ def _repeats(lines: np.ndarray, line: str, other: str) -> list[str]:
 def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     """Check the structural invariants of an augmented design.
 
+    It needs two rows or more (one row leaves v* = 1 label, no contrast).
     Each check label must occur exactly once per column and each test line
     exactly once overall.  When the generating contraction's replication
     vector ``r`` is supplied, per-row check counts are verified against it.
@@ -276,17 +277,18 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     s, k = a.s, a.k
     cells = a.cells
     n_test = a.n_test_lines
+    violations = [f"needs at least 2 rows (v={a.v})"] if a.v < 2 else []
     outside = _labels_outside(cells, a.v_star)
     if outside:
-        return ValidationReport(tuple(outside))
+        return ValidationReport(tuple(violations + outside))
 
     # [j, c]: how often check n_test + c + 1 occurs in column j
     is_check = cells > n_test
     per_column = np.bincount(
         (np.nonzero(is_check)[1] * k + cells[is_check] - n_test - 1), minlength=s * k
     ).reshape(s, k)
-    violations = [f"column {j + 1} has check {n_test + c + 1} {per_column[j, c]} times (expected once)"
-                  for j, c in zip(*np.nonzero(per_column != 1))]
+    violations += [f"column {j + 1} has check {n_test + c + 1} {per_column[j, c]} times (expected once)"
+                   for j, c in zip(*np.nonzero(per_column != 1))]
 
     counts = np.bincount(cells.ravel(), minlength=a.v_star + 1)[1 : n_test + 1]
     violations += [f"test line {t + 1} occurs {counts[t]} times (expected once)"

@@ -48,22 +48,27 @@ def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
     """
     inc = incidence(c)
     r = c.r.astype(float)
-    return _info_matrix(inc.n_r, inc.n_c, np.diag(r), np.outer(r, r) / (c.k * c.s))
+    return _info_matrix(inc.n_r, inc.n_c, r, np.outer(r, r) / (c.k * c.s))
 
 
-def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r_diag: np.ndarray,
+def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray,
                  rr_term: np.ndarray) -> np.ndarray:
-    # The row-column information matrix from incidence arrays and the terms
-    # diag(r) and rr'/n.  It serves both design kinds (for an augmented design
-    # n_r has one column per array row) and the search hot path, which builds
-    # the terms once per shape.
+    # The row-column information matrix from incidence arrays, the replication
+    # vector r and rr'/n, for both design kinds (an augmented design's n_r has
+    # one column per array row) and the search, which builds rr'/n once per shape.
     rows, s = n_r.shape[1], n_c.shape[1]
-    return _row_block(n_r, r_diag, s) - (n_c @ n_c.T) / rows + rr_term
+    a = _row_block(n_r, r, s)
+    a -= (n_c @ n_c.T) / rows
+    a += rr_term
+    return a
 
 
-def _row_block(n_r: np.ndarray, r_diag: np.ndarray, s: int) -> np.ndarray:
+def _row_block(n_r: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
     # diag(r) - (1/s) N_R N_R': the rows-only part of the information matrix.
-    return r_diag - (n_r @ n_r.T) / s
+    # Adding r on the diagonal of 0.0 - N_R N_R'/s gives the dense form's bytes, zero signs too.
+    block = 0.0 - (n_r @ n_r.T) / s
+    block.ravel()[:: len(r) + 1] += r
+    return block
 
 
 def _centered_columns(n_c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -107,7 +112,7 @@ def c_bar_s(c: ContractionDesign) -> float:
     r = c.r.astype(float)
     f = _centered_columns(inc.n_c, r)
     ridge = (c.r_bar**2 / c.v) * np.ones((c.v, c.v))
-    middle = _row_block(inc.n_r, np.diag(r), c.s) + ridge
+    middle = _row_block(inc.n_r, r, c.s) + ridge
 
     w = np.linalg.eigvalsh(middle)
     if w[0] <= 1e-10 * max(1.0, w[-1]):
@@ -142,7 +147,7 @@ def _joint_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np
     # b_matrix from raw incidence arrays, shared with the search hot path.
     v, s = n_c.shape
     f = _centered_columns(n_c, r)
-    top = np.hstack([_row_block(n_r, np.diag(r), s), f])
+    top = np.hstack([_row_block(n_r, r, s), f])
     bottom = np.hstack([f.T, k * np.eye(s)])
     d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
     return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
@@ -158,7 +163,7 @@ def e_dual_column(c: ContractionDesign) -> float:
     """
     inc = incidence(c)
     r = c.r.astype(float)
-    dual_info = c.k * np.eye(c.s) - inc.n_c.T @ np.diag(1.0 / r) @ inc.n_c
+    dual_info = c.k * np.eye(c.s) - (inc.n_c.T * (1.0 / r)) @ inc.n_c
     return harmonic_mean_nontrivial(cefs_from_info(dual_info, np.full(c.s, float(c.k))))
 
 
@@ -205,7 +210,7 @@ def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
     np.add.at(m_r, (labels.ravel(), rows), 1.0)
     np.add.at(m_c, (labels.ravel(), cols), 1.0)
     u = a.u
-    return _info_matrix(m_r, m_c, np.diag(u), np.outer(u, u) / n)
+    return _info_matrix(m_r, m_c, u, np.outer(u, u) / n)
 
 
 def augmented_cefs(a: AugmentedDesign) -> Spectrum:

@@ -398,7 +398,7 @@ class _ContractionObjective:
     def __init__(self, v: int, s: int, k: int, r: np.ndarray):
         self.v, self.s, self.k = v, s, k
         self.r = r.astype(float)
-        self.r_diag, self.rr_term = np.diag(self.r), np.outer(self.r, self.r) / (k * s)
+        self.rr_term = np.outer(self.r, self.r) / (k * s)
         inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
@@ -418,7 +418,7 @@ class _ContractionObjective:
         if cells is self._last[0]:
             return self._last[1]
         n_r, n_c = _incidence_arrays(cells, self.v)
-        a = _info_matrix(n_r, n_c, self.r_diag, self.rr_term)
+        a = _info_matrix(n_r, n_c, self.r, self.rr_term)
         self._last = cells, (a * self.scale, n_r, n_c)
         return self._last[1]
 

@@ -6,14 +6,23 @@ the code under test: pairwise variances go through the Moore-Penrose inverse
 enumeration instead of a matrix product, and small search spaces are
 enumerated outright, the move catalogue is walked with plain loops, the
 anneal's move sampler checks labels by scanning rows and columns, and the
-augmented array is filled cell by cell.
+augmented array is filled cell by cell.  The information-matrix kernels add
+the replication vector on the diagonal; the dense-diagonal forms here build
+``diag(r)`` as a matrix, and the two must agree bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
-from arcdesign import ContractionDesign, b_matrix, e_con, validate_contraction
+from arcdesign import (
+    AugmentedDesign,
+    ContractionDesign,
+    b_matrix,
+    e_con,
+    incidence,
+    validate_contraction,
+)
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.search import Move, _draw_pairs, _swap_index
 
@@ -37,6 +46,38 @@ def b_nontrivial_eigenvalues(c: ContractionDesign) -> np.ndarray:
         q = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, :-1]]))[0]
         basis[lo : lo + n, col : col + n - 1] = q[:, 1:]
     return np.linalg.eigvalsh(basis.T @ b_matrix(c) @ basis)
+
+
+def row_block_with_dense_diagonal(n_r, r, s: int) -> np.ndarray:
+    """``diag(r) - N_R N_R'/s`` with ``diag(r)`` a dense matrix."""
+    return np.diag(r) - (n_r @ n_r.T) / s
+
+
+def b_matrix_with_dense_diagonal(c: ContractionDesign) -> np.ndarray:
+    """``b_matrix`` assembled on a dense-diagonal row block."""
+    inc, r, v, s, k = incidence(c), c.r.astype(float), c.v, c.s, c.k
+    f = inc.n_c - np.outer(r, np.ones(s)) / s
+    top = np.hstack([row_block_with_dense_diagonal(inc.n_r, r, s), f])
+    bottom = np.hstack([f.T, k * np.eye(s)])
+    d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
+    return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
+
+
+def dual_info_with_dense_diagonal(c: ContractionDesign) -> np.ndarray:
+    """``k I_s - N_C' diag(1/r) N_C``, the information matrix of the dual column design."""
+    inc, r = incidence(c), c.r.astype(float)
+    return c.k * np.eye(c.s) - inc.n_c.T @ np.diag(1.0 / r) @ inc.n_c
+
+
+def info_matrix_augmented_by_cells(a: AugmentedDesign) -> np.ndarray:
+    """``diag(u) - M_R M_R'/s - M_C M_C'/v + uu'/n``, with the counts taken cell by cell."""
+    m_r, m_c = np.zeros((a.v_star, a.v)), np.zeros((a.v_star, a.s))
+    for (i, j), label in np.ndenumerate(a.cells):
+        m_r[label - 1, i] += 1.0
+        m_c[label - 1, j] += 1.0
+    u = a.u
+    return (np.diag(u) - (m_r @ m_r.T) / a.s - (m_c @ m_c.T) / a.v
+            + np.outer(u, u) / (a.v * a.s))
 
 
 def augmented_cells_by_loops(check_rows, v: int) -> np.ndarray:

@@ -1,13 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from arcdesign import ConfigError, SearchConfig, read_design
+from arcdesign import ConfigError, SearchConfig, full_report, read_design, search_contraction
 from arcdesign import designs
 from arcdesign.cli import main
-from arcdesign.reference import load_reference_design
+from arcdesign.reference import REFERENCE_ROWS, load_reference_design
 from arcdesign.textio import write_design
 
 
@@ -88,6 +89,13 @@ class TestEvaluateCommand:
         result = runner.invoke(main, ["evaluate", str(ex1_files["augmented_12x8_k3"])])
         assert result.exit_code == 0
         assert len(calls) == 1
+
+    def test_one_row_augmented_file_exits_2(self, runner, tmp_path):
+        path = tmp_path / "one-row.txt"
+        path.write_text("# augmented v=1 s=1 k=1\n1\n")
+        result = runner.invoke(main, ["evaluate", str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {path}: invalid augmented design: needs at least 2 rows (v=1)\n"
 
     def test_corrupted_file_exits_2_naming_column(self, runner, ex1_files, tmp_path):
         design = load_reference_design("augmented_12x8_k3")
@@ -273,6 +281,44 @@ class TestSizeRuleExits2:
         assert result.output == f"error: {path}: header: {message} (line 1)\n"
 
 
+class TestSearchOptionsFromConfig:
+    """Each search flag takes its default from ``SearchConfig`` and its manifest key from its flag."""
+
+    @pytest.mark.parametrize("command, fields", [
+        ("search", [f.name for f in dataclasses.fields(SearchConfig)]),
+        ("generate", [f.name for f in dataclasses.fields(SearchConfig)]),
+        ("reproduce-table1", ["seed", "restarts", "max_iters"]),
+    ])
+    def test_flag_defaults_are_config_defaults(self, command, fields):
+        params = {p.name: p for p in main.commands[command].params}
+        for name in fields:
+            assert params[name].default == getattr(SearchConfig(), name), name
+
+    def test_search_manifest_parameters(self, runner, tmp_path):
+        out = tmp_path / "s"
+        result = runner.invoke(main, ["search", "--v", "6", "--s", "4", "--k", "3",
+                                      "--seed", "3", "--restarts", "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["parameters"].items()) == [
+            ("v", 6), ("s", 4), ("k", 3), ("strategy", "hillclimb"), ("restarts", 2),
+            ("iters", 20000), ("timeBudget", None), ("workers", 1), ("objective", "e_con")]
+        assert manifest["seed"] == 3
+
+    def test_generate_manifest_parameters(self, runner, tmp_path):
+        out = tmp_path / "g"
+        result = runner.invoke(main, ["generate", "--v", "6", "--s", "4", "--k", "3",
+                                      "--restarts", "2", "--direct", "--time-budget", "5",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["parameters"].items()) == [
+            ("v", 6), ("s", 4), ("k", 3), ("strategy", "hillclimb"), ("restarts", 2),
+            ("iters", 20000), ("timeBudget", 5.0), ("workers", 1), ("objective", "e_con"),
+            ("direct", True), ("planFile", None)]
+        assert manifest["seed"] == 0
+
+
 class TestSearchAndAugmentCommands:
     def test_budget_that_leaves_every_restart_disconnected_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "--v", "12", "--s", "8", "--k", "3",
@@ -355,3 +401,19 @@ class TestReproduceCommand:
         lines = [l for l in result.output.splitlines() if l and not l.startswith("#")]
         assert len(lines) == 22  # header + 21 rows
         assert "eConFound" in lines[0]
+
+    def test_found_columns_are_the_full_report(self, runner):
+        result = runner.invoke(main, ["reproduce-table1", "--restarts", "2", "--iters", "500",
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        row, ref = json.loads(result.stdout)[0], REFERENCE_ROWS[0]
+        best = search_contraction(ref.v, ref.s, ref.k, SearchConfig(restarts=2, max_iters=500)).best
+        report = full_report(best)
+        expected = {
+            "eConFound": round(report.e_con, 4),
+            "cBarSFound": round(report.c_bar_s, 4),
+            "eDualFound": round(report.e_dual, 4),
+            "generallyBalanced": report.generally_balanced,
+            "eAugFound": round(report.e_aug_formula, 6),
+        }
+        assert {name: row[name] for name in expected} == expected

@@ -20,23 +20,28 @@ from arcdesign import (
     extract_contraction,
     feasibility_df,
     full_report,
+    incidence,
     info_matrix_augmented,
     info_matrix_contraction,
     is_generally_balanced,
     random_contraction,
 )
 from arcdesign import designs, efficiency
-from arcdesign.errors import DisconnectedDesignError
+from arcdesign.errors import DisconnectedDesignError, InvalidDesignError
 from arcdesign.reference import load_reference_design
 from arcdesign.search import SearchConfig, search_augmented_direct, search_contraction
 from arcdesign.spectra import harmonic_mean_nontrivial
 
 from oracles import (
     apply_move,
+    b_matrix_with_dense_diagonal,
     b_nontrivial_eigenvalues,
     column_product_by_enumeration,
+    dual_info_with_dense_diagonal,
+    info_matrix_augmented_by_cells,
     info_matrix_by_bracket_expansion,
     pairwise_variance_efficiency,
+    row_block_with_dense_diagonal,
 )
 
 # e_con of the 24x16 reference contraction, frozen from the pairwise-variance
@@ -182,6 +187,33 @@ class TestEDualColumn:
             assert np.allclose(dual_cefs, padded, atol=1e-8)
 
 
+class TestDenseDiagonalBytes:
+    """The kernels that add r on the diagonal match the dense ``diag(r)`` forms bit for bit."""
+
+    # (8,5,3) and (10,7,4) at seed 0 have label pairs that share no row, so the
+    # row block holds zeros and their signs are checked too.
+    @pytest.fixture(params=[(8, 5, 3, 0), (12, 8, 3, 1), (10, 7, 4, 0), (24, 16, 5, 3)],
+                    ids=lambda p: "x".join(map(str, p)))
+    def design(self, request):
+        v, s, k, seed = request.param
+        return random_contraction(v, s, k, seed=seed)
+
+    def test_row_block(self, design):
+        inc, r = incidence(design), design.r.astype(float)
+        assert (efficiency._row_block(inc.n_r, r, design.s).tobytes()
+                == row_block_with_dense_diagonal(inc.n_r, r, design.s).tobytes())
+
+    def test_b_matrix(self, design):
+        assert b_matrix(design).tobytes() == b_matrix_with_dense_diagonal(design).tobytes()
+
+    def test_dual_info(self, design, monkeypatch):
+        seen, cefs = [], efficiency.cefs_from_info
+        monkeypatch.setattr(efficiency, "cefs_from_info",
+                            lambda info, r: seen.append(info) or cefs(info, r))
+        e_dual_column(design)
+        assert seen[0].tobytes() == dual_info_with_dense_diagonal(design).tobytes()
+
+
 class TestGeneralBalance:
     def test_reference_12x8_is_balanced(self, ex1_contraction):
         # the published row for this setting has matching column summaries
@@ -257,15 +289,12 @@ class TestInfoMatrixAugmented:
             assert any(len(set(row[row > 0])) < np.count_nonzero(row) for row in checks)
         else:
             a = load_reference_design(source)
-        # diag(u) - M_R M_R'/s - M_C M_C'/v + uu'/n, with the counts taken cell by cell
-        m_r, m_c = np.zeros((a.v_star, a.v)), np.zeros((a.v_star, a.s))
-        for (i, j), label in np.ndenumerate(a.cells):
-            m_r[label - 1, i] += 1.0
-            m_c[label - 1, j] += 1.0
-        u = a.u
-        expected = (np.diag(u) - (m_r @ m_r.T) / a.s - (m_c @ m_c.T) / a.v
-                    + np.outer(u, u) / (a.v * a.s))
-        assert np.array_equal(info_matrix_augmented(a), expected)
+        assert info_matrix_augmented(a).tobytes() == info_matrix_augmented_by_cells(a).tobytes()
+
+    def test_one_row_is_invalid(self):
+        one_row = AugmentedDesign(k=1, cells=[[1]])
+        with pytest.raises(InvalidDesignError, match=r"needs at least 2 rows \(v=1\)"):
+            e_aug_direct(one_row)
 
     def test_tiny_case_matches_pairwise_oracle(self):
         c = random_contraction(3, 3, 2, seed=2)
