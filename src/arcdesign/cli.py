@@ -354,7 +354,7 @@ def cmd_reproduce_table1(formula_only, seed, restarts, max_iters, fmt):
     reproduce the published six-decimal efficiency within 1e-4; with searches
     enabled, the achieved values for a fresh design are reported alongside.
     """
-    cfg = None if formula_only else SearchConfig(seed=seed, restarts=restarts, max_iters=max_iters)
+    cfg = SearchConfig(seed=seed, restarts=restarts, max_iters=max_iters)
     rows = []
     failures = 0
     for ref in REFERENCE_ROWS:
@@ -367,7 +367,7 @@ def cmd_reproduce_table1(formula_only, seed, restarts, max_iters, fmt):
             "eAugFromPublished": round(from_printed, 6),
             "formulaCheck": "pass" if ok else "FAIL",
         }
-        if cfg is not None:
+        if not formula_only:
             report = full_report(search_contraction(ref.v, ref.s, ref.k, cfg).best)
             row.update({
                 "eConFound": round(report.e_con, 4),

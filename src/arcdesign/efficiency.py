@@ -11,9 +11,10 @@ exactly the non-trivial eigenvalues of a joint (v+s) x (v+s) matrix assembled
 from the contraction alone (``b_matrix``), padded with unit cefs.  The
 average efficiency factor of the augmented design therefore has a closed form
 (``e_aug_formula``) in two contraction-level summaries: ``c_bar_v`` from the
-row block and ``c_bar_s`` from the column block.  ``e_aug_direct`` recomputes
-the same number from the full v* x v* eigenproblem and serves as the
-independent route for verification.
+row block and ``c_bar_s`` from the column block of the inverse of the joint
+matrix lifted to eigenvalue 1 on its trivial directions (``_lifted_joint``,
+which the e_aug anneal inverts too).  ``e_aug_direct`` recomputes the same
+number from the full v* x v* eigenproblem: the independent route.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .spectra import (
     cefs_from_info,
     eig_symmetric,
     harmonic_mean_nontrivial,
-    helmert_basis,
-    restricted_eigenvalues,
     trivial_tolerance,
 )
 
@@ -71,12 +70,6 @@ def _row_block(n_r: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
     return block
 
 
-def _centered_columns(n_c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # N_C - (1/s) r 1', the column incidence with row effects swept out.
-    s = n_c.shape[1]
-    return n_c - np.outer(r, np.ones(s)) / s
-
-
 def contraction_cefs(c: ContractionDesign) -> Spectrum:
     """Canonical efficiency factors of the contraction itself."""
     return cefs_from_info(info_matrix_contraction(c), c.r.astype(float))
@@ -100,34 +93,17 @@ def c_bar_v(c: ContractionDesign) -> float:
 def c_bar_s(c: ContractionDesign) -> float:
     """Harmonic-mean eigenvalue of the column block of the joint matrix inverse.
 
-    Computed as the Schur complement ``I_s - (1/k) F' (S + cJ)^-1 F`` with
-    ``F`` the centered column incidence, ``S`` the rows-only information
-    matrix, and a ridge ``c = r_bar^2 / v`` on the all-ones direction to make
-    ``S`` invertible (``F`` annihilates that direction, so the ridge does not
-    move the relevant eigenvalues).  The trivial eigenvalue of the bracket is
-    1 on the all-ones vector, so the s-1 informative ones are extracted on an
-    explicit orthonormal complement.
+    Its s-1 eigenvalues sum in reciprocal to ``(k/v) (tr(B~^-1[v:, v:]) - 1)``
+    with ``B~`` from ``_lifted_joint``; the lifted column direction gives the 1.
+    ``B~`` is singular (``trivial_tolerance``) exactly when ``c`` is disconnected.
     """
     inc = incidence(c)
-    r = c.r.astype(float)
-    f = _centered_columns(inc.n_c, r)
-    ridge = (c.r_bar**2 / c.v) * np.ones((c.v, c.v))
-    middle = _row_block(inc.n_r, r, c.s) + ridge
-
-    w = np.linalg.eigvalsh(middle)
-    if w[0] <= 1e-10 * max(1.0, w[-1]):
-        raise DisconnectedDesignError(
-            "row component of the contraction is singular even after the ridge: rows disconnected"
-        )
-    bracket = np.eye(c.s) - (f.T @ np.linalg.solve(middle, f)) / c.k
-
-    vals = restricted_eigenvalues(bracket, helmert_basis(c.s))
-    tol = trivial_tolerance(vals)
-    if np.any(np.abs(vals) < tol):
-        raise DisconnectedDesignError(
-            "column block has a zero eigenvalue: columns disconnected"
-        )
-    return (c.s - 1) / float(np.sum(1.0 / vals))
+    lifted = _lifted_joint(inc.n_r, inc.n_c, c.r.astype(float), c.k)
+    w = np.linalg.eigvalsh(lifted)
+    if w[0] < trivial_tolerance(w):
+        raise DisconnectedDesignError("lifted joint matrix is singular: contraction disconnected")
+    col_trace = float(np.trace(np.linalg.inv(lifted)[c.v:, c.v:]))
+    return (c.v / c.k) * (c.s - 1) / (col_trace - 1.0)
 
 
 def b_matrix(c: ContractionDesign) -> np.ndarray:
@@ -144,13 +120,23 @@ def b_matrix(c: ContractionDesign) -> np.ndarray:
 
 
 def _joint_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
-    # b_matrix from raw incidence arrays, shared with the search hot path.
+    # b_matrix from raw incidence arrays; F = N_C - r 1'/s sweeps row effects out of N_C.
     v, s = n_c.shape
-    f = _centered_columns(n_c, r)
+    f = n_c - np.outer(r, np.ones(s)) / s
     top = np.hstack([_row_block(n_r, r, s), f])
     bottom = np.hstack([f.T, k * np.eye(s)])
     d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
     return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
+
+
+def _lifted_joint(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    # B~: b_matrix lifted to eigenvalue 1 on its trivial directions t1 = (1_v, 0)/sqrt(v)
+    # (eigenvalue 0) and t2 = (0, 1_s)/sqrt(s) (eigenvalue k/v); shared with the e_aug anneal.
+    v, s = n_c.shape
+    joint = _joint_matrix(n_r, n_c, r, k)
+    joint[:v, :v] += 1.0 / v
+    joint[v:, v:] += (1.0 - k / v) / s
+    return joint
 
 
 def e_dual_column(c: ContractionDesign) -> float:

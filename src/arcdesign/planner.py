@@ -11,12 +11,11 @@ or field layout and reports what it can hold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .designs import feasibility_df
 from .errors import InfeasibleParametersError
-
-_V_SCAN_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,16 @@ def plan(k: int, target_proportion: float, n_test_lines: int) -> DesignPlan:
     """
     if k < 2:
         raise InfeasibleParametersError("at least 2 checks are required")
-    if not 0 < target_proportion < 1:
+    if not (0 < target_proportion < 1 and math.isfinite(k / target_proportion)):
         raise InfeasibleParametersError("target proportion must lie strictly between 0 and 1")
     if n_test_lines < 1:
         raise InfeasibleParametersError("at least one test line is required")
 
+    # |k/v - p| is least at v = floor(k/p) or ceil(k/p) and grows away from it,
+    # so the six closest v lie within five of those two.
+    ideal = k / target_proportion
     candidates = sorted(
-        range(k, _V_SCAN_LIMIT + 1),
+        range(max(k, math.floor(ideal) - 5), max(k, math.ceil(ideal)) + 6),
         key=lambda v: (abs(k / v - target_proportion), v),
     )
     v = candidates[0]

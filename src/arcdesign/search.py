@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,9 +73,10 @@ from .designs import (
     ContractionDesign,
     _incidence_arrays,
     _require_feasible,
+    _require_valid,
     balanced_replication,
 )
-from .efficiency import _info_matrix, _joint_matrix, e_aug_direct
+from .efficiency import _info_matrix, _lifted_joint, e_aug_direct
 from .errors import ConfigError, ConstructionError, DisconnectedDesignError
 from .spectra import trivial_tolerance
 from .textio import format_design
@@ -132,6 +134,11 @@ class SearchConfig:
     objective: str = "e_con"
 
     def __post_init__(self):
+        for name in ("seed", "restarts", "max_iters", "workers"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.strategy not in _STRATEGIES:
@@ -270,6 +277,7 @@ def _match_rows(labels, row_sets, k: int, rng) -> list[int] | None:
 
 def neighbor_moves(c: ContractionDesign):
     """All validity-preserving two-cell swaps of a contraction, in canonical order."""
+    _require_valid(c)
     return tuple(
         Move("within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose",
              (i1, j1), (i2, j2))
@@ -488,8 +496,9 @@ class _SwapWalk:
 
     Without ``e_aug`` the walk scores ``obj.value``.  With it, ``B~`` is the
     one evaluator: ``b_matrix`` lifted to eigenvalue 1 on its two trivial
-    directions, with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)`` over its
-    eigenvalues ``w``, or 0.0 if ``w[0] < trivial_tolerance(w)``.  The walk keeps
+    directions (``efficiency._lifted_joint``, which ``c_bar_s`` inverts too),
+    with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)`` over its eigenvalues
+    ``w``, or 0.0 if ``w[0] < trivial_tolerance(w)``.  The walk keeps
     ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  A swap of label a at
     (i1, j1) with label b at (i2, j2) changes ``B~`` by ``u z' + z u'``, where
     ``u = D^-1/2 (e_b - e_a, 0)``,
@@ -546,7 +555,8 @@ class _SwapWalk:
         if not self.inverse:
             return
         self.updates = 0
-        n_r, joint = self._lifted_joint(cells)
+        n_r, n_c = _incidence_arrays(cells, self.obj.v)
+        joint = _lifted_joint(n_r, n_c, self.obj.r, self.obj.k)
         self.xr = np.ascontiguousarray(n_r.T) * (self.dv / self.obj.s)
         w, vecs = np.linalg.eigh(joint)
         self.val = self._exact(w)
@@ -556,15 +566,6 @@ class _SwapWalk:
             self.m, self.tr = (vecs / w) @ vecs.T, float(np.sum(1.0 / w))
             self.norm2 = float(np.sum(w**-2.0))
 
-    def _lifted_joint(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``N_R`` and ``B~`` of a state."""
-        v, s, k = self.obj.v, self.obj.s, self.obj.k
-        n_r, n_c = _incidence_arrays(cells, v)
-        joint = _joint_matrix(n_r, n_c, self.obj.r, k)
-        joint[:v, :v] += 1.0 / v  # t1 t1', t1 = (1_v, 0) / sqrt(v)
-        joint[v:, v:] += (1.0 - k / v) / s  # (1 - k/v) t2 t2', t2 = (0, 1_s) / sqrt(s)
-        return n_r, joint
-
     def _exact(self, w: np.ndarray) -> float:
         """``e_aug`` from the ascending eigenvalues of ``B~``; 0.0 if disconnected."""
         if w[0] < trivial_tolerance(w):
@@ -572,7 +573,8 @@ class _SwapWalk:
         return self._e_aug(float(np.sum(1.0 / w)))
 
     def _exact_value(self, cells: np.ndarray) -> float:
-        return self._exact(np.linalg.eigvalsh(self._lifted_joint(cells)[1]))
+        joint = _lifted_joint(*_incidence_arrays(cells, self.obj.v), self.obj.r, self.obj.k)
+        return self._exact(np.linalg.eigvalsh(joint))
 
     def _e_aug(self, trace: float) -> float:
         return (self.v_star - 1) / (self.v_star - self.obj.v - self.obj.s - 1 + trace)

@@ -137,22 +137,3 @@ def cefs_from_info(a, u) -> Spectrum:
     sp = eig_symmetric(a_star)
     _require_one_trivial(sp)
     return sp
-
-
-def helmert_basis(m: int) -> np.ndarray:
-    """Orthonormal m x (m-1) basis of the subspace orthogonal to the all-ones vector."""
-    q = np.zeros((m, m - 1))
-    for i in range(1, m):
-        q[:i, i - 1] = 1.0
-        q[i, i - 1] = -float(i)
-        q[:, i - 1] /= np.sqrt(i * (i + 1.0))
-    return q
-
-
-def restricted_eigenvalues(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix restricted to the span of ``basis`` columns.
-
-    Used where trivial eigenvalues are nonzero (so magnitude classification
-    cannot separate them) and the trivial directions are known exactly.
-    """
-    return np.linalg.eigvalsh(basis.T @ m @ basis)

@@ -5,10 +5,11 @@ the code under test: pairwise variances go through the Moore-Penrose inverse
 (SVD) instead of an eigendecomposition, concurrences are counted by explicit
 enumeration instead of a matrix product, and small search spaces are
 enumerated outright, the move catalogue is walked with plain loops, the
-anneal's move sampler checks labels by scanning rows and columns, and the
-augmented array is filled cell by cell.  The information-matrix kernels add
-the replication vector on the diagonal; the dense-diagonal forms here build
-``diag(r)`` as a matrix, and the two must agree bit for bit.
+anneal's move sampler checks labels by scanning rows and columns, the
+augmented array is filled cell by cell, and ``c_bar_s`` comes from a centred
+Schur complement instead of the lifted joint matrix.  The information-matrix
+kernels add the replication vector on the diagonal; the dense-diagonal forms
+here build ``diag(r)`` as a matrix, and the two must agree bit for bit.
 """
 
 import itertools
@@ -61,6 +62,35 @@ def b_matrix_with_dense_diagonal(c: ContractionDesign) -> np.ndarray:
     bottom = np.hstack([f.T, k * np.eye(s)])
     d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
     return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
+
+
+def c_bar_s_by_centring(c: ContractionDesign) -> float:
+    """``c_bar_s`` from the centred Schur complement of the column block.
+
+    Incidences are counted cell by cell.  A ridge on the all-ones direction,
+    which the centred column incidence ``F`` annihilates, makes the rows-only
+    block ``S`` invertible; ``I_s - F' (S + ridge)^-1 F / k`` is then centred
+    by the projector off the all-ones vector, which maps its trivial
+    eigenvalue to the single zero.  A second zero eigenvalue of either block
+    means a disconnected contraction.
+    """
+    v, s, k = c.v, c.s, c.k
+    n_r, n_c = np.zeros((v, k)), np.zeros((v, s))
+    for (i, j), label in np.ndenumerate(c.cells):
+        n_r[label - 1, i] = 1.0
+        n_c[label - 1, j] = 1.0
+    r = n_c.sum(axis=1)
+    r_bar = k * s / v
+    f = n_c - np.outer(r, np.ones(s)) / s
+    middle = np.diag(r) - (n_r @ n_r.T) / s + (r_bar**2 / v) * np.ones((v, v))
+    if np.linalg.eigvalsh(middle)[0] < 1e-9 * r_bar:
+        raise DisconnectedDesignError("rows-only block is singular off the all-ones direction")
+    centre = np.eye(s) - np.ones((s, s)) / s
+    bracket = np.eye(s) - f.T @ np.linalg.solve(middle, f) / k
+    vals = np.linalg.eigvalsh(centre @ bracket @ centre)[1:]
+    if vals[0] < 1e-9:
+        raise DisconnectedDesignError("column block has a second zero eigenvalue")
+    return (s - 1) / float(np.sum(1.0 / vals))
 
 
 def dual_info_with_dense_diagonal(c: ContractionDesign) -> np.ndarray:

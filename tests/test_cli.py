@@ -48,6 +48,16 @@ class TestPlanCommand:
         assert result.exit_code == 2
         assert "degrees of freedom" in result.output
 
+    @pytest.mark.parametrize("args, v", [
+        (["--checks", "250", "--prop", "0.5", "--test-lines", "10"], 500),
+        (["--checks", "3", "--prop", "0.001", "--test-lines", "10"], 3000),
+    ])
+    def test_ideal_v_beyond_200_exits_2(self, runner, args, v):
+        result = runner.invoke(main, ["plan", *args])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"(v={v}," in result.output
+        assert "Traceback" not in result.output
+
     def test_orientation_override(self, runner):
         result = runner.invoke(main, ["plan", "--grid", "16x24", "--checks", "3",
                                       "--orient", "rows", "--format", "json"])
@@ -393,6 +403,12 @@ class TestReproduceCommand:
         assert len(rows) == 21
         assert all(row["formulaCheck"] == "pass" for row in rows)
         assert result.stderr == "# formula check: 21/21 rows pass\n"
+
+    @pytest.mark.parametrize("mode", [["--formula-only"], []])
+    def test_search_flags_checked_in_every_mode(self, runner, mode):
+        result = runner.invoke(main, ["reproduce-table1", *mode, "--restarts", "0"])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == "error: --restarts must be >= 1\n"
 
     def test_with_search_on_subset_budget(self, runner):
         result = runner.invoke(main, ["reproduce-table1", "--restarts", "1",

@@ -3,6 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arcdesign import (
     AugmentedDesign,
@@ -24,6 +26,7 @@ from arcdesign import (
     info_matrix_augmented,
     info_matrix_contraction,
     is_generally_balanced,
+    neighbor_moves,
     random_contraction,
 )
 from arcdesign import designs, efficiency
@@ -36,6 +39,7 @@ from oracles import (
     apply_move,
     b_matrix_with_dense_diagonal,
     b_nontrivial_eigenvalues,
+    c_bar_s_by_centring,
     column_product_by_enumeration,
     dual_info_with_dense_diagonal,
     info_matrix_augmented_by_cells,
@@ -98,20 +102,43 @@ class TestCBarS:
     def test_reference_24x16(self, ex2_contraction):
         assert c_bar_s(ex2_contraction) == pytest.approx(0.7332, abs=5e-5)
 
-    def test_matches_joint_matrix_inverse_route(self, ex1_contraction, ex2_contraction):
-        # invert the joint matrix after deflating its two trivial directions;
-        # the trace of the column block recovers the same summary
-        for c in (ex1_contraction, ex2_contraction):
-            b = b_matrix(c)
-            v, s, k = c.v, c.s, c.k
-            e1 = np.zeros(v + s)
-            e1[:v] = 1 / np.sqrt(v)
-            e2 = np.zeros(v + s)
-            e2[v:] = 1 / np.sqrt(s)
-            regularized = b + np.outer(e1, e1) + (1 - k / v) * np.outer(e2, e2)
-            inv = np.linalg.inv(regularized)
-            t22 = np.trace(inv[v:, v:]) - 1.0
-            assert c_bar_s(c) == pytest.approx((s - 1) / ((k / v) * t22), abs=1e-10)
+    # (9,6,4) and (10,6,3) carry unequal replication; walks of a few swaps
+    # from a random start reach disconnected contractions at the small sizes.
+    @given(size=st.sampled_from([(5, 3, 3), (6, 4, 3), (9, 6, 4), (10, 6, 3), (12, 8, 3)]),
+           seed=st.integers(0, 2**32 - 1), swaps=st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    @example(size=(12, 8, 3), seed=0, swaps=0)
+    def test_matches_centred_schur_oracle(self, size, seed, swaps):
+        c = _random_walk(size, seed, swaps)
+        try:
+            expected = c_bar_s_by_centring(c)
+        except DisconnectedDesignError:
+            with pytest.raises(DisconnectedDesignError):
+                c_bar_s(c)
+            return
+        assert c_bar_s(c) == pytest.approx(expected, abs=1e-12)
+
+    def test_disconnected_examples_are_not_vacuous(self):
+        disconnected = 0
+        for seed in range(40):
+            c = _random_walk((6, 4, 3), seed, 4)
+            try:
+                c_bar_s_by_centring(c)
+            except DisconnectedDesignError:
+                disconnected += 1
+                with pytest.raises(DisconnectedDesignError):
+                    c_bar_s(c)
+        assert disconnected >= 5
+
+
+def _random_walk(size, seed, swaps):
+    """A random contraction of ``size`` after ``swaps`` random validity-preserving swaps."""
+    c = random_valid(*size, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(swaps):
+        moves = neighbor_moves(c)
+        c = apply_move(c, moves[rng.integers(len(moves))])
+    return c
 
 
 class TestBMatrix:
@@ -377,9 +404,9 @@ class TestFullReport:
         assert calls == []
 
     # sha256 of the report JSON of the bundled (24,16,5) reference, recorded
-    # before validation was shared: the values must not move by one bit.
+    # when c_bar_s moved to the lifted joint matrix: the values must not move by one bit.
     @pytest.mark.parametrize("include_direct, digest", [
-        (False, "76eef6a19d2e4e1e8f523086c77435da71b020fac76a3278f2a25d1a1496f6cd"),
+        (False, "f5eccf231135a70f276706de1e90cec8d2b7da511975b3b6d909651a06d7fff4"),
     ])
     def test_reference_report_json_unchanged(self, include_direct, digest):
         c = load_reference_design("contraction_24x16_k5")

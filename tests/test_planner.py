@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -30,6 +31,28 @@ class TestPlan:
         p = plan(2, 1 / 3, 24)
         assert p.v == 6
 
+    @pytest.mark.parametrize("k, prop, v", [(250, 0.5, 500), (3, 0.001, 3000)])
+    def test_closest_ratio_beyond_200(self, k, prop, v):
+        with pytest.raises(InfeasibleParametersError, match=rf"\(v={v}, ") as excinfo:
+            plan(k, prop, 10)
+        assert excinfo.value.suggestion["v"] == v
+
+    def test_window_matches_a_full_scan(self):
+        # the test-line count is chosen so the closest v yields a feasible plan
+        compared = 0
+        for k, i in itertools.product(range(2, 30), range(1, 1000, 7)):
+            prop = i / 1000
+            scan = sorted(range(k, 2 * math.ceil(k / prop) + 12),
+                          key=lambda v: (abs(k / v - prop), v))
+            v = scan[0]
+            s = _minimal_feasible_s(v, k)
+            if v == k or s > v:
+                continue
+            p = plan(k, prop, (v - k) * s)
+            assert (p.v, p.s, p.alternatives) == (v, s, tuple(scan[1:6]))
+            compared += 1
+        assert compared > 2000
+
     def test_monotone_in_test_lines(self):
         previous = 0
         for t in range(120, 321, 25):
@@ -55,6 +78,8 @@ class TestPlan:
             plan(3, 1.2, 10)
         with pytest.raises(InfeasibleParametersError):
             plan(3, 0.2, 0)
+        with pytest.raises(InfeasibleParametersError):
+            plan(3, 1e-320, 10)  # k/p overflows to inf
 
 
 class TestPlanFixedGrid:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from arcdesign import (
     ContractionDesign,
     SearchConfig,
-    c_bar_s,
     c_bar_v,
     e_aug_direct,
     e_aug_formula,
@@ -34,6 +33,7 @@ from arcdesign.errors import (
     ConstructionError,
     DisconnectedDesignError,
     InfeasibleParametersError,
+    InvalidDesignError,
 )
 from arcdesign.search import (
     Move,
@@ -50,6 +50,7 @@ from arcdesign.search import (
 
 from oracles import (
     apply_move,
+    c_bar_s_by_centring,
     catalogue_by_loops,
     exhaustive_best_e_con,
     sample_move_by_scans,
@@ -135,6 +136,12 @@ class TestNeighborMoves:
     def test_latin_square_has_no_legal_moves(self, latin3):
         # every label already sits in every row and column
         assert neighbor_moves(latin3) == ()
+
+    @pytest.mark.parametrize("cells", [[[1, 2, 3], [2, 3, 9]], [[1, 2, 3], [1, 3, 2]]],
+                             ids=["label-beyond-v", "non-binary"])
+    def test_invalid_design_rejected(self, cells):
+        with pytest.raises(InvalidDesignError):
+            neighbor_moves(ContractionDesign.from_cells(cells, v=3))
 
 
 class TestCatalogueOracle:
@@ -476,9 +483,13 @@ def _walk_anneal(c, objective, seed, iters, t0=None, value=None, sample=None):
 
 
 def _closed_form_e_aug(c):
-    """The public closed form of ``e_aug``, 0.0 for a disconnected contraction."""
+    """The closed form of ``e_aug`` on the centring oracle's ``c_bar_s``, 0.0 if disconnected.
+
+    The oracle does not share the anneal's lifted joint matrix.
+    """
     try:
-        return e_aug_formula((c.v - c.k) * c.s + c.k, c.v, c.s, c.k, c_bar_v(c), c_bar_s(c))
+        return e_aug_formula((c.v - c.k) * c.s + c.k, c.v, c.s, c.k, c_bar_v(c),
+                             c_bar_s_by_centring(c))
     except DisconnectedDesignError:
         return 0.0
 
@@ -800,6 +811,21 @@ class TestSearchContraction:
         with pytest.raises(ConfigError, match="^objective e_aug needs strategy 'anneal'"):
             SearchConfig(strategy=strategy, objective="e_aug")
         assert SearchConfig(strategy="anneal", objective="e_aug").objective == "e_aug"
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("restarts", 2.5), ("max_iters", 10.5), ("workers", 2.0), ("seed", "1"),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            SearchConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SearchConfig(seed=np.uint64(3), restarts=np.int32(2), max_iters=np.int64(300))
+        assert (cfg.seed, cfg.restarts, cfg.max_iters) == (3, 2, 300)
+        assert all(type(x) is int for x in (cfg.seed, cfg.restarts, cfg.max_iters))
+        plain = SearchConfig(seed=3, restarts=2, max_iters=300)
+        assert (search_contraction(8, 6, 3, cfg).to_json()
+                == search_contraction(8, 6, 3, plain).to_json())
 
     def test_infeasible_parameters_raise(self):
         with pytest.raises(InfeasibleParametersError):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from arcdesign import cefs_from_info, eig_symmetric, harmonic_mean_nontrivial
 from arcdesign.efficiency import info_matrix_augmented, info_matrix_contraction
 from arcdesign.errors import DisconnectedDesignError, RankAnomalyError
-from arcdesign.spectra import Spectrum, helmert_basis, restricted_eigenvalues
+from arcdesign.spectra import Spectrum
 
 from oracles import pairwise_variance_efficiency
 
@@ -138,19 +138,3 @@ class TestCefsFromInfo:
         with pytest.raises(ValueError, match="positive"):
             cefs_from_info(a, np.array([1.0, 0.0]))
 
-
-class TestHelmert:
-    @pytest.mark.parametrize("m", [2, 3, 7, 12])
-    def test_orthonormal_complement_of_ones(self, m):
-        q = helmert_basis(m)
-        assert np.allclose(q.T @ q, np.eye(m - 1), atol=1e-12)
-        assert np.allclose(q.T @ np.ones(m), 0.0, atol=1e-12)
-
-    def test_restriction_picks_nontrivial_values(self):
-        # matrix with eigenvalue 5 on the ones vector and (1, 2) elsewhere
-        m = 3
-        q = helmert_basis(m)
-        ones = np.ones((m, 1)) / np.sqrt(m)
-        basis = np.hstack([ones, q])
-        mat = basis @ np.diag([5.0, 1.0, 2.0]) @ basis.T
-        assert np.allclose(restricted_eigenvalues(mat, q), [1.0, 2.0], atol=1e-12)
