@@ -186,17 +186,12 @@ def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
     sums.  ``M_R``/``M_C`` count treatment occurrences per row/column.
     """
     _require_valid(a)
-    v, s = a.v, a.s
-    v_star, n = a.v_star, v * s
-    labels = a.cells - 1
-    m_r = np.zeros((v_star, v))
-    m_c = np.zeros((v_star, s))
-    rows = np.repeat(np.arange(v), s)
-    cols = np.tile(np.arange(s), v)
-    np.add.at(m_r, (labels.ravel(), rows), 1.0)
-    np.add.at(m_c, (labels.ravel(), cols), 1.0)
-    u = a.u
-    return _info_matrix(m_r, m_c, u, np.outer(u, u) / n)
+    labels, u = a.cells - 1, a.u
+    m_r = np.zeros((a.v_star, a.v))
+    m_c = np.zeros((a.v_star, a.s))
+    np.add.at(m_r, (labels, np.arange(a.v)[:, None]), 1.0)
+    np.add.at(m_c, (labels, np.arange(a.s)), 1.0)
+    return _info_matrix(m_r, m_c, u, np.outer(u, u) / labels.size)
 
 
 def augmented_cefs(a: AugmentedDesign) -> Spectrum:
@@ -210,8 +205,8 @@ def e_aug_direct(a: AugmentedDesign) -> float:
 
 
 def _clamped_cefs(sp: Spectrum) -> tuple[float, ...]:
-    vals = sp.nontrivial()
-    return tuple(float(x) for x in np.clip(np.sort(vals)[::-1], 0.0, 1.0))
+    # The non-trivial eigenvalues, already in descending order, clipped to [0, 1].
+    return tuple(np.clip(sp.nontrivial(), 0.0, 1.0).tolist())
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -151,9 +152,11 @@ class SearchConfig:
             raise ConfigError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.time_budget is not None and not (math.isfinite(self.time_budget)
-                                                 and self.time_budget > 0):
-            raise ConfigError("time_budget must be a finite number > 0")
+        if self.time_budget is not None:
+            if not isinstance(self.time_budget, numbers.Real):
+                raise ConfigError(f"time_budget must be a number, got {self.time_budget!r}")
+            if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+                raise ConfigError("time_budget must be a finite number > 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from arcdesign import feasibility_df, plan, plan_fixed_grid
@@ -81,6 +82,14 @@ class TestPlan:
         with pytest.raises(InfeasibleParametersError):
             plan(3, 1e-320, 10)  # k/p overflows to inf
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.5, 0.2, 10), "k"), ((3.0, 0.2, 10), "k"), ((3, 0.2, 10.5), "n_test_lines"),
+        ((3, 0.2, "10"), "n_test_lines"),
+    ])
+    def test_sizes_must_be_integers(self, args, name):
+        with pytest.raises(InfeasibleParametersError, match=f"^{name} must be an integer, got "):
+            plan(*args)
+
 
 class TestPlanFixedGrid:
     def test_96_well_plate(self):
@@ -112,6 +121,14 @@ class TestPlanFixedGrid:
     def test_too_many_checks(self):
         with pytest.raises(InfeasibleParametersError):
             plan_fixed_grid(4, 3, 5, orientation="rows")
+
+    @pytest.mark.parametrize("args, name", [
+        ((8.5, 12, 3), "rows"), ((8, 12.0, 3), "cols"), ((8, 12, 2.5), "k"),
+    ])
+    def test_sizes_must_be_integers(self, args, name):
+        with pytest.raises(InfeasibleParametersError, match=f"^{name} must be an integer, got "):
+            plan_fixed_grid(*args)
+        assert plan_fixed_grid(*(np.int64(x) for x in (8, 12, 3))).v == 12
 
     def test_infeasible_grid_names_a_large_minimum(self):
         # (20000, 1, 2) needs 20000 columns, beyond any bounded scan

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcdesign import cefs_from_info, eig_symmetric, harmonic_mean_nontrivial
+from arcdesign import cefs_from_info, eig_symmetric, harmonic_mean_nontrivial, spectra
 from arcdesign.efficiency import info_matrix_augmented, info_matrix_contraction
 from arcdesign.errors import DisconnectedDesignError, RankAnomalyError
 from arcdesign.spectra import Spectrum
@@ -64,6 +64,37 @@ class TestEigSymmetric:
         assert abs(float(sp.eigenvalues.sum()) - float(np.trace(m))) < 1e-8 * max(
             1.0, abs(float(np.trace(m)))
         )
+
+    # The eigensolver's output is checked against the matrix's first two moments
+    # (sum(w) = tr(A), sum(w^2) = ||A||_F^2), so a wrong spectrum is caught even
+    # when its sum is right.
+    @pytest.mark.parametrize("mutation", ["none", "one", "pair", "nan"])
+    def test_moment_check_catches_a_wrong_spectrum(self, ex1_augmented, monkeypatch, mutation):
+        a = info_matrix_augmented(ex1_augmented)
+        w = np.linalg.eigvalsh(a)
+        delta = 1e-6 * np.linalg.norm(a)
+        if mutation == "one":
+            w[40] += delta
+        elif mutation == "pair":  # the sum stays put, the sum of squares grows
+            w[-1] += delta
+            w[0] -= delta
+            assert abs(w.sum() - np.trace(a)) <= 1e-12 * np.linalg.norm(a)
+        elif mutation == "nan":
+            w[40] = np.nan
+        monkeypatch.setattr(spectra.np.linalg, "eigvalsh", lambda m: w)
+        if mutation == "none":
+            assert np.array_equal(eig_symmetric(a).eigenvalues, w[::-1])
+            return
+        with pytest.raises(RankAnomalyError, match="eigenvalue moments off"):
+            eig_symmetric(a)
+
+    def test_solver_failure_is_a_rank_anomaly(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(spectra.np.linalg, "eigvalsh", fail)
+        with pytest.raises(RankAnomalyError, match="failed to converge"):
+            eig_symmetric(np.eye(3))
 
 
 class TestHarmonicMean:
