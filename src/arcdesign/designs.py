@@ -256,9 +256,11 @@ def _labels_outside(cells: np.ndarray, top: int) -> list[str]:
 
 
 def _repeats(lines: np.ndarray, line: str, other: str) -> list[str]:
-    """One "non-binary" violation per label repeated within a row of ``lines``."""
+    """One "non-binary" violation per label repeated within a row of ``lines``, found by one sort."""
+    ordered = np.sort(lines, axis=1)
     violations = []
-    for n, values in enumerate(lines):
+    for n in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)).tolist():
+        values = lines[n]
         labels, counts = np.unique(values, return_counts=True)
         for lab, cnt in zip(labels[counts > 1], counts[counts > 1]):
             where = ", ".join(str(p + 1) for p in np.nonzero(values == lab)[0])

@@ -121,12 +121,16 @@ def b_matrix(c: ContractionDesign) -> np.ndarray:
 
 def _joint_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
     # b_matrix from raw incidence arrays; F = N_C - r 1'/s sweeps row effects out of N_C.
+    # Each block is scaled by the product of its two D^-1/2 factors, as outer(d, d) would.
     v, s = n_c.shape
-    f = n_c - np.outer(r, np.ones(s)) / s
-    top = np.hstack([_row_block(n_r, r, s), f])
-    bottom = np.hstack([f.T, k * np.eye(s)])
-    d_inv_sqrt = np.concatenate([np.full(v, 1.0 / np.sqrt(s)), np.full(s, 1.0 / np.sqrt(v))])
-    return np.vstack([top, bottom]) * np.outer(d_inv_sqrt, d_inv_sqrt)
+    dv, dc = 1.0 / np.sqrt(s), 1.0 / np.sqrt(v)
+    f = n_c - (r / s)[:, None]
+    joint = np.zeros((v + s, v + s))
+    np.multiply(_row_block(n_r, r, s), dv * dv, out=joint[:v, :v])
+    np.multiply(f, dv * dc, out=joint[:v, v:])
+    np.multiply(f.T, dc * dv, out=joint[v:, :v])
+    joint.ravel()[v * (v + s + 1):: v + s + 1] = k * (dc * dc)
+    return joint
 
 
 def _lifted_joint(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:

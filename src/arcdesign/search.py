@@ -29,7 +29,9 @@ A tabu walk (Glover, 1989) goes on past local optima: each step screens the
 whole catalogue and moves to a best-scored swap that is not tabu, even a
 worse one, and confirms the state it reaches (see ``_tabu``).
 
-Annealing scores one sampled swap per iteration.  The sampler draws rows of
+Annealing scores one sampled swap per iteration.  One driver, ``_anneal``,
+runs every anneal over a walk that owns its state and proposes, scores and
+commits moves.  The contraction walk's sampler draws rows of
 a per-shape table of cell pairs, ``_DRAW_BLOCK`` per generator call, and
 checks each pair against Python tables of the state's labels; the
 acceptance draws of the anneal fall between those calls.  Its first iterations
@@ -38,12 +40,13 @@ multiple of the median objective change they see, so the anneal starts at
 the objective's own scale instead of at a fixed temperature.
 
 The augmented efficiency ``e_aug`` is an objective of the anneal only.  For
-it the anneal keeps the inverse of the contraction's lifted (v+s) x (v+s)
-joint matrix and scores a swap by a rank-2 Woodbury update of it:
-O((v+s)^2) work per candidate instead of an eigensolve.  The inverse is
-rebuilt from scratch every 64 accepted swaps.  States and candidates that are
+it the walk keeps the inverse ``M`` of the contraction's lifted (v+s) x (v+s)
+joint matrix and scores a swap by a rank-2 Woodbury update of it, two small
+products against ``M`` instead of an eigensolve.  ``M`` is rebuilt from
+scratch every 64 accepted swaps.  States and candidates that are
 badly conditioned, disconnected or nearly so are evaluated from that matrix's
-eigenvalues, so disconnected ones score 0.0.  Values agree with the exact
+eigenvalues, so disconnected ones score 0.0; a two-stage guard (a cheap norm
+bound, then the exact norm) finds the candidates.  Values agree with the exact
 ones to about 1e-12, so a seeded anneal only leaves the exact path where a
 candidate ties the current value exactly and rounding decides whether a
 random number is drawn.
@@ -488,86 +491,88 @@ class _ContractionObjective:
 
 
 class _SwapWalk:
-    """Move sampler, swap and value of one contraction anneal, kept in step.
+    """The walk of one contraction anneal: its state, sampler and scores, kept in step.
 
-    ``_anneal`` only ever moves to the candidate it has just scored.  So each
-    method first brings the walk up to the state it is handed, found by
-    identity: the state the walk holds, the last candidate (commit its swap)
-    or any other array (rebuild).  For the sampler the walk keeps the labels
-    as a flat Python list and the labels of each row and each column as
-    Python sets, and it draws cell pairs ``_DRAW_BLOCK`` at a time.
+    It follows the walk protocol of ``_anneal``; ``state()`` copies the cells.
+    For the sampler the walk keeps the labels as a flat Python list and the
+    labels of each row and each column as Python sets, and it draws cell
+    pairs ``_DRAW_BLOCK`` at a time.
 
-    Without ``e_aug`` the walk scores ``obj.value``.  With it, ``B~`` is the
-    one evaluator: ``b_matrix`` lifted to eigenvalue 1 on its two trivial
-    directions (``efficiency._lifted_joint``, which ``c_bar_s`` inverts too),
-    with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)`` over its eigenvalues
-    ``w``, or 0.0 if ``w[0] < trivial_tolerance(w)``.  The walk keeps
-    ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  A swap of label a at
-    (i1, j1) with label b at (i2, j2) changes ``B~`` by ``u z' + z u'``, where
-    ``u = D^-1/2 (e_b - e_a, 0)``,
+    Without ``e_aug`` the walk scores ``obj.value`` of the swapped cells.
+    With it, ``B~`` is the one evaluator: ``b_matrix`` lifted to eigenvalue
+    1 on its two trivial directions (``efficiency._lifted_joint``, which
+    ``c_bar_s`` inverts too), with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)``
+    over its eigenvalues ``w``, or 0.0 if ``w[0] < trivial_tolerance(w)``.
+    The walk keeps ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  A swap of
+    label a at (i1, j1) with label b at (i2, j2) changes ``B~`` by
+    ``u z' + z u'``, where ``u = D^-1/2 (e_b - e_a, 0)``,
     ``z = D^-1/2 (-[i1!=i2] (x + e_b - e_a)/s, [j1!=j2] (e_j1 - e_j2))``
     and ``x = N_R (e_i1 - e_i2)``; the walk keeps ``N_R'`` scaled by
-    ``D^-1/2 / s`` for it.  A candidate's trace follows from
-    ``G = M [u z]`` and the 2x2 Woodbury capacitance ``S`` in O((v+s)^2)
-    work: two matrix products into one buffer give ``G`` and ``MG``, a third
-    every 2x2 block the update needs, and the rest is arithmetic on Python
-    floats.  Accepting it sets ``M <- M - G S^-1 G'``, and ``M`` is rebuilt
-    from scratch by an eigensolve after ``_REBUILD_EVERY`` updates.
+    ``D^-1/2 / s`` for it.  With ``U = [u z]``, one product gives
+    ``G' = U'M`` and one 4 x 2 product ``U'MU`` and ``G'G``.  The 2x2
+    Woodbury capacitance ``S = [[0, 1], [1, 0]] + U'MU`` and
+    ``T = S^-1 G'G`` give ``tr(M') = tr(M) - tr(T)`` for
+    ``M' = M - G S^-1 G'`` in Python floats.  Accepting the swap sets
+    ``M <- M'``, and ``M`` is rebuilt after ``_REBUILD_EVERY`` updates: a
+    Cholesky factorisation of ``B~ - _WALK_MIN_EIG I`` tests it, ``inv``
+    gives ``M``, and ``M`` gives ``tr(M)`` and ``|M|_F^2``.
 
-    Rounding in the update grows with the conditioning of ``B~``, so the
-    eigenvalues of its own ``B~`` score every candidate of a state whose
-    smallest eigenvalue lies below ``_WALK_MIN_EIG`` (the state's value comes
-    from its rebuild's eigensolve), and every candidate that may itself lie
-    below it: ``|M'|_F``, which bounds 1/(smallest eigenvalue) from above,
-    follows from the same 2x2 algebra.  They also score every candidate with
-    ``|det S| < _MIN_CAPACITANCE_DET``, so disconnected ones score 0.0.
-    Accepting an exactly scored candidate rebuilds ``M``.
+    Rounding in the update grows with the conditioning of ``B~``, so if the
+    factorisation fails (the smallest eigenvalue lies below
+    ``_WALK_MIN_EIG``) the eigenvalues of ``B~`` score the state and all its
+    candidates.  So they do every candidate that may itself lie below it, by
+    a two-stage guard on ``|M'|_F``, which bounds 1/(smallest eigenvalue)
+    from above: first ``bound = |M|_F + |G S^-1 G'|_F = |M|_F + sqrt(tr(T^2))``;
+    only if that is too large, ``G'MG`` for the exact
+    ``|M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr(T^2)``, which an accepted
+    swap forms too, so ``|M|_F^2`` stays exact.  They also score every
+    candidate with ``|det S| < _MIN_CAPACITANCE_DET``, so disconnected ones
+    score 0.0.  Accepting an exactly scored candidate rebuilds ``M``.
     """
 
-    def __init__(self, obj: _ContractionObjective, e_aug: bool):
+    def __init__(self, obj: _ContractionObjective, cells: np.ndarray, e_aug: bool):
         self.obj = obj
         self.inverse = e_aug
         self.v_star = (obj.v - obj.k) * obj.s + obj.k
-        self.cells = self.cand = self.move = self.pending = None
+        self.cells = cells.copy()
+        self.move = self.pending = None
         self.pairs = _swap_index(obj.k, obj.s)
         self.draws: list[list[int]] = []
         # D^-1/2 on label and on column coordinates
         self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
         if self.inverse:
-            # the rows of U' = [u z]', G' = U'M and H' = G'M (M is symmetric, so G = MU),
-            # with views of the blocks _score reads and writes; G' stays valid until the commit
-            ugh = np.empty((6, obj.v + obj.s))
-            self.u, self.z, self.x = ugh[0], ugh[1], ugh[1, :obj.v]
-            self.uz, self.g, self.h = ugh[:2], ugh[2:4], ugh[4:]
-            self.ug, self.gh_t = ugh[:4], ugh[2:].T
+            # U' = [u z]' over G' = U'M (M is symmetric, so G = MU); G' is kept until the next score
+            ug = np.zeros((4, obj.v + obj.s))
+            self.u, self.z, self.x = ug[0], ug[1], ug[1, :obj.v]
+            self.ug, self.uz, self.gt = ug, ug[:2], ug[2:]
+        self._rebuild()
+        if not self.inverse:
+            self.val = obj.value(cells)
 
-    def _sync(self, cells: np.ndarray) -> None:
-        if cells is self.cells:
-            return
-        if cells is self.cand and (self.pending is not None or not self.inverse):
-            self._commit()
-        else:
-            self._rebuild(cells)
-        self.cells = cells
+    def state(self) -> np.ndarray:
+        return self.cells.copy()
 
-    def _rebuild(self, cells: np.ndarray) -> None:
-        rows = cells.tolist()
+    def _rebuild(self) -> None:
+        rows = self.cells.tolist()
         self.labels = [lab for row in rows for lab in row]
         self.rows = [set(row) for row in rows]
         self.cols = [set(col) for col in zip(*rows)]
         if not self.inverse:
             return
         self.updates = 0
-        n_r, n_c = _incidence_arrays(cells, self.obj.v)
+        n_r, n_c = _incidence_arrays(self.cells, self.obj.v)
         joint = _lifted_joint(n_r, n_c, self.obj.r, self.obj.k)
         self.xr = np.ascontiguousarray(n_r.T) * (self.dv / self.obj.s)
-        w, vecs = np.linalg.eigh(joint)
-        self.val = self._exact(w)
-        if w[0] < _WALK_MIN_EIG:
+        try:
+            np.linalg.cholesky(joint - _WALK_MIN_EIG * np.eye(len(joint)))
+        except np.linalg.LinAlgError:
             self.m = None
-        else:
-            self.m, self.tr = (vecs / w) @ vecs.T, float(np.sum(1.0 / w))
-            self.norm2 = float(np.sum(w**-2.0))
+            self.val = self._exact(np.linalg.eigvalsh(joint))
+            return
+        self.m = np.linalg.inv(joint)
+        self.tr, self.norm2 = float(np.trace(self.m)), float(np.vdot(self.m, self.m))
+        self.norm = math.sqrt(self.norm2)
+        self.val = self._e_aug(self.tr)
 
     def _exact(self, w: np.ndarray) -> float:
         """``e_aug`` from the ascending eigenvalues of ``B~``; 0.0 if disconnected."""
@@ -575,46 +580,19 @@ class _SwapWalk:
             return 0.0
         return self._e_aug(float(np.sum(1.0 / w)))
 
-    def _exact_value(self, cells: np.ndarray) -> float:
-        joint = _lifted_joint(*_incidence_arrays(cells, self.obj.v), self.obj.r, self.obj.k)
+    def _exact_value(self, move) -> float:
+        cand = _swap(self.cells, move)
+        joint = _lifted_joint(*_incidence_arrays(cand, self.obj.v), self.obj.r, self.obj.k)
         return self._exact(np.linalg.eigvalsh(joint))
 
     def _e_aug(self, trace: float) -> float:
         return (self.v_star - 1) / (self.v_star - self.obj.v - self.obj.s - 1 + trace)
 
-    def _commit(self) -> None:
-        i1, j1, i2, j2 = self.move
-        labels, s = self.labels, self.obj.s
-        p1, p2 = i1 * s + j1, i2 * s + j2
-        a, b = labels[p1], labels[p2]
-        labels[p1], labels[p2] = b, a
-        for sets, x1, x2 in ((self.rows, i1, i2), (self.cols, j1, j2)):
-            if x1 != x2:
-                sets[x1].remove(a)
-                sets[x1].add(b)
-                sets[x2].remove(b)
-                sets[x2].add(a)
-        if not self.inverse:
-            return
-        if i1 != i2:
-            xr, c = self.xr, self.dv / s
-            xr[i1, a - 1] -= c
-            xr[i1, b - 1] += c
-            xr[i2, b - 1] -= c
-            xr[i2, a - 1] += c
-        gt, s_inv, self.tr, self.norm2 = self.pending  # gt = G'
-        self.m -= gt.T @ (np.array(s_inv) @ gt)
-        self.val = self._e_aug(self.tr)
-        self.updates += 1
-        if self.updates == _REBUILD_EVERY:
-            self._rebuild(self.cand)
-
-    def sample(self, cells: np.ndarray, rng) -> tuple[int, int, int, int] | None:
+    def propose(self, rng) -> tuple[int, int, int, int] | None:
         """A valid swap, uniform over them: draw cell pairs, reject invalid ones.
 
         Each try pops one pair drawn by ``_draw_pairs``.
         """
-        self._sync(cells)
         labels, rows, cols, s = self.labels, self.rows, self.cols, self.obj.s
         draws = self.draws
         for _ in range(256):
@@ -631,26 +609,57 @@ class _SwapWalk:
             return i1, j1, i2, j2
         return None
 
-    def apply(self, cells: np.ndarray, move) -> np.ndarray:
-        self._sync(cells)
-        self.cand, self.move, self.pending = _swap(cells, move), move, None
-        return self.cand
-
-    def value(self, cells: np.ndarray) -> float:
+    def score(self, move) -> float:
+        self.move, self.pending = move, None
         if not self.inverse:
-            return self.obj.value(cells)
-        if cells is not self.cand or cells is self.cells:
-            self._sync(cells)
-            return self.val
-        if self.m is None:
-            return self._exact_value(cells)
-        return self._score(cells)
+            val = self.obj.value(_swap(self.cells, move))
+        elif self.m is None:
+            val = self._exact_value(move)
+        else:
+            val = self._score(move)
+        self.scored = val
+        return val
 
-    def _score(self, cand: np.ndarray) -> float:
-        # The value of the last candidate, and what accepting it needs.
+    def accept(self) -> None:
+        i1, j1, i2, j2 = self.move
+        labels, s = self.labels, self.obj.s
+        p1, p2 = i1 * s + j1, i2 * s + j2
+        a, b = labels[p1], labels[p2]
+        labels[p1], labels[p2] = b, a
+        self.cells[i1, j1], self.cells[i2, j2] = b, a
+        for sets, x1, x2 in ((self.rows, i1, i2), (self.cols, j1, j2)):
+            if x1 != x2:
+                sets[x1].remove(a)
+                sets[x1].add(b)
+                sets[x2].remove(b)
+                sets[x2].add(a)
+        self.val = self.scored
+        if not self.inverse:
+            return
+        if self.pending is None:
+            self._rebuild()
+            return
+        if i1 != i2:
+            xr, c = self.xr, self.dv / s
+            xr[i1, a - 1] -= c
+            xr[i1, b - 1] += c
+            xr[i2, b - 1] -= c
+            xr[i2, a - 1] += c
+        (s11, s12, s22, det), self.tr, t2, norm2 = self.pending
+        if norm2 is None:
+            norm2 = self._norm2(s11, s12, s22, det, t2)
+        gt = self.gt
+        self.m -= gt.T @ ((np.array([[s22, -s12], [-s12, s11]]) / det) @ gt)
+        self.norm2, self.norm = norm2, math.sqrt(norm2)
+        self.updates += 1
+        if self.updates == _REBUILD_EVERY:
+            self._rebuild()
+
+    def _score(self, move) -> float:
+        # The value of a candidate, and what accepting it needs.
         v, s = self.obj.v, self.obj.s
         dv = self.dv
-        i1, j1, i2, j2 = self.move
+        i1, j1, i2, j2 = move
         a, b = self.labels[i1 * s + j1] - 1, self.labels[i2 * s + j2] - 1
         u, z = self.u, self.z
         self.uz.fill(0.0)
@@ -660,27 +669,32 @@ class _SwapWalk:
         if j1 != j2:
             z[v + j1], z[v + j2] = self.dc, -self.dc
         u[a], u[b] = -dv, dv
-        np.matmul(self.uz, self.m, out=self.g)
-        np.matmul(self.g, self.m, out=self.h)
-        # [U G]'[G MG] holds the blocks U'MU, G'G (twice) and G'MG, as Python floats
-        (c11, c12, p11, p12), (_, c22, p21, p22), (*_, q11, q12), (*_, q21, q22) = (
-            self.ug @ self.gh_t).tolist()
+        np.dot(self.uz, self.m, out=self.gt)
+        # [U G]'G holds U'MU over G'G, as Python floats
+        (c11, c12), (_, c22), (p11, p12), (p21, p22) = np.dot(self.ug, self.gt.T).tolist()
         # the 2x2 Woodbury capacitance S = [[0, 1], [1, 0]] + U'MU
         s11, s12, s22 = c11, 1.0 + c12, c22
         det = s11 * s22 - s12 * s12
         if abs(det) < _MIN_CAPACITANCE_DET:
-            return self._exact_value(cand)
-        # T = S^-1 G'G; M' = M - G S^-1 G' gives tr(M') = tr(M) - tr(T) and
-        # |M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr(T^2)
+            return self._exact_value(move)
+        # T = S^-1 G'G; tr(T^2) bounds |M'|_F, and tr(T) gives tr(M')
         t11, t12 = (s22 * p11 - s12 * p21) / det, (s22 * p12 - s12 * p22) / det
         t21, t22 = (s11 * p21 - s12 * p11) / det, (s11 * p22 - s12 * p12) / det
-        norm2 = (self.norm2 - 2.0 * (s22 * q11 - s12 * (q12 + q21) + s11 * q22) / det
-                 + t11 * t11 + 2.0 * t12 * t21 + t22 * t22)
-        if norm2 * _WALK_MIN_EIG**2 > 1.0:
-            return self._exact_value(cand)
+        t2 = t11 * t11 + 2.0 * t12 * t21 + t22 * t22
+        norm2 = None
+        self.bound = self.norm + math.sqrt(abs(t2))
+        if self.bound * _WALK_MIN_EIG > 1.0:
+            norm2 = self._norm2(s11, s12, s22, det, t2)
+            if norm2 * _WALK_MIN_EIG**2 > 1.0:
+                return self._exact_value(move)
         trace = self.tr - (t11 + t22)
-        self.pending = self.g, ((s22 / det, -s12 / det), (-s12 / det, s11 / det)), trace, norm2
+        self.pending = (s11, s12, s22, det), trace, t2, norm2
         return self._e_aug(trace)
+
+    def _norm2(self, s11: float, s12: float, s22: float, det: float, t2: float) -> float:
+        """``|M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr(T^2)`` for the candidate just scored."""
+        (q11, q12), (q21, q22) = ((self.gt @ self.m) @ self.gt.T).tolist()
+        return self.norm2 - 2.0 * (s22 * q11 - s12 * (q12 + q21) + s11 * q22) / det + t2
 
 
 def _draw_pairs(pairs: np.ndarray, rng) -> list[list[int]]:
@@ -802,23 +816,24 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
     return best, best_val, trace, evals, timed_out
 
 
-def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, deadline):
+def _anneal(walk, rng, max_iters, deadline):
     """Metropolis acceptance on the objective difference; reports the running best.
 
-    The first ``_T0_PROBE`` iterations are a probe: they score sampled moves
-    from the start state without moving, and set the start temperature from
-    the differences they see (``_start_temp``).  They count in the budget and
-    in the trace positions.  Each later iteration samples one move, scores
-    its candidate with ``obj_fn`` and draws ``rng.random()`` only when the
-    difference is not positive; the temperature then falls by ``_ANNEAL_DECAY``.
-    The state only ever moves to the candidate just scored, so the
-    contraction search can pass the methods of one ``_SwapWalk``, which keep
-    tables and, for ``e_aug``, a maintained inverse in step with the state;
-    see there for the cost and the fallback to exact values.  The direct
-    search passes a plain objective, sampler and swap.
+    ``walk`` owns the state, whose value is ``walk.val``: ``propose(rng)``
+    returns a move or None, ``score(move)`` the value it leads to, and
+    ``accept()`` commits the move last scored.  ``state()``, an array the walk
+    will not change, is taken only when the best improves.  The first
+    ``_T0_PROBE`` iterations are a probe: they score moves from the start
+    state without moving, and set the start temperature from the differences
+    they see (``_start_temp``).  They count in the budget and in the trace
+    positions.  Each later iteration scores one move and draws
+    ``rng.random()`` only when the difference is not positive; the
+    temperature then falls by ``_ANNEAL_DECAY``.  The contraction search
+    passes a ``_SwapWalk`` (see there for the cost and the fallback to exact
+    values) and the direct search a ``_DirectWalk``.
     """
-    cur_val = obj_fn(state)
-    best_state, best_val = state, cur_val
+    cur_val = walk.val
+    best_state, best_val = walk.state(), cur_val
     trace = [(0, cur_val)]
     probe = []
     evals = 0
@@ -827,11 +842,10 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, deadline):
         if deadline is not None and it % 64 == 0 and time.monotonic() > deadline:
             timed_out = True
             break
-        move = sample_fn(state, rng)
+        move = walk.propose(rng)
         if move is None:
             break
-        cand = apply_fn(state, move)
-        val = obj_fn(cand)
+        val = walk.score(move)
         evals = it
         delta = val - cur_val
         if it <= _T0_PROBE:
@@ -840,10 +854,11 @@ def _anneal(state, obj_fn, sample_fn, apply_fn, rng, max_iters, deadline):
                 temp = _start_temp(probe)
             continue
         if delta > 0 or rng.random() < math.exp(delta / temp):
-            state, cur_val = cand, val
-        if cur_val > best_val:
-            best_state, best_val = state, cur_val
-            trace.append((it, best_val))
+            walk.accept()
+            cur_val = val
+            if cur_val > best_val:
+                best_state, best_val = walk.state(), cur_val
+                trace.append((it, best_val))
         temp *= _ANNEAL_DECAY
     return best_state, best_val, trace, evals, timed_out
 
@@ -914,8 +929,8 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, rng, deadl
         return _hillclimb(cells, obj.value, lambda st: _catalogue(st, v), _swap, rng,
                           cfg.max_iters, deadline, obj.screen)
     if cfg.strategy == "anneal":
-        walk = _SwapWalk(obj, cfg.objective == "e_aug")
-        return _anneal(cells, walk.value, walk.sample, walk.apply, rng, cfg.max_iters, deadline)
+        return _anneal(_SwapWalk(obj, cells, cfg.objective == "e_aug"), rng, cfg.max_iters,
+                       deadline)
     return _tabu(cells, obj, rng, cfg.max_iters, deadline)
 
 
@@ -984,32 +999,46 @@ def _direct_apply(check_rows: np.ndarray, move: _DirectMove) -> np.ndarray:
     return out
 
 
-def _direct_sample(check_rows: np.ndarray, rng, v: int, s: int, k: int) -> _DirectMove | None:
-    for _ in range(64):
-        j = int(rng.integers(s))
-        if k >= 2 and rng.random() < 0.25:
-            i1, i2 = rng.choice(k, size=2, replace=False)
-            return _DirectMove("exchange", j, int(min(i1, i2)), int(max(i1, i2)))
-        i = int(rng.integers(k))
-        occupied = set(int(x) for x in check_rows[:, j])
-        free = [row for row in range(v) if row not in occupied]
-        if free:
-            return _DirectMove("relocate", j, i, free[int(rng.integers(len(free)))])
-    return None
+class _DirectWalk:
+    """The direct search's anneal walk over check rows, in the protocol of ``_anneal``."""
+
+    def __init__(self, check_rows: np.ndarray, v: int, s: int, k: int):
+        self.rows, self.dims = check_rows, (v, s, k)
+        self.val = _direct_objective(check_rows, v, s, k)
+
+    def propose(self, rng) -> _DirectMove | None:
+        v, s, k = self.dims
+        for _ in range(64):
+            j = int(rng.integers(s))
+            if k >= 2 and rng.random() < 0.25:
+                i1, i2 = rng.choice(k, size=2, replace=False)
+                return _DirectMove("exchange", j, int(min(i1, i2)), int(max(i1, i2)))
+            i = int(rng.integers(k))
+            occupied = set(int(x) for x in self.rows[:, j])
+            free = [row for row in range(v) if row not in occupied]
+            if free:
+                return _DirectMove("relocate", j, i, free[int(rng.integers(len(free)))])
+        return None
+
+    def score(self, move: _DirectMove) -> float:
+        self.cand = _direct_apply(self.rows, move)
+        return _direct_objective(self.cand, *self.dims)
+
+    def accept(self) -> None:
+        self.rows = self.cand
+
+    def state(self) -> np.ndarray:
+        return self.rows  # accept() replaces it, never changes it
 
 
 def _direct_restart(v, s, k, cfg: SearchConfig, rng, deadline):
     check_rows = np.empty((k, s), dtype=np.int64)
     for j in range(s):
         check_rows[:, j] = rng.choice(v, size=k, replace=False)
-
-    def obj(state):
-        return _direct_objective(state, v, s, k)
-
     if cfg.strategy == "anneal":
-        return _anneal(check_rows, obj, lambda st, g: _direct_sample(st, g, v, s, k),
-                       _direct_apply, rng, cfg.max_iters, deadline)
-    return _hillclimb(check_rows, obj, lambda st: _direct_catalogue(st, v, s, k), _direct_apply,
+        return _anneal(_DirectWalk(check_rows, v, s, k), rng, cfg.max_iters, deadline)
+    return _hillclimb(check_rows, lambda st: _direct_objective(st, v, s, k),
+                      lambda st: _direct_catalogue(st, v, s, k), _direct_apply,
                       rng, cfg.max_iters, deadline)
 
 

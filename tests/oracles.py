@@ -5,7 +5,8 @@ the code under test: pairwise variances go through the Moore-Penrose inverse
 (SVD) instead of an eigendecomposition, concurrences are counted by explicit
 enumeration instead of a matrix product, and small search spaces are
 enumerated outright, the move catalogue is walked with plain loops, the
-anneal's move sampler checks labels by scanning rows and columns, the
+anneal's move sampler checks labels by scanning rows and columns, repeated
+labels are counted line by line instead of found by one sort, the
 augmented array is filled cell by cell, and ``c_bar_s`` comes from a centred
 Schur complement instead of the lifted joint matrix.  The information-matrix
 kernels add the replication vector on the diagonal; the dense-diagonal forms
@@ -108,6 +109,17 @@ def info_matrix_augmented_by_cells(a: AugmentedDesign) -> np.ndarray:
     u = a.u
     return (np.diag(u) - (m_r @ m_r.T) / a.s - (m_c @ m_c.T) / a.v
             + np.outer(u, u) / (a.v * a.s))
+
+
+def repeats_by_unique(lines, line: str, other: str) -> list[str]:
+    """The "non-binary" violations of ``designs._repeats``, counted line by line with ``np.unique``."""
+    violations = []
+    for n, values in enumerate(lines):
+        labels, counts = np.unique(values, return_counts=True)
+        for lab, cnt in zip(labels[counts > 1], counts[counts > 1]):
+            where = ", ".join(str(p + 1) for p in np.nonzero(values == lab)[0])
+            violations.append(f"{line} {n + 1} non-binary: label {lab} occurs {cnt} times ({other} {where})")
+    return violations
 
 
 def augmented_cells_by_loops(check_rows, v: int) -> np.ndarray:

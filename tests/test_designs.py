@@ -16,11 +16,11 @@ from arcdesign import (
     validate_augmented,
     validate_contraction,
 )
-from arcdesign.designs import _require_feasible
+from arcdesign.designs import _repeats, _require_feasible
 from arcdesign.errors import InfeasibleParametersError, InvalidDesignError, ParseError
 from arcdesign.reference import load_reference_design
 
-from oracles import concurrence_by_enumeration
+from oracles import concurrence_by_enumeration, repeats_by_unique
 
 
 class TestValidateContraction:
@@ -59,6 +59,19 @@ class TestValidateContraction:
             "row 3 non-binary: label 4 occurs 2 times (columns 2, 4)",
             "replication spread exceeds 1 (min 2, max 4)",
         )
+
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 12)), top=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_repeats_match_the_line_by_line_oracle(self, shape, top, seed):
+        rng = np.random.default_rng(seed)
+        # labels drawn with replacement repeat often when top is small; rows
+        # of distinct labels (where there are enough) repeat nowhere
+        for lines in (rng.integers(1, top + 1, size=shape),
+                      np.array([rng.permutation(max(top, shape[1]))[: shape[1]] + 1
+                                for _ in range(shape[0])])):
+            for view in (lines, lines.T):
+                assert _repeats(view, "row", "columns") == repeats_by_unique(view, "row", "columns")
 
     def test_v_smaller_than_s_is_reported(self):
         c = ContractionDesign(

@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
+import math
 import re
 import time
 import warnings
@@ -9,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arcdesign import (
@@ -29,6 +31,7 @@ from arcdesign import (
 )
 from arcdesign import search
 from arcdesign.designs import _incidence_arrays
+from arcdesign.efficiency import _lifted_joint
 from arcdesign.errors import (
     ConfigError,
     ConstructionError,
@@ -404,21 +407,20 @@ class TestTabu:
 
 
 class TestAnneal:
-    def _run(self, max_iters, sampler=lambda walk: walk.sample, deadline=None,
-             value=lambda walk: walk.value):
+    def _run(self, max_iters, propose=lambda walk: walk.propose, deadline=None,
+             score=lambda walk: walk.score):
         c = random_contraction(12, 8, 3, seed=0)
-        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
-        walk = _SwapWalk(obj, False)
+        walk = _SwapWalk(_ContractionObjective(c.v, c.s, c.k, c.r), c.cells, False)
         calls = []
-        value_fn = value(walk)
+        propose_fn, score_fn = propose(walk), score(walk)
 
-        def counted(cells):
+        def counted(move):
             calls.append(1)
-            return value_fn(cells)
+            return score_fn(move)
 
-        out = _anneal(c.cells, counted, sampler(walk), walk.apply, np.random.default_rng(0),
-                      max_iters, deadline)
-        return out[3], len(calls) - 1  # the starting state is not a move evaluation
+        walk.propose, walk.score = propose_fn, counted
+        out = _anneal(walk, np.random.default_rng(0), max_iters, deadline)
+        return out[3], len(calls)  # the starting state's value is not a move evaluation
 
     def test_full_budget_counts_every_evaluation(self):
         assert self._run(50) == (50, 50)
@@ -427,10 +429,11 @@ class TestAnneal:
     def _giving_up_after(draws):
         budget = iter(range(draws))
 
-        def sampler(walk):
-            return lambda x, g: walk.sample(x, g) if next(budget, None) is not None else None
+        def propose(walk):
+            draw = walk.propose
+            return lambda g: draw(g) if next(budget, None) is not None else None
 
-        return sampler
+        return propose
 
     def test_exhausted_sampler_stops_the_count(self):
         # the sampler gives up inside the probe
@@ -448,10 +451,20 @@ class TestAnneal:
     def test_all_ties_probe_gives_a_finite_positive_temperature(self):
         t0 = search._start_temp([0.0] * search._T0_PROBE)
         assert 0.0 < t0 < 1e-6
+
+        def constant(walk):
+            walk.val, score = 0.5, walk.score  # the start state ties too
+
+            def tied(move):
+                score(move)  # the walk still scores the move, so that accept() can commit it
+                return 0.5
+
+            return tied
+
         # a constant objective ties every move, in the probe and after it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert self._run(200, value=lambda walk: lambda cells: 0.5) == (200, 200)
+            assert self._run(200, score=constant) == (200, 200)
 
     @pytest.mark.parametrize("moved", [[3e-4, 1e-4, 2e-4], [4e-4, 1e-4, 3e-4, 0.1e-4]])
     def test_start_temperature_ignores_ties(self, moved):
@@ -468,19 +481,20 @@ def _move_kind(move):
     return "within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose"
 
 
-def _walk_anneal(c, objective, seed, iters, t0=None, value=None, sample=None):
-    """A seeded contraction anneal on a fresh walk; hooks wrap its value and sampler.
+def _walk_anneal(c, objective, seed, iters, t0=None, **hooks):
+    """A seeded contraction anneal on a fresh walk; hooks wrap its methods.
 
+    A hook ``name=fn`` replaces the walk's method ``name`` by
+    ``fn(walk, method, *args)``, where ``method`` is the one it replaces.
     A given ``t0`` replaces the start temperature the probe would set.
     """
-    walk = _SwapWalk(_ContractionObjective(c.v, c.s, c.k, c.r), objective == "e_aug")
-    value_fn = walk.value if value is None else (lambda x: value(walk, x))
-    sample_fn = walk.sample if sample is None else (lambda x, g: sample(walk, x, g))
+    walk = _SwapWalk(_ContractionObjective(c.v, c.s, c.k, c.r), c.cells, objective == "e_aug")
+    for name, hook in hooks.items():
+        setattr(walk, name, functools.partial(hook, walk, getattr(walk, name)))
     fixed = (contextlib.nullcontext() if t0 is None else
              mock.patch.object(search, "_start_temp", lambda probe: t0))
     with fixed:
-        return _anneal(c.cells, value_fn, sample_fn, walk.apply, np.random.default_rng(seed),
-                       iters, None)
+        return _anneal(walk, np.random.default_rng(seed), iters, None)
 
 
 def _closed_form_e_aug(c):
@@ -493,6 +507,11 @@ def _closed_form_e_aug(c):
                              c_bar_s_by_centring(c))
     except DisconnectedDesignError:
         return 0.0
+
+
+def _lifted(c, cells):
+    """``B~`` of ``cells``, the anneal's lifted joint matrix."""
+    return _lifted_joint(*_incidence_arrays(cells, c.v), c.r.astype(float), c.k)
 
 
 class TestSwapWalk:
@@ -511,19 +530,26 @@ class TestSwapWalk:
     @settings(max_examples=30, deadline=None)
     def test_incremental_value_matches_exact(self, size, seed, t0):
         c = random_contraction(*size, seed=seed)
-        states = []
+        states = []  # the start state, then the state each candidate is scored from
 
-        def checked(walk, cells):
-            val = walk.value(cells)
+        def check(val, cells):
             exact = _closed_form_e_aug(ContractionDesign(v=c.v, cells=cells, r=c.r))
             assert val == 0.0 if exact == 0.0 else abs(val - exact) <= 1e-10
-            states.append(walk.cells)  # the state each candidate is scored from
+
+        def checked(walk, score, move):
+            if not states:
+                states.append(walk.state())
+                check(walk.val, states[0])
+            states.append(walk.state())
+            val = score(move)
+            check(val, _swap(states[-1], move))
             return val
 
-        state, *rest = _walk_anneal(c, "e_aug", seed, 300, t0, checked)
+        state, *rest = _walk_anneal(c, "e_aug", seed, 300, t0, score=checked)
         assert len(states) == 301
         if t0 is not None:
-            assert sum(a is not b for a, b in zip(states, states[1:])) > search._REBUILD_EVERY
+            assert sum(not np.array_equal(a, b) for a, b in zip(states, states[1:])) > (
+                search._REBUILD_EVERY)
         again, *rest_again = _walk_anneal(c, "e_aug", seed, 300, t0)
         assert state.tobytes() == again.tobytes()
         assert repr(rest) == repr(rest_again)
@@ -533,16 +559,16 @@ class TestSwapWalk:
         """Candidates of a t0 = 1 walk scored exactly, by the rule that sent them there."""
         paths = {"disconnected": 0, "state": 0, "candidate": 0}
 
-        def classified(walk, cells):
-            scored = cells is walk.cand and cells is not walk.cells
-            by_state = scored and walk.m is None
-            val = walk.value(cells)
+        def classified(walk, score, move):
+            by_state = walk.m is None
+            val = score(move)
             paths["disconnected"] += val == 0.0
             paths["state"] += by_state
-            paths["candidate"] += scored and not by_state and walk.pending is None and val > 0
+            paths["candidate"] += not by_state and walk.pending is None and val > 0
             return val
 
-        _walk_anneal(random_contraction(*size, seed=seed), "e_aug", seed, 300, 1.0, classified)
+        _walk_anneal(random_contraction(*size, seed=seed), "e_aug", seed, 300, 1.0,
+                     score=classified)
         return paths
 
     def test_disconnected_examples_are_not_vacuous(self):
@@ -559,32 +585,87 @@ class TestSwapWalk:
         c = random_contraction(24, 16, 5, seed=3)
         accepted, rebuilds = [], []
 
-        def sampler(walk, cells, rng):
-            accepted.append(cells is walk.cand)
+        def counted(walk, commit):
+            accepted.append(True)
             with mock.patch.object(walk, "_rebuild", wraps=walk._rebuild) as rebuild:
-                move = walk.sample(cells, rng)
+                commit()
             rebuilds.append(rebuild.call_count)
-            return move
 
-        _walk_anneal(c, "e_aug", 3, 300, 0.05, sample=sampler)
+        _walk_anneal(c, "e_aug", 3, 300, 0.05, accept=counted)
         assert sum(accepted) > 2 * search._REBUILD_EVERY
         assert sum(rebuilds) == sum(accepted) // search._REBUILD_EVERY
 
     def test_calibrated_anneal_is_not_a_random_walk(self):
-        # Each sample call sees whether the candidate before it was accepted.
+        # Each propose call sees whether the candidate before it was accepted.
         # With a start temperature far above the move scale, 0.99 of these
         # candidates were accepted.
         c = random_contraction(24, 16, 5, seed=3)
-        accepted = []
+        accepted, last = [], {"accepted": False}
 
-        def sampler(walk, cells, rng):
-            accepted.append(cells is walk.cand)
-            return walk.sample(cells, rng)
+        def propose(walk, draw, rng):
+            accepted.append(last["accepted"])
+            last["accepted"] = False
+            return draw(rng)
+
+        def accept(walk, commit):
+            last["accepted"] = True
+            commit()
 
         probe = search._T0_PROBE
-        _walk_anneal(c, "e_aug", 3, probe + 201, sample=sampler)
+        _walk_anneal(c, "e_aug", 3, probe + 201, propose=propose, accept=accept)
         assert not any(accepted[: probe + 1])  # the probe does not move
         assert 0 < sum(accepted[probe + 1: probe + 201]) < 100
+
+    @given(size=st.sampled_from(_WALK_SIZES), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_cheap_bound_is_never_below_the_exact_norm(self, size, seed, steps):
+        # |M'|_F <= |M|_F + sqrt(tr(T^2)) for the candidates of a random state;
+        # the state's |M|_F^2, kept by updates since its last rebuild, stays exact
+        c = random_contraction(*size, seed=seed)
+        walk = _SwapWalk(_ContractionObjective(c.v, c.s, c.k, c.r), c.cells, True)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            move = walk.propose(rng)
+            if move is None:
+                break
+            walk.score(move)
+            walk.accept()
+        assume(walk.m is not None)
+        state = walk.state()
+        w = np.linalg.eigvalsh(_lifted(c, state))
+        assert walk.norm2 == pytest.approx(float(np.sum(w**-2.0)), rel=1e-9)
+        for _ in range(20):
+            move = walk.propose(rng)
+            if move is None:
+                break
+            walk.bound = None
+            walk.score(move)
+            if walk.bound is None:  # a small capacitance determinant: scored exactly
+                continue
+            w = np.linalg.eigvalsh(_lifted(c, _swap(state, move)))
+            assert walk.bound >= math.sqrt(float(np.sum(w**-2.0)))
+
+    @pytest.mark.parametrize("size, seed", [((10, 6, 3), 40), ((10, 6, 3), 361),
+                                            ((10, 6, 3), 0), ((8, 6, 3), 5), ((12, 8, 3), 2)])
+    def test_cholesky_decides_as_the_smallest_eigenvalue(self, size, seed):
+        # a fresh walk on each state a t0 = 1 walk scores from keeps M exactly
+        # when the smallest eigenvalue of B~ is at least _WALK_MIN_EIG
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        kept = []
+
+        def check(walk, draw, rng):
+            state = walk.state()
+            fresh = _SwapWalk(obj, state, True)
+            low = np.linalg.eigvalsh(_lifted(c, state))[0] < search._WALK_MIN_EIG
+            assert (fresh.m is None) == low
+            kept.append(fresh.m is not None)
+            return draw(rng)
+
+        _walk_anneal(c, "e_aug", seed, 300, 1.0, propose=check)
+        if seed in (40, 361):  # both outcomes occur
+            assert 0 < sum(kept) < len(kept)
 
 
 class TestSampler:
@@ -595,18 +676,19 @@ class TestSampler:
         c = random_contraction(*size, seed=seed)
         kinds = set()
         draws = []  # the oracle's pairs, drawn and popped as the walk's are
+        states = [c.cells]  # the walk's state, kept by swapping each accepted move
 
-        def sampler(walk, cells, rng):
-            if walk.cand is not None and cells is walk.cand:
-                kinds.add(_move_kind(walk.move))
+        def propose(walk, draw, rng):
+            cells = states[-1]
             twin = np.random.default_rng()
             twin.bit_generator.state = rng.bit_generator.state
-            move = walk.sample(cells, rng)
+            move = draw(rng)
             assert move == sample_move_by_scans(cells, twin, draws)
             assert rng.bit_generator.state == twin.bit_generator.state
             assert walk.draws == draws
             # the tables the walk keeps up to date are the state's labels, rows and columns
             rows = cells.tolist()
+            assert np.array_equal(walk.state(), cells)
             assert walk.labels == [lab for row in rows for lab in row]
             assert walk.rows == [set(row) for row in rows]
             assert walk.cols == [set(col) for col in cells.T.tolist()]
@@ -615,7 +697,13 @@ class TestSampler:
                 assert np.array_equal(walk.xr, n_r.T * (walk.dv / c.s))
             return move
 
-        _walk_anneal(c, objective, seed, search._T0_PROBE + 200, 0.05, sample=sampler)
+        def accept(walk, commit):
+            kinds.add(_move_kind(walk.move))
+            states.append(_swap(states[-1], walk.move))
+            commit()
+
+        _walk_anneal(c, objective, seed, search._T0_PROBE + 200, 0.05, propose=propose,
+                     accept=accept)
         # where every row holds every label, only within-row swaps exist
         assert kinds == ({"within_row"} if c.s == c.v else
                          {"within_row", "within_column", "transpose"})
@@ -628,9 +716,10 @@ class TestSampler:
         assert sorted(pairs) == list(itertools.combinations(cells, 2))
 
     def test_latin_square_sampler_gives_up(self, latin3):
-        walk = _SwapWalk(_ContractionObjective(latin3.v, latin3.s, latin3.k, latin3.r), False)
+        walk = _SwapWalk(_ContractionObjective(latin3.v, latin3.s, latin3.k, latin3.r),
+                         latin3.cells, False)
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        assert walk.sample(latin3.cells, rng) is None
+        assert walk.propose(rng) is None
         assert sample_move_by_scans(latin3.cells, twin, []) is None
         assert rng.bit_generator.state == twin.bit_generator.state
 
