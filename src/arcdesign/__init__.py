@@ -52,7 +52,6 @@ from .search import (
     SearchResult,
     neighbor_moves,
     random_contraction,
-    search_augmented_direct,
     search_contraction,
 )
 from .spectra import Spectrum, cefs_from_info, eig_symmetric, harmonic_mean_nontrivial
@@ -106,7 +105,6 @@ __all__ = [
     "plan_fixed_grid",
     "random_contraction",
     "read_design",
-    "search_augmented_direct",
     "search_contraction",
     "validate_augmented",
     "validate_contraction",

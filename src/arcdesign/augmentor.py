@@ -6,32 +6,38 @@ Rows of the contraction index the checks; its labels index the augmented
 rows.  The remaining cells take test lines 1..(v-k)s in column-major order,
 top to bottom within each column -- the one free choice in the rule, fixed so
 output is deterministic.
+
+The rule makes the expansion of a valid contraction valid by construction,
+so ``augment`` returns its output marked valid.  The inverse rule lives in
+``designs``, where ``validate_augmented`` also reads an augmented design's
+contraction back by it: an augmented design is valid exactly when it is the
+image of a valid contraction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .designs import AugmentedDesign, ContractionDesign, _require_valid
+from .designs import (
+    AugmentedDesign,
+    ContractionDesign,
+    _generating_contraction,
+    _mark_valid,
+    _require_valid,
+)
 
 
 def augment(c: ContractionDesign) -> AugmentedDesign:
     """Expand a valid contraction into its v x s augmented design."""
     _require_valid(c)
-    return AugmentedDesign(k=c.k, cells=_augmented_cells(c.cells - 1, c.v))
-
-
-def _augmented_cells(check_rows: np.ndarray, v: int) -> np.ndarray:
-    """The v x s placement-rule array with check i of column j in row ``check_rows[i, j]``.
-
-    Rows are 0-based and must be distinct within each column.
-    """
-    k, s = check_rows.shape
-    n_test = (v - k) * s
-    cells = np.zeros((v, s), dtype=np.int64)
-    cells[check_rows, np.arange(s)] = n_test + 1 + np.arange(k)[:, None]
+    k, s = c.k, c.s
+    n_test = (c.v - k) * s
+    cells = np.zeros((c.v, s), dtype=np.int64)
+    cells[c.cells - 1, np.arange(s)] = n_test + 1 + np.arange(k)[:, None]
     cells.T[cells.T == 0] = np.arange(1, n_test + 1)  # column by column, top to bottom
-    return cells
+    a = AugmentedDesign(k=k, cells=cells)
+    _mark_valid(a)
+    return a
 
 
 def extract_contraction(a: AugmentedDesign) -> ContractionDesign:
@@ -42,8 +48,4 @@ def extract_contraction(a: AugmentedDesign) -> ContractionDesign:
     unless ``a`` is valid, since only then does a generating contraction exist.
     """
     _require_valid(a)
-    is_check = a.cells > a.n_test_lines
-    rows, cols = np.nonzero(is_check)
-    cells = np.zeros((a.k, a.s), dtype=np.int64)
-    cells[a.cells[is_check] - a.n_test_lines - 1, cols] = rows + 1
-    return ContractionDesign.from_cells(cells, v=a.v)
+    return _generating_contraction(a)

@@ -58,13 +58,6 @@ def _size_violations(v: int, s: int, k: int) -> list[str]:
     return violations
 
 
-def _require_feasible(v: int, s: int, k: int) -> None:
-    """Raise ``InfeasibleParametersError`` unless (v, s, k) admits a contraction by size."""
-    violations = _size_violations(v, s, k)
-    if violations:
-        raise InfeasibleParametersError("; ".join(violations))
-
-
 def _frozen_int_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.int64, copy=True)
     arr.setflags(write=False)
@@ -269,40 +262,54 @@ def _repeats(lines: np.ndarray, line: str, other: str) -> list[str]:
 
 
 def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
-    """Check the structural invariants of an augmented design.
+    """Check that an augmented design is the image of a valid contraction.
 
-    It needs two rows or more (one row leaves v* = 1 label, no contrast).
     Each check label must occur exactly once per column and each test line
-    exactly once overall.  When the generating contraction's replication
-    vector ``r`` is supplied, per-row check counts are verified against it.
+    exactly once overall.  Once both hold, the contraction is read off ``a``
+    by the inverse placement rule, with replication vector ``r`` if given and
+    otherwise its label counts, and its ``validate_contraction`` violations
+    are returned, each prefixed ``generating contraction: ``.  That covers
+    row repeats, the size rule and the replication spread.
     """
     s, k = a.s, a.k
     cells = a.cells
     n_test = a.n_test_lines
-    violations = [f"needs at least 2 rows (v={a.v})"] if a.v < 2 else []
     outside = _labels_outside(cells, a.v_star)
     if outside:
-        return ValidationReport(tuple(violations + outside))
+        return ValidationReport(tuple(outside))
 
     # [j, c]: how often check n_test + c + 1 occurs in column j
     is_check = cells > n_test
     per_column = np.bincount(
         (np.nonzero(is_check)[1] * k + cells[is_check] - n_test - 1), minlength=s * k
     ).reshape(s, k)
-    violations += [f"column {j + 1} has check {n_test + c + 1} {per_column[j, c]} times (expected once)"
-                   for j, c in zip(*np.nonzero(per_column != 1))]
+    violations = [f"column {j + 1} has check {n_test + c + 1} {per_column[j, c]} times (expected once)"
+                  for j, c in zip(*np.nonzero(per_column != 1))]
 
     counts = np.bincount(cells.ravel(), minlength=a.v_star + 1)[1 : n_test + 1]
     violations += [f"test line {t + 1} occurs {counts[t]} times (expected once)"
                    for t in np.flatnonzero(counts != 1)]
+    if violations:
+        return ValidationReport(tuple(violations))
 
-    if r is not None:
-        r = np.asarray(r, dtype=np.int64)
-        row_counts = is_check.sum(axis=1)
-        violations += [f"row {h + 1} holds {row_counts[h]} checks, expected {r[h]}"
-                       for h in np.flatnonzero(row_counts != r)]
+    return ValidationReport(tuple(f"generating contraction: {message}" for message in
+                                  validate_contraction(_generating_contraction(a, r)).violations))
 
-    return ValidationReport(tuple(violations))
+
+def _generating_contraction(a: AugmentedDesign, r=None) -> ContractionDesign:
+    """The contraction that the placement rule expands into ``a``, read back.
+
+    The row holding check ``(v-k)s + i`` in column j becomes contraction cell
+    (i, j), so ``a`` must hold each check once per column.  The replication
+    vector is ``r`` if given, else the label counts.
+    """
+    is_check = a.cells > a.n_test_lines
+    rows, cols = np.nonzero(is_check)
+    cells = np.zeros((a.k, a.s), dtype=np.int64)
+    cells[a.cells[is_check] - a.n_test_lines - 1, cols] = rows + 1
+    if r is None:
+        return ContractionDesign.from_cells(cells, v=a.v)
+    return ContractionDesign(v=a.v, cells=cells, r=r)
 
 
 def _require_valid(design: ContractionDesign | AugmentedDesign) -> None:
@@ -317,6 +324,11 @@ def _require_valid(design: ContractionDesign | AugmentedDesign) -> None:
         validate_contraction(design).raise_if_invalid("contraction")
     else:
         validate_augmented(design).raise_if_invalid("augmented design")
+    _mark_valid(design)
+
+
+def _mark_valid(design: ContractionDesign | AugmentedDesign) -> None:
+    """Record that ``design`` is valid, so ``_require_valid`` passes it without a check."""
     object.__setattr__(design, "_valid", True)
 
 
@@ -332,7 +344,8 @@ def incidence(c: ContractionDesign) -> IncidenceSet:
 
 
 def _incidence_arrays(cells: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-    # Assumes a binary array; shared with the search hot path.
+    # Assumes a binary array, of either design kind (for an augmented design v is v*);
+    # shared with the search hot path.
     k, s = cells.shape
     labels = cells - 1
     n_r = np.zeros((v, k))
@@ -350,7 +363,9 @@ def balanced_replication(v: int, k: int, s: int) -> np.ndarray:
     canonical form: which labels carry the extra replicate is immaterial to
     any efficiency quantity, and the search permutes cell contents anyway.
     """
-    _require_feasible(v, s, k)
+    violations = _size_violations(v, s, k)
+    if violations:
+        raise InfeasibleParametersError("; ".join(violations))
     base, extra = divmod(k * s, v)
     r = np.full(v, base, dtype=np.int64)
     r[:extra] += 1

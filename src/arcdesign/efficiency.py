@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentor import augment
-from .designs import AugmentedDesign, ContractionDesign, _require_valid, incidence
+from .designs import AugmentedDesign, ContractionDesign, _incidence_arrays, _require_valid, incidence
 from .errors import DisconnectedDesignError
 from .spectra import (
     Spectrum,
@@ -187,15 +187,12 @@ def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
 
     ``diag(u) - (1/s) M_R M_R' - (1/v) M_C M_C' + (1/n) u u'`` where the
     replication-products term carries the 1/n factor required for zero row
-    sums.  ``M_R``/``M_C`` count treatment occurrences per row/column.
+    sums.  ``M_R``/``M_C`` are the treatment-by-row/column incidences.
     """
     _require_valid(a)
-    labels, u = a.cells - 1, a.u
-    m_r = np.zeros((a.v_star, a.v))
-    m_c = np.zeros((a.v_star, a.s))
-    np.add.at(m_r, (labels, np.arange(a.v)[:, None]), 1.0)
-    np.add.at(m_c, (labels, np.arange(a.s)), 1.0)
-    return _info_matrix(m_r, m_c, u, np.outer(u, u) / labels.size)
+    u = a.u
+    m_r, m_c = _incidence_arrays(a.cells, a.v_star)  # 0/1: a valid design is row- and column-binary
+    return _info_matrix(m_r, m_c, u, np.outer(u, u) / a.cells.size)
 
 
 def augmented_cefs(a: AugmentedDesign) -> Spectrum:

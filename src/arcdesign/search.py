@@ -51,10 +51,9 @@ ones to about 1e-12, so a seeded anneal only leaves the exact path where a
 candidate ties the current value exactly and rounding decides whether a
 random number is drawn.
 
-A direct search over the full augmented array is included as a baseline
-comparator; it moves check plots within columns and scores candidates with
-the O((vs)^3) direct efficiency computation, which is exactly the cost the
-contraction route avoids.
+The search walks contractions only.  Every augmented design comes from one
+by the placement rule, and its ``e_aug`` follows in closed form, so no
+search scores the full v* x v* eigenproblem.
 """
 
 from __future__ import annotations
@@ -71,17 +70,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .augmentor import _augmented_cells
-from .designs import (
-    AugmentedDesign,
-    ContractionDesign,
-    _incidence_arrays,
-    _require_feasible,
-    _require_valid,
-    balanced_replication,
-)
-from .efficiency import _info_matrix, _lifted_joint, e_aug_direct
-from .errors import ConfigError, ConstructionError, DisconnectedDesignError
+from .designs import ContractionDesign, _incidence_arrays, _require_valid, balanced_replication
+from .efficiency import _info_matrix, _lifted_joint
+from .errors import ConfigError, ConstructionError
 from .spectra import trivial_tolerance
 from .textio import format_design
 
@@ -166,13 +157,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best design found, with the improvement trace of its restart.
+    """Best contraction found, with the improvement trace of its restart."""
 
-    ``best`` is a contraction from ``search_contraction`` and an augmented
-    design from ``search_augmented_direct``.
-    """
-
-    best: ContractionDesign | AugmentedDesign
+    best: ContractionDesign
     objective: float
     trace: tuple[tuple[int, float], ...]
     elapsed: float
@@ -452,7 +439,7 @@ class _ContractionObjective:
         if a_w is not a_s:
             w = np.linalg.eigvalsh(a_s)
         if min(1.0, w[1]) < _SCREEN_MIN_EIG:
-            return _confirm_all(cells, moves)
+            return lambda idx: np.full(len(idx), np.inf)
         m = np.linalg.inv(a_s + self.null_term)
         v, s, k = self.v, self.s, self.k
         ks = k * s
@@ -706,12 +693,7 @@ def _draw_pairs(pairs: np.ndarray, rng) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# generic local-search drivers
-
-
-def _confirm_all(state, moves):
-    """A screen that rules nothing out: every candidate is evaluated exactly."""
-    return lambda idx: np.full(len(idx), np.inf)
+# local-search drivers
 
 
 def _margin(val: float) -> float:
@@ -719,17 +701,17 @@ def _margin(val: float) -> float:
     return 1e-9 * max(1.0, abs(val))
 
 
-def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
-               screen=_confirm_all):
-    """First-improvement hill climbing; stops at a local optimum or budget.
+def _hillclimb(cells, obj: _ContractionObjective, rng, max_iters, deadline):
+    """First-improvement hill climbing on ``e_con``; stops at a local optimum or budget.
 
     Candidates are tried in random order and screened in chunks of it whose
-    ends double from ``_FIRST_CHUNK``.  One whose ``screen`` score lies below
-    the current value by more than a rounding margin is passed over but
-    counted as evaluated; ``obj_fn`` confirms every other one, so trajectory,
-    trace and evaluation count match evaluating every candidate exactly.
+    ends double from ``_FIRST_CHUNK``.  One whose ``obj.screen`` score lies
+    below the current value by more than a rounding margin is passed over but
+    counted as evaluated; ``obj.value`` confirms every other one, so
+    trajectory, trace and evaluation count match evaluating every candidate
+    exactly.
     """
-    cur_val = obj_fn(state)
+    cur_val = obj.value(cells)
     trace = [(0, cur_val)]
     evals = 0
     timed_out = False
@@ -737,12 +719,12 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             break
-        moves = catalogue_fn(state)
+        moves = _catalogue(cells, obj.v)
         if len(moves) == 0:
             break
         order = rng.permutation(len(moves))[: max_iters - evals]
         floor = cur_val - _margin(cur_val)
-        score = screen(state, moves)
+        score = obj.screen(cells, moves)
         start, evals = evals, evals + len(order)
         improved = False
         lo, hi = 0, _FIRST_CHUNK
@@ -752,17 +734,17 @@ def _hillclimb(state, obj_fn, catalogue_fn, apply_fn, rng, max_iters, deadline,
                     timed_out = True
                     evals = start + pos
                     break
-                cand = apply_fn(state, moves[order[pos]])
-                val = obj_fn(cand)
+                cand = _swap(cells, moves[order[pos]])
+                val = obj.value(cand)
                 if val > cur_val:
-                    state, cur_val, evals = cand, val, start + pos + 1
+                    cells, cur_val, evals = cand, val, start + pos + 1
                     trace.append((evals, val))
                     improved = True
                     break
             lo, hi = hi, 2 * hi
         if not improved:
             break
-    return state, cur_val, trace, evals, timed_out
+    return cells, cur_val, trace, evals, timed_out
 
 
 def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
@@ -828,9 +810,8 @@ def _anneal(walk, rng, max_iters, deadline):
     they see (``_start_temp``).  They count in the budget and in the trace
     positions.  Each later iteration scores one move and draws
     ``rng.random()`` only when the difference is not positive; the
-    temperature then falls by ``_ANNEAL_DECAY``.  The contraction search
-    passes a ``_SwapWalk`` (see there for the cost and the fallback to exact
-    values) and the direct search a ``_DirectWalk``.
+    temperature then falls by ``_ANNEAL_DECAY``.  The walk is a
+    ``_SwapWalk``; see there for the cost and the fallback to exact values.
     """
     cur_val = walk.val
     best_state, best_val = walk.state(), cur_val
@@ -882,7 +863,7 @@ def _start_temp(probe: list[float]) -> float:
 # restarts and the contraction search
 
 
-def _run_restarts(cfg: SearchConfig, restart_fn, design_fn) -> SearchResult:
+def _run_restarts(cfg: SearchConfig, r: np.ndarray, restart_fn) -> SearchResult:
     """Run ``cfg.restarts`` restarts and keep the best as a ``SearchResult``.
 
     Restart i calls ``restart_fn(i, rng, deadline)`` with
@@ -891,8 +872,8 @@ def _run_restarts(cfg: SearchConfig, restart_fn, design_fn) -> SearchResult:
     serially or on ``cfg.workers`` threads and are reduced by (objective,
     restart index, lexicographic array), so both agree.  Either way no
     restart after the first starts once the deadline has passed; ``run``
-    returns None for a skipped one.  ``design_fn`` turns the best state into
-    the reported design.
+    returns None for a skipped one.  The best state is reported as a
+    contraction with replication vector ``r``.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -913,7 +894,7 @@ def _run_restarts(cfg: SearchConfig, restart_fn, design_fn) -> SearchResult:
     restart, state, val, trace, _, _ = min(
         outcomes, key=lambda o: (-o[2], o[0], tuple(o[1].ravel())))
     return SearchResult(
-        best=design_fn(state),
+        best=ContractionDesign(v=len(r), cells=state, r=r),
         objective=val,
         trace=tuple(trace),
         elapsed=time.monotonic() - start,
@@ -926,8 +907,7 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, rng, deadl
     cells = _fill(v, s, k, r, rng, f"restart {restart}: could not build a starting contraction")
     obj = _ContractionObjective(v, s, k, r)
     if cfg.strategy == "hillclimb":
-        return _hillclimb(cells, obj.value, lambda st: _catalogue(st, v), _swap, rng,
-                          cfg.max_iters, deadline, obj.screen)
+        return _hillclimb(cells, obj, rng, cfg.max_iters, deadline)
     if cfg.strategy == "anneal":
         return _anneal(_SwapWalk(obj, cells, cfg.objective == "e_aug"), rng, cfg.max_iters,
                        deadline)
@@ -944,116 +924,10 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
     """
     cfg = cfg or SearchConfig()
     r = balanced_replication(v, k, s)
-    result = _run_restarts(cfg, functools.partial(_contraction_restart, v, s, k, r, cfg),
-                           lambda cells: ContractionDesign(v=v, cells=cells, r=r))
+    result = _run_restarts(cfg, r, functools.partial(_contraction_restart, v, s, k, r, cfg))
     if result.objective == 0.0:
         budget = f"max_iters {cfg.max_iters}"
         if cfg.time_budget is not None:
             budget += f" and time_budget {cfg.time_budget:g}"
         raise ConfigError(f"{budget} left every restart at a disconnected design; raise the budget")
     return result
-
-
-# ---------------------------------------------------------------------------
-# direct augmented-array search (baseline comparator)
-
-
-class _DirectMove(NamedTuple):
-    kind: str  # "relocate" or "exchange"
-    column: int
-    i: int
-    target: int  # destination row (relocate) or second check index (exchange)
-
-
-def _direct_objective(check_rows: np.ndarray, v: int, s: int, k: int) -> float:
-    design = AugmentedDesign(k=k, cells=_augmented_cells(check_rows, v))
-    try:
-        return e_aug_direct(design)
-    except DisconnectedDesignError:
-        return 0.0
-
-
-def _direct_catalogue(check_rows: np.ndarray, v: int, s: int, k: int) -> list[_DirectMove]:
-    moves: list[_DirectMove] = []
-    for j in range(s):
-        occupied = set(int(x) for x in check_rows[:, j])
-        for i in range(k):
-            for row in range(v):
-                if row not in occupied:
-                    moves.append(_DirectMove("relocate", j, i, row))
-        for i1 in range(k - 1):
-            for i2 in range(i1 + 1, k):
-                moves.append(_DirectMove("exchange", j, i1, i2))
-    return moves
-
-
-def _direct_apply(check_rows: np.ndarray, move: _DirectMove) -> np.ndarray:
-    out = check_rows.copy()
-    if move.kind == "relocate":
-        out[move.i, move.column] = move.target
-    else:
-        out[move.i, move.column], out[move.target, move.column] = (
-            out[move.target, move.column],
-            out[move.i, move.column],
-        )
-    return out
-
-
-class _DirectWalk:
-    """The direct search's anneal walk over check rows, in the protocol of ``_anneal``."""
-
-    def __init__(self, check_rows: np.ndarray, v: int, s: int, k: int):
-        self.rows, self.dims = check_rows, (v, s, k)
-        self.val = _direct_objective(check_rows, v, s, k)
-
-    def propose(self, rng) -> _DirectMove | None:
-        v, s, k = self.dims
-        for _ in range(64):
-            j = int(rng.integers(s))
-            if k >= 2 and rng.random() < 0.25:
-                i1, i2 = rng.choice(k, size=2, replace=False)
-                return _DirectMove("exchange", j, int(min(i1, i2)), int(max(i1, i2)))
-            i = int(rng.integers(k))
-            occupied = set(int(x) for x in self.rows[:, j])
-            free = [row for row in range(v) if row not in occupied]
-            if free:
-                return _DirectMove("relocate", j, i, free[int(rng.integers(len(free)))])
-        return None
-
-    def score(self, move: _DirectMove) -> float:
-        self.cand = _direct_apply(self.rows, move)
-        return _direct_objective(self.cand, *self.dims)
-
-    def accept(self) -> None:
-        self.rows = self.cand
-
-    def state(self) -> np.ndarray:
-        return self.rows  # accept() replaces it, never changes it
-
-
-def _direct_restart(v, s, k, cfg: SearchConfig, rng, deadline):
-    check_rows = np.empty((k, s), dtype=np.int64)
-    for j in range(s):
-        check_rows[:, j] = rng.choice(v, size=k, replace=False)
-    if cfg.strategy == "anneal":
-        return _anneal(_DirectWalk(check_rows, v, s, k), rng, cfg.max_iters, deadline)
-    return _hillclimb(check_rows, lambda st: _direct_objective(st, v, s, k),
-                      lambda st: _direct_catalogue(st, v, s, k), _direct_apply,
-                      rng, cfg.max_iters, deadline)
-
-
-def search_augmented_direct(v: int, s: int, k: int, cfg: SearchConfig | None = None) -> SearchResult:
-    """Baseline search over check placements in the full v x s array.
-
-    Moves swap a check with a test-line plot or two checks within one column,
-    so every candidate keeps each check exactly once per column; rows are not
-    constrained.  The objective is the direct augmented-design efficiency,
-    evaluated by a full eigendecomposition per candidate; use small budgets.
-    """
-    cfg = cfg or SearchConfig()
-    if cfg.strategy == "tabu":
-        raise ConfigError("strategy 'tabu' walks contractions only; "
-                          "the direct search takes 'hillclimb' or 'anneal'")
-    _require_feasible(v, s, k)
-    return _run_restarts(cfg, lambda i, rng, deadline: _direct_restart(v, s, k, cfg, rng, deadline),
-                         lambda rows: AugmentedDesign(k=k, cells=_augmented_cells(rows, v)))

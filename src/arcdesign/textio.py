@@ -58,12 +58,10 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
             line=idx + 1,
         )
     kind, v, s, k = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
-    # Checked before anything is sized by v: a feasible header has v <= k*s,
-    # the number of cells the body must hold.
-    if kind == "contraction" and (violations := _size_violations(v, s, k)):
+    # Checked before anything is sized by the header: a feasible header has
+    # k <= v <= k*s, and an augmented design has the size of its contraction.
+    if violations := _size_violations(v, s, k):
         raise ParseError("header: " + "; ".join(violations), line=idx + 1)
-    if kind == "augmented" and not 1 <= k <= v:
-        raise ParseError(f"header k={k} out of range for a {v}-row array", line=idx + 1)
 
     rows: list[list[int]] = []
     for lineno in range(idx + 1, len(lines)):

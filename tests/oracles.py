@@ -7,10 +7,11 @@ enumeration instead of a matrix product, and small search spaces are
 enumerated outright, the move catalogue is walked with plain loops, the
 anneal's move sampler checks labels by scanning rows and columns, repeated
 labels are counted line by line instead of found by one sort, the
-augmented array is filled cell by cell, and ``c_bar_s`` comes from a centred
-Schur complement instead of the lifted joint matrix.  The information-matrix
-kernels add the replication vector on the diagonal; the dense-diagonal forms
-here build ``diag(r)`` as a matrix, and the two must agree bit for bit.
+augmented array is filled and read back cell by cell, and ``c_bar_s``
+comes from a centred Schur complement instead of the lifted joint matrix.
+The information-matrix kernels add the replication vector on the diagonal;
+the dense-diagonal forms here build ``diag(r)`` as a matrix, and the two
+must agree bit for bit.
 """
 
 import itertools
@@ -137,6 +138,38 @@ def augmented_cells_by_loops(check_rows, v: int) -> np.ndarray:
                 cells[row, j] = next_line
                 next_line += 1
     return cells
+
+
+def image_of_valid_contraction_by_loops(cells, k: int) -> bool:
+    """Whether a v x s array is the placement-rule image of a valid contraction.
+
+    Test lines may carry any labelling.  Walks the cells: the test lines must
+    be 1..(v-k)s once each and each check must sit once in each column; the
+    contraction read off the check rows must repeat no label in a row, keep
+    its replications within one of each other and leave df >= 0.
+    """
+    v, s = cells.shape
+    n_test = (v - k) * s
+    test_lines, check_rows = [], {}
+    for (row, j), label in np.ndenumerate(cells):
+        if label > n_test:
+            check_rows.setdefault((int(label), j), []).append(row)
+        else:
+            test_lines.append(int(label))
+    if sorted(test_lines) != list(range(1, n_test + 1)):
+        return False
+    checks = [(n_test + i + 1, j) for i in range(k) for j in range(s)]
+    if sorted(check_rows) != checks or any(len(check_rows[key]) != 1 for key in checks):
+        return False
+    replication = [0] * v
+    for i in range(k):
+        rows = [check_rows[(n_test + i + 1, j)][0] for j in range(s)]
+        if len(set(rows)) != s:
+            return False
+        for row in rows:
+            replication[row] += 1
+    df = k * s - 1 - (k - 1) - (s - 1) - (v - 1)
+    return max(replication) - min(replication) <= 1 and df >= 0 and s <= v
 
 
 def pairwise_variance_efficiency(info_matrix, u) -> float:

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from arcdesign import ConfigError, SearchConfig, full_report, read_design, search_contraction
+from arcdesign import (
+    AugmentedDesign,
+    ConfigError,
+    SearchConfig,
+    full_report,
+    read_design,
+    search_contraction,
+)
 from arcdesign import designs
 from arcdesign.cli import main
 from arcdesign.reference import REFERENCE_ROWS, load_reference_design
@@ -105,15 +112,34 @@ class TestEvaluateCommand:
         path.write_text("# augmented v=1 s=1 k=1\n1\n")
         result = runner.invoke(main, ["evaluate", str(path)])
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
-        assert result.output == f"error: {path}: invalid augmented design: needs at least 2 rows (v=1)\n"
+        assert result.output == (
+            f"error: {path}: header: needs at least 2 pseudo-treatments (v=1) (line 1)\n")
+
+    def test_check_repeated_in_a_row_exits_2_naming_it(self, runner, ex1_augmented, tmp_path):
+        cells = ex1_augmented.cells.copy()
+        cells[[2, 6], 0] = cells[[6, 2], 0]  # checks 73 and 75 trade rows in column 1
+        bad = tmp_path / "row-repeat.txt"
+        write_design(AugmentedDesign(k=3, cells=cells), bad)
+        result = runner.invoke(main, ["evaluate", str(bad)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: {bad}: invalid augmented design: generating contraction: "
+            "row 1 non-binary: label 7 occurs 2 times (columns 1, 2)\n")
+
+    def test_infeasible_augmented_header_exits_2(self, runner, tmp_path):
+        # check 5 twice in row 1, at a size no contraction has: the header is refused first
+        path = tmp_path / "row-repeat-4x2.txt"
+        path.write_text("# augmented v=4 s=2 k=2\n5,5\n6,1\n2,6\n3,4\n")
+        result = runner.invoke(main, ["evaluate", str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"error: {path}: header: (v=4, s=2, k=2) leaves -2 residual "
+                                 "degrees of freedom; need >= 0 (line 1)\n")
 
     def test_corrupted_file_exits_2_naming_column(self, runner, ex1_files, tmp_path):
         design = load_reference_design("augmented_12x8_k3")
         cells = design.cells.copy()
         cells[2, 0] = cells[6, 0]  # duplicate check 75 in column 1, drop 73
         bad = tmp_path / "bad.txt"
-        from arcdesign import AugmentedDesign
-
         write_design(AugmentedDesign(k=3, cells=cells), bad)
         result = runner.invoke(main, ["evaluate", str(bad)])
         assert result.exit_code == 2

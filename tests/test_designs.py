@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arcdesign import (
     AugmentedDesign,
     ContractionDesign,
     SearchConfig,
+    augment,
     balanced_replication,
+    e_aug_direct,
+    extract_contraction,
     feasibility_df,
     incidence,
     parse_design,
@@ -16,11 +19,15 @@ from arcdesign import (
     validate_augmented,
     validate_contraction,
 )
-from arcdesign.designs import _repeats, _require_feasible
+from arcdesign.designs import _repeats
 from arcdesign.errors import InfeasibleParametersError, InvalidDesignError, ParseError
 from arcdesign.reference import load_reference_design
 
-from oracles import concurrence_by_enumeration, repeats_by_unique
+from oracles import (
+    concurrence_by_enumeration,
+    image_of_valid_contraction_by_loops,
+    repeats_by_unique,
+)
 
 
 class TestValidateContraction:
@@ -94,11 +101,13 @@ class TestValidateContraction:
         assert any("spread" in v for v in report.violations)
 
 
-#: One size for each of three size rules, with the rule's message.
+#: One size for each size rule, with the rule's message.
 _BAD_SIZES = [
     ((1, 1, 1), "needs at least 2 pseudo-treatments (v=1)"),
     ((8, 12, 3), "needs at least as many pseudo-treatments as columns (v=8 < s=12)"),
     ((10, 3, 2), "(v=10, s=3, k=2) leaves -7 residual degrees of freedom; need >= 0"),
+    ((1, 1, 0), "v, k, s must all be positive"),
+    ((12, 8, 13), "k=13 checks cannot be column-distinct among v=12 labels"),
 ]
 
 
@@ -107,8 +116,9 @@ class TestSizeRule:
     """Every entry point refuses a bad (v, s, k) with the one size rule's message."""
 
     def test_require_feasible(self, dims, message):
+        v, s, k = dims
         with pytest.raises(InfeasibleParametersError) as raised:
-            _require_feasible(*dims)
+            balanced_replication(v, k, s)
         assert str(raised.value) == message
 
     def test_search_contraction(self, dims, message):
@@ -123,15 +133,26 @@ class TestSizeRule:
             parse_design(f"# contraction v={v} s={s} k={k}\n{body}\n")
         assert str(raised.value) == f"header: {message} (line 1)"
 
+    def test_parse_augmented_header(self, dims, message):
+        v, s, k = dims
+        body = "\n".join(",".join(["1"] * s) for _ in range(v))
+        with pytest.raises(ParseError) as raised:
+            parse_design(f"# augmented v={v} s={s} k={k}\n{body}\n")
+        assert str(raised.value) == f"header: {message} (line 1)"
+
     def test_validate_contraction_reports_it_first(self, dims, message):
         v, s, k = dims
         c = ContractionDesign.from_cells(np.ones((k, s), dtype=np.int64), v=v)
         assert validate_contraction(c).violations[0] == message
 
 
+#: Sizes for the property below; (3,3,2) has no test lines and (12,8,3) is the reference size.
+_AUGMENT_SIZES = [(3, 3, 2), (6, 4, 3), (10, 5, 4), (12, 8, 3), (15, 10, 3)]
+
+
 class TestValidateAugmented:
     def test_violation_messages_and_order(self, ex1_contraction):
-        # check counts by column then label, test lines by label, then rows
+        # check counts by column then label, then test lines by label
         cells = load_reference_design("augmented_12x8_k3").cells.copy()
         cells[2, 0] = cells[6, 0]  # check 75 twice in column 1, check 73 gone
         cells[0, 2] = 74  # check 74 twice in column 3, test line 19 gone
@@ -144,8 +165,66 @@ class TestValidateAugmented:
             "test line 5 occurs 2 times (expected once)",
             "test line 19 occurs 0 times (expected once)",
             "test line 45 occurs 0 times (expected once)",
-            "row 1 holds 3 checks, expected 2",
         )
+
+    def test_wrong_r_gets_the_replication_mismatches(self, ex1_augmented, ex1_contraction):
+        r = ex1_contraction.r.copy()
+        r[0], r[1] = 3, 1
+        assert validate_augmented(ex1_augmented, r=r).violations == (
+            "generating contraction: replication mismatch for label 1: r says 3, cells contain 2",
+            "generating contraction: replication mismatch for label 2: r says 1, cells contain 2",
+            "generating contraction: replication spread exceeds 1 (min 1, max 3)",
+        )
+
+    def test_check_repeated_in_a_row_is_rejected(self):
+        # check 5 twice in row 1: the generating contraction [[1, 1], [2, 3]] repeats label 1
+        a = AugmentedDesign(k=2, cells=[[5, 5], [6, 1], [2, 6], [3, 4]])
+        assert validate_augmented(a).violations == (
+            "generating contraction: (v=4, s=2, k=2) leaves -2 residual degrees of freedom; "
+            "need >= 0",
+            "generating contraction: row 1 non-binary: label 1 occurs 2 times (columns 1, 2)",
+            "generating contraction: replication spread exceeds 1 (min 0, max 2)",
+        )
+        for use in (extract_contraction, e_aug_direct):
+            with pytest.raises(InvalidDesignError, match="row 1 non-binary: label 1 occurs 2"):
+                use(a)
+
+    @given(size=st.sampled_from(_AUGMENT_SIZES), seed=st.integers(0, 2**32 - 1),
+           mutation=st.sampled_from(["none", "relabel", "held-row", "other-column", "any-swap"]))
+    @example(size=(12, 8, 3), seed=0, mutation="held-row")
+    @settings(max_examples=150, deadline=None)
+    def test_valid_exactly_when_the_image_of_a_valid_contraction(self, size, seed, mutation):
+        # Mutants of augment(c): test lines relabelled (still an image), a check
+        # moved within its column into a row that holds it in another column, a
+        # check swapped with a test line of another column, or any two cells swapped.
+        c = random_contraction(*size, seed=seed)
+        rng = np.random.default_rng(seed)
+        cells = augment(c).cells.copy()
+        v, s = cells.shape
+        n_test = cells.size - c.k * s
+        check = n_test + 1 + int(rng.integers(c.k))
+        j, other = rng.choice(s, size=2, replace=False)
+        row = int(np.flatnonzero(cells[:, j] == check)[0])
+        if mutation == "relabel":
+            tests = cells <= n_test
+            cells[tests] = rng.permutation(cells[tests])
+        elif mutation == "held-row":
+            target = int(np.flatnonzero(cells[:, other] == check)[0])
+            cells[[row, target], j] = cells[[target, row], j]
+        elif mutation == "other-column":
+            lines = np.flatnonzero(cells[:, other] <= n_test)
+            assume(len(lines) > 0)
+            target = int(rng.choice(lines))
+            cells[row, j], cells[target, other] = cells[target, other], cells[row, j]
+        elif mutation == "any-swap":
+            (r1, c1), (r2, c2) = rng.integers((v, s), size=(2, 2))
+            cells[r1, c1], cells[r2, c2] = cells[r2, c2], cells[r1, c1]
+        ok = validate_augmented(AugmentedDesign(k=c.k, cells=cells)).ok
+        assert ok == image_of_valid_contraction_by_loops(cells, c.k)
+        if mutation in ("none", "relabel"):
+            assert ok
+        elif mutation in ("held-row", "other-column"):
+            assert not ok
 
 
 class TestIncidence:

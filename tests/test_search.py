@@ -2,7 +2,6 @@ import contextlib
 import functools
 import hashlib
 import itertools
-import json
 import math
 import re
 import time
@@ -17,16 +16,14 @@ from hypothesis import strategies as st
 from arcdesign import (
     ContractionDesign,
     SearchConfig,
+    augment,
     c_bar_v,
     e_aug_direct,
     e_aug_formula,
     e_con,
     neighbor_moves,
-    parse_design,
     random_contraction,
-    search_augmented_direct,
     search_contraction,
-    validate_augmented,
     validate_contraction,
 )
 from arcdesign import search
@@ -291,11 +288,10 @@ class TestScreen:
     @settings(max_examples=40, deadline=None)
     def test_screened_hillclimb_equals_exhaustive(self, size, seed, max_iters):
         c = random_contraction(*size, seed=seed)
-        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
         runs = [
-            _hillclimb(c.cells, obj.value, lambda x: _catalogue(x, c.v), _swap,
-                       np.random.default_rng(seed), max_iters, None, *screen)
-            for screen in ((), (obj.screen,))
+            _hillclimb(c.cells, objective(c.v, c.s, c.k, c.r), np.random.default_rng(seed),
+                       max_iters, None)
+            for objective in (_UnscreenedObjective, _ContractionObjective)
         ]
         (state_a, *rest_a), (state_b, *rest_b) = runs
         assert np.array_equal(state_a, state_b)
@@ -315,12 +311,18 @@ class TestScreen:
             clock = itertools.count()
             with mock.patch.object(search, "_FIRST_CHUNK", first_chunk), \
                     mock.patch.object(search.time, "monotonic", lambda: float(next(clock))):
-                runs.append(_hillclimb(c.cells, obj.value, lambda x: _catalogue(x, c.v), _swap,
-                                       np.random.default_rng(seed), 20000, float(ticks),
-                                       obj.screen))
+                runs.append(_hillclimb(c.cells, obj, np.random.default_rng(seed), 20000,
+                                       float(ticks)))
         (state_a, *rest_a), (state_b, *rest_b) = runs
         assert np.array_equal(state_a, state_b)
         assert rest_a == rest_b
+
+
+class _UnscreenedObjective(_ContractionObjective):
+    """A screen that rules nothing out: every candidate is evaluated exactly."""
+
+    def screen(self, cells, moves):
+        return lambda idx: np.full(len(idx), np.inf)
 
 
 class TestTabu:
@@ -752,19 +754,6 @@ _GOLDEN = {
 }
 
 
-#: The direct search, in the layout of ``_GOLDEN``; recorded from its loop
-#: fill of the augmented array.  The objective and trace were recorded again
-#: when ``eig_symmetric`` became eigenvalues-only, which moved their last bits.
-_GOLDEN_DIRECT = {
-    "direct-hillclimb-12x8": ((12, 8, 3), dict(seed=0, restarts=2, max_iters=250), (
-        "e83f416148057691576b61f1f8f79020e4dccbbb985de11a10a2cceb0ed42bdb", "0.3508817147714917",
-        "422e9e81d6e0fcaa0702f0f377bfaf6054b4e2f8ac5c8773781e36d906c617ef", 1)),
-    "direct-anneal-12x8": ((12, 8, 3), dict(seed=0, strategy="anneal", restarts=2, max_iters=400), (
-        "6280fac73875fe7d2bd8027f63014ce7405a7790620c380e8d987bf5f7463e2c", "0.3631427494775788",
-        "70ee4e78c906ff3bf9e2c33731d124b7e230ef11942801debfda080e817ba3fa", 1)),
-}
-
-
 def _fingerprint(result):
     return (
         hashlib.sha256(result.best.cells.tobytes()).hexdigest(),
@@ -778,12 +767,6 @@ def _fingerprint(result):
 def test_golden_trajectories(name):
     dims, options, expected = _GOLDEN[name]
     assert _fingerprint(search_contraction(*dims, SearchConfig(**options))) == expected
-
-
-@pytest.mark.parametrize("name", sorted(_GOLDEN_DIRECT))
-def test_golden_direct(name):
-    dims, options, expected = _GOLDEN_DIRECT[name]
-    assert _fingerprint(search_augmented_direct(*dims, SearchConfig(**options))) == expected
 
 
 #: Anneal on ``e_aug``: (design sha256, restart of best, objective, trace).
@@ -945,7 +928,7 @@ class TestSearchContraction:
             return np.zeros((1, 1)), 0.0, [(0, 0.0)], 1, False
 
         cfg = SearchConfig(restarts=8, workers=2, time_budget=0.05)
-        result = _run_restarts(cfg, restart, lambda state: state)
+        result = _run_restarts(cfg, np.zeros(1, dtype=np.int64), restart)
         assert sorted(started) == [0, 1]
         assert result.timed_out
 
@@ -957,90 +940,22 @@ class TestSearchContraction:
             search_contraction(12, 8, 3, SearchConfig(strategy=strategy, restarts=1,
                                                       max_iters=iters))
 
-
-class TestSearchAugmentedDirect:
-    def test_tabu_is_refused(self):
-        with pytest.raises(ConfigError, match="^strategy 'tabu' walks contractions only"):
-            search_augmented_direct(12, 8, 3, SearchConfig(strategy="tabu", restarts=1))
-
-    def test_small_budget_12x8(self):
-        cfg = SearchConfig(seed=0, restarts=2, max_iters=250)
-        result = search_augmented_direct(12, 8, 3, cfg)
-        assert 0.0 < result.objective < 1.0
-        assert result.objective == pytest.approx(e_aug_direct(result.best), abs=1e-12)
-        report = validate_augmented(result.best)
-        assert report.ok  # column structure and test-line uniqueness hold
-        row_check_counts = (result.best.cells > result.best.n_test_lines).sum(axis=1)
-        assert len(row_check_counts) == 12
-        assert sum(row_check_counts) == 24
-
-    @pytest.mark.parametrize("dims", [(1, 1, 0), (1, 1, -1), (12, 8, 13)])
-    def test_infeasible_parameters_raise(self, dims):
-        with pytest.raises(InfeasibleParametersError):
-            search_augmented_direct(*dims, SearchConfig(restarts=1, max_iters=1))
-
-    def test_json_has_the_contraction_search_keys(self):
-        result = search_augmented_direct(6, 4, 3, SearchConfig(seed=1, restarts=2, max_iters=30))
-        d = json.loads(result.to_json())
-        assert list(d) == ["design", "objective", "trace", "restartOfBest", "timedOut"]
-        assert parse_design(d["design"]) == result.best
-
-    def test_determinism(self):
-        cfg = SearchConfig(seed=5, restarts=2, max_iters=120)
-        a = search_augmented_direct(6, 4, 3, cfg)
-        b = search_augmented_direct(6, 4, 3, cfg)
-        assert a.best == b.best and a.objective == b.objective
-
     def test_tiny_exhaustive_comparison(self):
-        # at (3, 3, 2) both routes are enumerable; record both optima and
-        # check each search attains its own; no ordering is asserted
-        import itertools
-
-        from arcdesign import AugmentedDesign, ContractionDesign
-        from arcdesign.errors import DisconnectedDesignError
-
+        # at (3, 3, 2) every contraction is enumerable; the search attains the best e_aug
         best_contraction = 0.0
         for c in _all_3x3_k2_contractions():
             try:
-                val = e_aug_direct(_augmented_from(c))
+                val = e_aug_direct(augment(c))
             except DisconnectedDesignError:
                 val = 0.0
             best_contraction = max(best_contraction, val)
 
-        best_direct = 0.0
-        rows = list(itertools.permutations(range(3), 2))
-        for placement in itertools.product(rows, repeat=3):
-            cells = np.zeros((3, 3), dtype=np.int64)
-            for j, (r1, r2) in enumerate(placement):
-                cells[r1, j] = 4
-                cells[r2, j] = 5
-            nxt = 1
-            for j in range(3):
-                for l in range(3):
-                    if cells[l, j] == 0:
-                        cells[l, j] = nxt
-                        nxt += 1
-            try:
-                val = e_aug_direct(AugmentedDesign(k=2, cells=cells))
-            except DisconnectedDesignError:
-                val = 0.0
-            best_direct = max(best_direct, val)
-
         search_c = search_contraction(3, 3, 2, SearchConfig(seed=0, restarts=6))
-        from arcdesign import augment
-
         assert e_aug_direct(augment(search_c.best)) == pytest.approx(best_contraction, abs=1e-9)
-        search_d = search_augmented_direct(3, 3, 2, SearchConfig(seed=0, restarts=6, max_iters=300))
-        assert search_d.objective == pytest.approx(best_direct, abs=1e-9)
-        # the contraction route constrains rows as well, so record both values
-        assert best_direct > 0 and best_contraction > 0
+        assert best_contraction > 0
 
 
 def _all_3x3_k2_contractions():
-    import itertools
-
-    from arcdesign import ContractionDesign
-
     for row1 in itertools.permutations([1, 2, 3]):
         for row2 in itertools.permutations([1, 2, 3]):
             if any(a == b for a, b in zip(row1, row2)):
@@ -1048,9 +963,3 @@ def _all_3x3_k2_contractions():
             c = ContractionDesign.from_cells(np.array([row1, row2]), v=3)
             if validate_contraction(c).ok:
                 yield c
-
-
-def _augmented_from(c):
-    from arcdesign import augment
-
-    return augment(c)

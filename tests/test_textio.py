@@ -86,7 +86,7 @@ def test_label_beyond_int64_reports_line_and_column(malformed_files):
 
 
 def test_augmented_header_k_beyond_v_reports_header_line(malformed_files):
-    with pytest.raises(ParseError, match=r"k=99999999999 out of range .*line 1\)"):
+    with pytest.raises(ParseError, match=r"k=99999999999 checks cannot be column-distinct among v=3 labels .*line 1\)"):
         parse_design(malformed_files["augmented-k-beyond-v"])
 
 
