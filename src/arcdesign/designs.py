@@ -250,15 +250,21 @@ def _labels_outside(cells: np.ndarray, top: int) -> list[str]:
 
 def _repeats(lines: np.ndarray, line: str, other: str) -> list[str]:
     """One "non-binary" violation per label repeated within a row of ``lines``, found by one sort."""
+    return [f"{line} {n} non-binary: label {lab} occurs {cnt} times ({other} {where})"
+            for n, lab, cnt, where in _repeat_sites(lines)]
+
+
+def _repeat_sites(lines: np.ndarray) -> list[tuple[int, int, int, str]]:
+    """(row, label, count, positions) of each label repeated within a row of ``lines``, 1-based."""
     ordered = np.sort(lines, axis=1)
-    violations = []
+    sites = []
     for n in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)).tolist():
         values = lines[n]
         labels, counts = np.unique(values, return_counts=True)
         for lab, cnt in zip(labels[counts > 1], counts[counts > 1]):
             where = ", ".join(str(p + 1) for p in np.nonzero(values == lab)[0])
-            violations.append(f"{line} {n + 1} non-binary: label {lab} occurs {cnt} times ({other} {where})")
-    return violations
+            sites.append((n + 1, int(lab), int(cnt), where))
+    return sites
 
 
 def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
@@ -268,8 +274,10 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     exactly once overall.  Once both hold, the contraction is read off ``a``
     by the inverse placement rule, with replication vector ``r`` if given and
     otherwise its label counts, and its ``validate_contraction`` violations
-    are returned, each prefixed ``generating contraction: ``.  That covers
-    row repeats, the size rule and the replication spread.
+    are returned.  A label repeated in a contraction row is a check repeated
+    in an array row, and is named so: ``check 73 occurs 2 times in row 7
+    (columns 1, 2)``.  The others, the size rule and the replication spread,
+    are prefixed ``generating contraction: ``.
     """
     s, k = a.s, a.k
     cells = a.cells
@@ -292,8 +300,13 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     if violations:
         return ValidationReport(tuple(violations))
 
-    return ValidationReport(tuple(f"generating contraction: {message}" for message in
-                                  validate_contraction(_generating_contraction(a, r)).violations))
+    g = _generating_contraction(a, r)
+    # contraction row i is check n_test + i, and its labels are array rows
+    in_array_terms = dict(zip(_repeats(g.cells, "row", "columns"), (
+        f"check {n_test + i} occurs {cnt} times in row {row} (columns {where})"
+        for i, row, cnt, where in _repeat_sites(g.cells))))
+    return ValidationReport(tuple(in_array_terms.get(m, f"generating contraction: {m}")
+                                  for m in validate_contraction(g).violations))
 
 
 def _generating_contraction(a: AugmentedDesign, r=None) -> ContractionDesign:

@@ -29,6 +29,8 @@ from .designs import AugmentedDesign, ContractionDesign, _incidence_arrays, _req
 from .errors import DisconnectedDesignError
 from .spectra import (
     Spectrum,
+    _checked_spectrum,
+    _require_one_trivial,
     cefs_from_info,
     eig_symmetric,
     harmonic_mean_nontrivial,
@@ -46,26 +48,36 @@ def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
     are zero, so the matrix has rank at most v-1.
     """
     inc = incidence(c)
-    r = c.r.astype(float)
-    return _info_matrix(inc.n_r, inc.n_c, r, np.outer(r, r) / (c.k * c.s))
+    return _info_matrix(inc.n_r, inc.n_c, c.r.astype(float), c.k * c.s)
 
 
-def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray,
-                 rr_term: np.ndarray) -> np.ndarray:
+def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, n: int,
+                 rr_term: np.ndarray | None = None) -> np.ndarray:
     # The row-column information matrix from incidence arrays, the replication
-    # vector r and rr'/n, for both design kinds (an augmented design's n_r has
-    # one column per array row) and the search, which builds rr'/n once per shape.
+    # vector r and the plot count n, for both design kinds (an augmented design's
+    # n_r has one column per array row) and the search, which passes rr'/n built
+    # once per shape.  The N_R N_R' product is the result and one scratch buffer
+    # takes N_C N_C', then rr'/n: the four-term expression's steps in its order,
+    # so its bytes.
     rows, s = n_r.shape[1], n_c.shape[1]
     a = _row_block(n_r, r, s)
-    a -= (n_c @ n_c.T) / rows
+    scratch = n_c @ n_c.T
+    scratch /= rows
+    a -= scratch
+    if rr_term is None:
+        rr_term = np.outer(r, r, out=scratch)
+        rr_term /= n
     a += rr_term
     return a
 
 
 def _row_block(n_r: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
-    # diag(r) - (1/s) N_R N_R': the rows-only part of the information matrix.
-    # Adding r on the diagonal of 0.0 - N_R N_R'/s gives the dense form's bytes, zero signs too.
-    block = 0.0 - (n_r @ n_r.T) / s
+    # diag(r) - (1/s) N_R N_R': the rows-only part of the information matrix, in place
+    # in the product.  Adding r on the diagonal of 0.0 - N_R N_R'/s gives the dense
+    # form's bytes, zero signs too.
+    block = n_r @ n_r.T
+    block /= s
+    np.subtract(0.0, block, out=block)
     block.ravel()[:: len(r) + 1] += r
     return block
 
@@ -183,21 +195,37 @@ def e_aug_formula(v_star: int, v: int, s: int, k: int, c_bar_v: float, c_bar_s: 
 
 
 def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
-    """Information matrix of the augmented design.
+    """Information matrix of the augmented design, a fresh array on every call.
 
     ``diag(u) - (1/s) M_R M_R' - (1/v) M_C M_C' + (1/n) u u'`` where the
     replication-products term carries the 1/n factor required for zero row
-    sums.  ``M_R``/``M_C`` are the treatment-by-row/column incidences.
+    sums.  ``M_R``/``M_C`` are the treatment-by-row/column incidences.  The
+    design is validated here, at the boundary, once per object.
     """
     _require_valid(a)
-    u = a.u
     m_r, m_c = _incidence_arrays(a.cells, a.v_star)  # 0/1: a valid design is row- and column-binary
-    return _info_matrix(m_r, m_c, u, np.outer(u, u) / a.cells.size)
+    return _info_matrix(m_r, m_c, a.u, a.cells.size)
 
 
 def augmented_cefs(a: AugmentedDesign) -> Spectrum:
-    """Canonical efficiency factors of the augmented design."""
-    return cefs_from_info(info_matrix_augmented(a), a.u)
+    """Canonical efficiency factors of the augmented design.
+
+    The values of ``cefs_from_info(info_matrix_augmented(a), a.u)`` without
+    its input checks, which hold for a matrix built from a validated design:
+    the fresh matrix is scaled in place by ``diag(u)^-1/2`` on both sides and
+    solved by the checked core of ``eig_symmetric``, moment checks included.
+    """
+    info = info_matrix_augmented(a)
+    # u is 1 on the test lines and s on the checks, so only the check rows and
+    # columns scale, each block by the product of its two factors as
+    # outer(u^-1/2, u^-1/2) would: the bytes of the checked route.
+    t, d = a.n_test_lines, 1.0 / np.sqrt(float(a.s))
+    info[:t, t:] *= d
+    info[t:, :t] *= d
+    info[t:, t:] *= d * d
+    sp = _checked_spectrum(info)
+    _require_one_trivial(sp)
+    return sp
 
 
 def e_aug_direct(a: AugmentedDesign) -> float:

@@ -64,7 +64,6 @@ import math
 import numbers
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -211,7 +210,8 @@ def _fill(v: int, s: int, k: int, r: np.ndarray, rng, failure: str) -> np.ndarra
 def _try_fill(v: int, s: int, k: int, r: np.ndarray, rng) -> np.ndarray | None:
     remaining = r.copy()
     cells = np.zeros((k, s), dtype=np.int64)
-    row_sets: list[set[int]] = [set() for _ in range(k)]
+    # row_mask[lab]: bit i is set once label lab (1-based) sits in row i
+    row_mask = [0] * (v + 1)
     for j in range(s):
         cols_left = s - j
         urgent = np.nonzero(remaining == cols_left)[0]
@@ -221,30 +221,32 @@ def _try_fill(v: int, s: int, k: int, r: np.ndarray, rng) -> np.ndarray | None:
         need = k - len(urgent)
         if len(optional) < need:
             return None
-        placed = False
+        forced = (urgent + 1).tolist()
         for _ in range(12):
-            extra = rng.choice(optional, size=need, replace=False) if need else optional[:0]
-            labels = np.concatenate([urgent, extra]) + 1
-            rows = _match_rows(labels, row_sets, k, rng)
-            if rows is None:
-                continue
-            for i, lab in zip(rows, labels):
-                cells[i, j] = lab
-                row_sets[i].add(int(lab))
-                remaining[lab - 1] -= 1
-            placed = True
-            break
-        if not placed:
+            labels = forced
+            if need:  # positions in optional take the draws of drawing from it
+                extra = optional[rng.choice(len(optional), size=need, replace=False)]
+                labels = forced + (extra + 1).tolist()
+            rows = _match_rows(labels, row_mask, k, rng)
+            if rows is not None:
+                break
+        else:
             return None
+        cells[rows, j] = labels
+        remaining[np.array(labels) - 1] -= 1
+        for i, lab in zip(rows, labels):
+            row_mask[lab] |= 1 << i
     return cells
 
 
-def _match_rows(labels, row_sets, k: int, rng) -> list[int] | None:
-    # Kuhn's augmenting paths: labels to rows, avoiding row repeats.
+def _match_rows(labels: list[int], row_mask: list[int], k: int, rng) -> list[int] | None:
+    # Kuhn's augmenting paths: labels to rows, avoiding row repeats.  Each label's
+    # allowed rows are shuffled in place, which takes the draws of rng.permutation.
     allowed = []
     for lab in labels:
-        rows = [i for i in range(k) if int(lab) not in row_sets[i]]
-        allowed.append([rows[x] for x in rng.permutation(len(rows))] if rows else [])
+        rows = [i for i in range(k) if not row_mask[lab] >> i & 1]
+        rng.shuffle(rows)
+        allowed.append(rows)
     row_owner = [-1] * k
 
     def assign(li: int, seen: list[bool]) -> bool:
@@ -256,8 +258,14 @@ def _match_rows(labels, row_sets, k: int, rng) -> list[int] | None:
                     return True
         return False
 
-    for li in rng.permutation(len(labels)):
-        if not assign(int(li), [False] * k):
+    order = list(range(len(labels)))
+    rng.shuffle(order)
+    for li in order:
+        rows = allowed[li]
+        # the first step of assign: a free first row is taken outright
+        if rows and row_owner[rows[0]] == -1:
+            row_owner[rows[0]] = li
+        elif not assign(li, [False] * k):
             return None
     rows_for_label = [-1] * len(labels)
     for row, li in enumerate(row_owner):
@@ -419,7 +427,7 @@ class _ContractionObjective:
         if cells is self._last[0]:
             return self._last[1]
         n_r, n_c = _incidence_arrays(cells, self.v)
-        a = _info_matrix(n_r, n_c, self.r, self.rr_term)
+        a = _info_matrix(n_r, n_c, self.r, self.k * self.s, self.rr_term)
         self._last = cells, (a * self.scale, n_r, n_c)
         return self._last[1]
 
@@ -885,6 +893,9 @@ def _run_restarts(cfg: SearchConfig, r: np.ndarray, restart_fn) -> SearchResult:
 
     indices = range(cfg.restarts)
     if cfg.workers > 1:
+        # Imported here: every CLI start would pay for it, and few searches use threads.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             runs = list(pool.map(run, indices))
     else:

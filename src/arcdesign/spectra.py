@@ -7,6 +7,13 @@ O(n^3) methods comfortably fast; LAPACK (via ``numpy.linalg.eigvalsh``) finds
 the eigenvalues alone and this module enforces the contracts around it:
 symmetry on input, the spectrum's first two moments on output, and explicit
 classification of trivial (structurally zero) eigenvalues.
+
+Input checks run at the boundary: ``eig_symmetric`` and ``cefs_from_info``
+check any matrix a caller hands them.  Inside is one checked core,
+``_checked_spectrum``: the solve, its failure mapped to ``RankAnomalyError``,
+and the moment checks.  ``efficiency.augmented_cefs`` calls the core on a
+matrix it has just built from a validated design, skipping the input checks
+but never those of the output.
 """
 
 from __future__ import annotations
@@ -64,9 +71,10 @@ class Spectrum:
 def eig_symmetric(m) -> Spectrum:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
-    Raises ``ValueError`` if the input is not symmetric to within a 1e-10
-    relative tolerance, and ``RankAnomalyError`` unless ``sum(w) = tr(A)`` to
-    within 1e-9 ``||A||_F`` and ``sum(w^2) = ||A||_F^2`` to within 1e-9 ``||A||_F^2``.
+    Raises ``ValueError`` if the input is not square or not symmetric to
+    within a 1e-10 relative tolerance; then ``_checked_spectrum`` solves and
+    raises ``RankAnomalyError`` unless ``sum(w) = tr(A)`` to within 1e-9
+    ``||A||_F`` and ``sum(w^2) = ||A||_F^2`` to within 1e-9 ``||A||_F^2``.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -75,7 +83,16 @@ def eig_symmetric(m) -> Spectrum:
     asym = float(np.abs(a - a.T).max()) if a.size else 0.0
     if asym > _SYMMETRY_RTOL * scale:
         raise ValueError(f"matrix is not symmetric: max |A - A'| = {asym:.3e}")
+    return _checked_spectrum(a)
 
+
+def _checked_spectrum(a: np.ndarray) -> Spectrum:
+    """The checked core of ``eig_symmetric``, for a square float matrix known to be symmetric.
+
+    Takes the eigenvalues with ``eigvalsh``, maps a solver failure to
+    ``RankAnomalyError`` and checks the spectrum's first two moments against
+    ``a``; the input checks are the caller's.
+    """
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -120,6 +137,8 @@ def cefs_from_info(a, u) -> Spectrum:
 
     ``A`` must be an information matrix (zero row sums); a connected design
     yields exactly one trivial zero and the remaining values are the cefs.
+    Every input is checked: ``u`` positive, shapes, row sums and, in
+    ``eig_symmetric``, symmetry.
     """
     a = np.asarray(a, dtype=float)
     u = np.asarray(u, dtype=float)

@@ -9,6 +9,9 @@ anneal's move sampler checks labels by scanning rows and columns, repeated
 labels are counted line by line instead of found by one sort, the
 augmented array is filled and read back cell by cell, and ``c_bar_s``
 comes from a centred Schur complement instead of the lifted joint matrix.
+The random fill keeps a set of labels per row and permutes index arrays
+with ``rng.permutation``, where the library shuffles lists of rows in
+place; the two must take the same draws.
 The information-matrix kernels add the replication vector on the diagonal;
 the dense-diagonal forms here build ``diag(r)`` as a matrix, and the two
 must agree bit for bit.
@@ -333,3 +336,61 @@ def sample_move_by_scans(cells, rng, draws):
             continue
         return i1, j1, i2, j2
     return None
+
+
+def try_fill_by_sets(v: int, s: int, k: int, r: np.ndarray, rng) -> np.ndarray | None:
+    """One try of the random column-by-column fill, with row sets of labels and numpy label arrays."""
+    remaining = r.copy()
+    cells = np.zeros((k, s), dtype=np.int64)
+    row_sets: list[set[int]] = [set() for _ in range(k)]
+    for j in range(s):
+        cols_left = s - j
+        urgent = np.nonzero(remaining == cols_left)[0]
+        if len(urgent) > k:
+            return None
+        optional = np.nonzero((remaining > 0) & (remaining < cols_left))[0]
+        need = k - len(urgent)
+        if len(optional) < need:
+            return None
+        placed = False
+        for _ in range(12):
+            extra = rng.choice(optional, size=need, replace=False) if need else optional[:0]
+            labels = np.concatenate([urgent, extra]) + 1
+            rows = match_rows_by_sets(labels, row_sets, k, rng)
+            if rows is None:
+                continue
+            for i, lab in zip(rows, labels):
+                cells[i, j] = lab
+                row_sets[i].add(int(lab))
+                remaining[lab - 1] -= 1
+            placed = True
+            break
+        if not placed:
+            return None
+    return cells
+
+
+def match_rows_by_sets(labels, row_sets, k: int, rng) -> list[int] | None:
+    """Kuhn's augmenting paths: labels to rows, avoiding row repeats (``search._match_rows``)."""
+    allowed = []
+    for lab in labels:
+        rows = [i for i in range(k) if int(lab) not in row_sets[i]]
+        allowed.append([rows[x] for x in rng.permutation(len(rows))] if rows else [])
+    row_owner = [-1] * k
+
+    def assign(li: int, seen: list[bool]) -> bool:
+        for row in allowed[li]:
+            if not seen[row]:
+                seen[row] = True
+                if row_owner[row] == -1 or assign(row_owner[row], seen):
+                    row_owner[row] = li
+                    return True
+        return False
+
+    for li in rng.permutation(len(labels)):
+        if not assign(int(li), [False] * k):
+            return None
+    rows_for_label = [-1] * len(labels)
+    for row, li in enumerate(row_owner):
+        rows_for_label[li] = row
+    return rows_for_label

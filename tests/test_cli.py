@@ -123,8 +123,8 @@ class TestEvaluateCommand:
         result = runner.invoke(main, ["evaluate", str(bad)])
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert result.output == (
-            f"error: {bad}: invalid augmented design: generating contraction: "
-            "row 1 non-binary: label 7 occurs 2 times (columns 1, 2)\n")
+            f"error: {bad}: invalid augmented design: "
+            "check 73 occurs 2 times in row 7 (columns 1, 2)\n")
 
     def test_infeasible_augmented_header_exits_2(self, runner, tmp_path):
         # check 5 twice in row 1, at a size no contraction has: the header is refused first

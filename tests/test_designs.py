@@ -182,11 +182,11 @@ class TestValidateAugmented:
         assert validate_augmented(a).violations == (
             "generating contraction: (v=4, s=2, k=2) leaves -2 residual degrees of freedom; "
             "need >= 0",
-            "generating contraction: row 1 non-binary: label 1 occurs 2 times (columns 1, 2)",
+            "check 5 occurs 2 times in row 1 (columns 1, 2)",
             "generating contraction: replication spread exceeds 1 (min 0, max 2)",
         )
         for use in (extract_contraction, e_aug_direct):
-            with pytest.raises(InvalidDesignError, match="row 1 non-binary: label 1 occurs 2"):
+            with pytest.raises(InvalidDesignError, match="check 5 occurs 2 times in row 1"):
                 use(a)
 
     @given(size=st.sampled_from(_AUGMENT_SIZES), seed=st.integers(0, 2**32 - 1),

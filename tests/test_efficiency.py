@@ -29,11 +29,11 @@ from arcdesign import (
     neighbor_moves,
     random_contraction,
 )
-from arcdesign import designs, efficiency
-from arcdesign.errors import DisconnectedDesignError, InvalidDesignError
+from arcdesign import designs, efficiency, spectra
+from arcdesign.errors import DisconnectedDesignError, InvalidDesignError, RankAnomalyError
 from arcdesign.reference import load_reference_design
 from arcdesign.search import SearchConfig, search_contraction
-from arcdesign.spectra import harmonic_mean_nontrivial
+from arcdesign.spectra import cefs_from_info, harmonic_mean_nontrivial
 
 from oracles import (
     apply_move,
@@ -374,6 +374,54 @@ class TestEAugDirect:
                 e_aug_direct(augment(c))
             return
         assert abs(formula - e_aug_direct(augment(c))) <= 1e-8
+
+
+class TestAugmentedCefsRoute:
+    """``augmented_cefs`` scales its own fresh matrix and skips the input checks
+    of ``cefs_from_info``; the spectrum and the errors must be the same."""
+
+    @given(size=st.sampled_from([(7, 5, 3), (9, 6, 4), (10, 6, 3), (24, 16, 5)]),
+           seed=st.integers(0, 2**32 - 1), swaps=st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_checked_public_route(self, size, seed, swaps):
+        a = augment(_random_walk(size, seed, swaps))
+        try:
+            expected = cefs_from_info(info_matrix_augmented(a), a.u)
+        except DisconnectedDesignError:
+            with pytest.raises(DisconnectedDesignError):
+                augmented_cefs(a)
+            return
+        sp = augmented_cefs(a)
+        assert sp.trivial_count == expected.trivial_count == 1
+        assert np.abs(sp.eigenvalues - expected.eigenvalues).max() <= 1e-12
+
+    def test_disconnected_design_raises_on_both_routes(self):
+        # two separate 2x2 Latin squares side by side share no labels
+        a = augment(ContractionDesign.from_cells([[1, 2, 3, 4], [2, 1, 4, 3]], v=4))
+        with pytest.raises(DisconnectedDesignError):
+            cefs_from_info(info_matrix_augmented(a), a.u)
+        with pytest.raises(DisconnectedDesignError):
+            augmented_cefs(a)
+
+    def test_moment_check_guards_the_direct_route(self, ex1_augmented, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def perturbed(m):
+            w = eigvalsh(m)
+            w[40] += 1e-6 * np.linalg.norm(m)
+            return w
+
+        monkeypatch.setattr(spectra.np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(RankAnomalyError, match="eigenvalue moments off"):
+            e_aug_direct(ex1_augmented)
+
+    def test_each_call_returns_a_fresh_matrix(self, ex1_augmented):
+        # the direct route scales the matrix it is given in place
+        first, second = info_matrix_augmented(ex1_augmented), info_matrix_augmented(ex1_augmented)
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        augmented_cefs(ex1_augmented)
+        assert np.array_equal(info_matrix_augmented(ex1_augmented), first)
 
 
 class TestFullReport:

@@ -27,7 +27,7 @@ from arcdesign import (
     validate_contraction,
 )
 from arcdesign import search
-from arcdesign.designs import _incidence_arrays
+from arcdesign.designs import _incidence_arrays, balanced_replication
 from arcdesign.efficiency import _lifted_joint
 from arcdesign.errors import (
     ConfigError,
@@ -55,6 +55,7 @@ from oracles import (
     catalogue_by_loops,
     exhaustive_best_e_con,
     sample_move_by_scans,
+    try_fill_by_sets,
 )
 
 #: Feasible sizes; (7,5,3), (10,6,3) and (24,16,5) carry unequal replication.
@@ -87,6 +88,25 @@ class TestRandomContraction:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleParametersError):
             random_contraction(10, 3, 2, seed=0)
+
+    # (5,4,3) dead-ends in about a quarter of its tries and (24,16,5) in about an
+    # eighth, so the retry and failure paths are compared as well as completed fills.
+    @given(size=st.sampled_from([(3, 3, 2), (5, 4, 3), (7, 5, 3), (9, 6, 4), (10, 6, 3),
+                                 (7, 7, 4), (24, 16, 5), (48, 32, 6)]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size=(5, 4, 3), seed=0)
+    @settings(max_examples=120, deadline=None)
+    def test_fill_takes_the_draws_of_the_set_oracle(self, size, seed):
+        v, s, k = size
+        r = balanced_replication(v, k, s)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # consecutive tries, as _fill makes them
+            cells = search._try_fill(v, s, k, r, rng)
+            expected = try_fill_by_sets(v, s, k, r, oracle_rng)
+            assert (cells is None) == (expected is None)
+            if cells is not None:
+                assert np.array_equal(cells, expected)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_fill_failures_keep_their_messages(self):
         with mock.patch.object(search, "_try_fill", return_value=None) as tries:
