@@ -15,15 +15,20 @@ restart i draws from a generator seeded with ``seed ^ i``, and the reduction
 over restarts is by (objective, restart index, lexicographic array), so
 running restarts serially or concurrently gives the same answer.
 
-Hill climbing screens, then confirms.  A state's move catalogue is a few
-gathers against flat-index tables built once per shape.  A rank-2 Woodbury
-update of the information matrix scores candidates in chunks of their random
-order, the first ``_FIRST_CHUNK`` long and each later one ending at twice the
-last end.  Per state the screen inverts one v x v matrix and tabulates its
-products with the cell incidences, so a candidate's score is a few table
-reads.  Only candidates that could beat the current value are evaluated
-exactly, and the exact value alone decides acceptance.  Trajectories, traces
-and evaluation counts are those of evaluating every candidate in turn.
+Every swap of one array shape has an id in one per-shape plan
+(``_swap_plan``) that holds its cells, its two flat cells and its constant
+in the screen.  A state's move catalogue is the ids a few gathers against
+that plan find valid, and every walk reads the plan by id.
+
+Hill climbing screens, then confirms.  A rank-2 Woodbury update of the
+information matrix scores candidates in chunks of their random order, the
+first ``_FIRST_CHUNK`` long and each later one ending at twice the last end.
+Per state the screen inverts one v x v matrix, which also guards it against
+badly conditioned states, and tabulates its products with the cell
+incidences, so a candidate's score is a few table reads.  Only candidates
+that could beat the current value are evaluated exactly, and the exact value
+alone decides acceptance.  Trajectories, traces and evaluation counts are
+those of evaluating every candidate in turn.
 
 A tabu walk (Glover, 1989) goes on past local optima: each step screens the
 whole catalogue and moves to a best-scored swap that is not tabu, even a
@@ -31,10 +36,10 @@ worse one, and confirms the state it reaches (see ``_tabu``).
 
 Annealing scores one sampled swap per iteration.  One driver, ``_anneal``,
 runs every anneal over a walk that owns its state and proposes, scores and
-commits moves.  The contraction walk's sampler draws rows of
-a per-shape table of cell pairs, ``_DRAW_BLOCK`` per generator call, and
-checks each pair against Python tables of the state's labels; the
-acceptance draws of the anneal fall between those calls.  Its first iterations
+commits moves.  The contraction walk's sampler draws rows of the plan's
+cell pairs, ``_DRAW_BLOCK`` per generator call, and checks each pair
+against Python tables of the state's labels; the acceptance draws of the
+anneal fall between those calls.  Its first iterations
 probe the start state without moving, and the start temperature is a fixed
 multiple of the median objective change they see, so the anneal starts at
 the objective's own scale instead of at a fixed temperature.
@@ -279,10 +284,11 @@ def _match_rows(labels: list[int], row_mask: list[int], k: int, rng) -> list[int
 def neighbor_moves(c: ContractionDesign):
     """All validity-preserving two-cell swaps of a contraction, in canonical order."""
     _require_valid(c)
+    index = _swap_plan(c.k, c.s, c.v).index
     return tuple(
         Move("within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose",
              (i1, j1), (i2, j2))
-        for i1, j1, i2, j2 in _catalogue(c.cells, c.v).tolist()
+        for i1, j1, i2, j2 in index[_catalogue(c.cells, c.v)].tolist()
     )
 
 
@@ -293,14 +299,36 @@ def _swap(cells: np.ndarray, move) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _swap_index(k: int, s: int) -> np.ndarray:
-    """Every (i1, j1, i2, j2) cell pair, in canonical order.
+class _SwapPlan(NamedTuple):
+    """Every two-cell swap of one array shape, with the tables that check and score it.
 
-    Within-column pairs go by column, within-row pairs by row, transposes by
-    row pair, then first and second column.  Built once per shape and shared
-    read-only between threads.
+    Swap n exchanges cells ``index[n] = (i1, j1, i2, j2)``.  Within-column
+    swaps go by column, within-row swaps by row, transposes by row pair, then
+    first and second column.  Cell (i, j) is flat cell ``i*s + j``, and
+    ``flat[:, n] = (p1, p2)``.  ``term[n] = 2 ([i1 != i2] / s + [j1 != j2] / k)``
+    is the swap's constant in the screen's Woodbury matrix.
+
+    For the catalogue, a state's labels go into a zeroed boolean table of
+    ``size = (k+s) * (v+1)`` entries, rows first, then columns: line l holds
+    label x at entry ``l*(v+1) + x``, and ``marks[:, p]`` are the starts of
+    flat cell p's row and column lines.  With label a at p1 and b at p2,
+    ``probes[:, t, n]`` are the starts of the row and the column that label t
+    of (a, b) would move into.  A swap within one row probes its columns
+    twice, and one within a column its rows twice, so the swap is valid iff
+    all four probes miss.  Built once per shape and shared read-only between
+    threads.
     """
+
+    index: np.ndarray
+    flat: np.ndarray
+    term: np.ndarray
+    probes: np.ndarray
+    marks: np.ndarray
+    size: int
+
+
+@functools.lru_cache(maxsize=64)
+def _swap_plan(k: int, s: int, v: int) -> _SwapPlan:
     r1, r2 = np.triu_indices(k, 1)
     c1, c2 = np.triu_indices(s, 1)
     j = np.repeat(np.arange(s), len(r1))
@@ -311,76 +339,39 @@ def _swap_index(k: int, s: int) -> np.ndarray:
         np.column_stack([i, np.tile(c1, k), i, np.tile(c2, k)]),
         np.column_stack([np.repeat(r1, len(j1)), np.tile(j1, len(r1)),
                          np.repeat(r2, len(j1)), np.tile(j2, len(r1))]),
-    ])
-    index.flags.writeable = False
-    return index
-
-
-class _CataloguePlan(NamedTuple):
-    """Flat-index tables that check every cell pair of one shape at once.
-
-    Cell (i, j) is flat cell ``i*s + j``, and pair n of ``index`` swaps label
-    a at flat cell p1 with label b at p2.  A state's labels go into a zeroed
-    boolean table of ``size = (k+s) * (v+1)`` entries, rows first, then
-    columns: line l holds label x at entry ``l*(v+1) + x``, and ``marks[:, p]``
-    are the starts of flat cell p's row and column lines.  ``cells[:, n]`` is
-    (p2, p1), whose labels are (b, a), and ``probes[:, t, n]`` are the starts
-    of the row and the column that label t of (b, a) would move into.  A pair
-    within one row probes its columns twice, and one within a column its rows
-    twice, so the pair is valid iff all four probes miss.
-    """
-
-    index: np.ndarray
-    cells: np.ndarray
-    probes: np.ndarray
-    marks: np.ndarray
-    size: int
-
-
-@functools.lru_cache(maxsize=64)
-def _catalogue_plan(k: int, s: int, v: int) -> _CataloguePlan:
-    index = _swap_index(k, s)
+    ], dtype=np.int32)  # int32 halves the C(ks, 2)-row tables; cell coordinates fit
     i1, j1, i2, j2 = index.T
-    rows = np.stack([i1, i2]) * (v + 1)
-    cols = np.stack([k + j1, k + j2]) * (v + 1)
-    probes = np.stack([np.where(i1 == i2, cols, rows), np.where(j1 == j2, rows, cols)])
-    flat = np.arange(k * s)
-    marks = np.stack([flat // s, k + flat % s]) * (v + 1)
-    plan = _CataloguePlan(index, np.stack([i2 * s + j2, i1 * s + j1]), probes, marks,
-                          (k + s) * (v + 1))
-    for table in (plan.cells, plan.probes, plan.marks):
+    rows = np.stack([i2, i1]) * (v + 1)
+    cols = np.stack([k + j2, k + j1]) * (v + 1)
+    # flat and probes take the index type of the gathers that read them
+    probes = np.stack([np.where(i1 == i2, cols, rows), np.where(j1 == j2, rows, cols)],
+                      dtype=np.int64)
+    cell = np.arange(k * s)
+    marks = np.stack([cell // s, k + cell % s]) * (v + 1)
+    plan = _SwapPlan(index, np.stack([i1 * s + j1, i2 * s + j2], dtype=np.int64),
+                     2.0 * ((i1 != i2) / s + (j1 != j2) / k), probes, marks, (k + s) * (v + 1))
+    for table in plan[:-1]:
         table.flags.writeable = False
     return plan
 
 
 def _catalogue(cells: np.ndarray, v: int) -> np.ndarray:
-    """The swaps that keep rows and columns binary, as (i1, j1, i2, j2) rows.
+    """The ids in ``_swap_plan`` of the swaps that keep rows and columns binary.
 
     A swap of labels a and b is valid when neither lands in a row or column
     that already holds it; that also rules out a == b.
     """
     k, s = cells.shape
-    plan = _catalogue_plan(k, s, v)
+    plan = _swap_plan(k, s, v)
     labels = cells.ravel()
     has = np.zeros(plan.size, dtype=bool)
     has[plan.marks + labels] = True
-    clash = has[plan.probes + labels[plan.cells]]
-    return plan.index.compress(~clash.reshape(4, -1).any(axis=0), axis=0)
+    clash = has[plan.probes + labels[plan.flat]]
+    return np.flatnonzero(~clash.reshape(4, -1).any(axis=0))
 
 
 # ---------------------------------------------------------------------------
 # objectives
-
-
-@functools.lru_cache(maxsize=64)
-def _pair_term(k: int, s: int) -> np.ndarray:
-    """``2 ([i1 != i2] / s + [j1 != j2] / k)`` for every flat cell pair (p1, p2), flattened."""
-    flat = np.arange(k * s)
-    i, j = flat // s, flat % s
-    term = 2.0 * ((i[:, None] != i) / s + (j[:, None] != j) / k)
-    term = term.ravel()
-    term.flags.writeable = False
-    return term
 
 
 class _ContractionObjective:
@@ -392,7 +383,8 @@ class _ContractionObjective:
     ``screen`` scores a catalogue from one state.  A swap of label a at flat
     cell p1 = i1*s + j1 with label b at p2 changes ``A`` by
     ``-(u z' + z u') - c u u'``, where ``u = e_b - e_a``,
-    ``z = Z[:, p1] - Z[:, p2]`` and ``c = 2 ([i1 != i2] / s + [j1 != j2] / k)``.
+    ``z = Z[:, p1] - Z[:, p2]`` and ``c = 2 ([i1 != i2] / s + [j1 != j2] / k)``,
+    the plan's ``term`` of the swap.
     Column i*s + j of the v x ks matrix ``Z`` is ``N_R[:, i] / s + N_C[:, j] / k``.
     The unit null vector ``q = r^1/2 / |r^1/2|`` of ``A_s`` stays null
     through every swap, so with ``M = (A_s + qq')^-1``,
@@ -401,7 +393,8 @@ class _ContractionObjective:
     ``S = [[u'Pu, u'Pz - 1], [., z'Pz + c]]`` and
     ``T = [[u'Qu, u'Qz], [., z'Qz]]``.  Per state the screen tabulates
     ``[P; Q]``, ``H = [P; Q] Z`` and ``G = Z' [P; Q] Z``, so each entry of
-    ``S`` and ``T`` is a sum of table entries at a, b, p1 and p2.
+    ``S`` and ``T`` is a sum of table entries at a, b, p1 and p2, with ``c``
+    read from the plan by swap id.
     """
 
     def __init__(self, v: int, s: int, k: int, r: np.ndarray):
@@ -411,13 +404,11 @@ class _ContractionObjective:
         inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
+        self.plan = _swap_plan(k, s, v)
         self._last = None, None
-        self._eig = None, None
 
     def value(self, cells: np.ndarray) -> float:
-        a_s = self._scaled_info(cells)[0]
-        w = np.linalg.eigvalsh(a_s)
-        self._eig = a_s, w
+        w = np.linalg.eigvalsh(self._scaled_info(cells)[0])
         if w[1] < trivial_tolerance(w):
             return 0.0
         return (self.v - 1) / float(np.sum(1.0 / w[1:]))
@@ -431,24 +422,26 @@ class _ContractionObjective:
         self._last = cells, (a * self.scale, n_r, n_c)
         return self._last[1]
 
-    def screen(self, cells: np.ndarray, moves: np.ndarray):
-        """``score(idx)``, the ``value`` of each of ``moves[idx]`` by rank-2 updates.
+    def screen(self, cells: np.ndarray, ids: np.ndarray):
+        """``score(idx)``, the ``value`` of each swap ``ids[idx]`` of the plan by rank-2 updates.
 
         The inverse and the per-state tables are built here, once, however
         many chunks are scored.  A state that is disconnected or nearly so
-        scores ``+inf`` for every move.
-        ``A_s + qq'`` has the eigenvalues of ``A_s`` with the null one replaced
-        by 1, so its smallest is ``min(1, w[1])`` for the eigenvalues ``w`` of
-        ``A_s``.  Those are the ones the confirming ``value`` of the same
-        ``A_s`` took; only a state that no ``value`` saw takes its own.
+        scores ``+inf`` for every swap, and the inverse itself finds it: for
+        positive definite ``M``, ``tr(M) >= 1 / (smallest eigenvalue of
+        A_s + qq')``, so a state is screened only if ``inv`` succeeds and
+        ``0 < tr(M) <= 1 / _SCREEN_MIN_EIG``.  Every state whose smallest
+        eigenvalue lies below ``_SCREEN_MIN_EIG`` is refused; a trace that
+        is not positive means rounding left ``M`` indefinite.
         """
         a_s, n_r, n_c = self._scaled_info(cells)
-        a_w, w = self._eig
-        if a_w is not a_s:
-            w = np.linalg.eigvalsh(a_s)
-        if min(1.0, w[1]) < _SCREEN_MIN_EIG:
+        try:
+            m = np.linalg.inv(a_s + self.null_term)
+            trace = np.trace(m)
+        except np.linalg.LinAlgError:
+            trace = np.nan
+        if not 0.0 < trace * _SCREEN_MIN_EIG <= 1.0:
             return lambda idx: np.full(len(idx), np.inf)
-        m = np.linalg.inv(a_s + self.null_term)
         v, s, k = self.v, self.s, self.k
         ks = k * s
         # [P; Q] with P = D M D and Q = P diag(r) P, both v x v
@@ -459,25 +452,26 @@ class _ContractionObjective:
         # Z, whose column i*s + j is N_R[:, i] / s + N_C[:, j] / k
         z = (n_r[:, :, None] / s + n_c[:, None, :] / k).reshape(v, ks)
         h = pq.reshape(2 * v, v) @ z
-        # G = Z' [P; Q] Z, kept as its diagonal and as c - 2G (c in the P half only)
+        # G = Z' [P; Q] Z, kept as its diagonal and as -2G; a swap's c joins the P half
         cross = (-2.0 * z.T) @ h.reshape(2, v, ks)
         gd = cross.diagonal(axis1=1, axis2=2) * -0.5
         cross = cross.reshape(2, ks * ks)
-        cross[0] += _pair_term(k, s)
         h = h.reshape(2, v * ks)
-        trace = np.trace(m)
         lab = cells.ravel() - 1
+        flat, term = self.plan.flat, self.plan.term
 
         def score(idx: np.ndarray) -> np.ndarray:
-            i1, j1, i2, j2 = moves[idx].T
-            p1, p2 = i1 * s + j1, i2 * s + j2
+            n = ids[idx]
+            p1, p2 = flat.take(n, axis=1)
             a, b = lab[p1], lab[p2]
             s11, t11 = uu.take(a * v + b, axis=1)
             ha, hb = a * ks, b * ks
             s12, t12 = (h.take(hb + p1, axis=1) - h.take(hb + p2, axis=1)
                         - h.take(ha + p1, axis=1) + h.take(ha + p2, axis=1))
             s12 -= 1.0
-            s22, t22 = gd.take(p1, axis=1) + gd.take(p2, axis=1) + cross.take(p1 * ks + p2, axis=1)
+            pair = cross.take(p1 * ks + p2, axis=1)
+            pair[0] += term.take(n)
+            s22, t22 = gd.take(p1, axis=1) + gd.take(p2, axis=1) + pair
             with np.errstate(divide="ignore", invalid="ignore"):
                 drop = (s22 * t11 - 2.0 * s12 * t12 + s11 * t22) / (s11 * s22 - s12 * s12)
                 return (v - 1) / (trace - 1.0 - drop)
@@ -531,7 +525,7 @@ class _SwapWalk:
         self.v_star = (obj.v - obj.k) * obj.s + obj.k
         self.cells = cells.copy()
         self.move = self.pending = None
-        self.pairs = _swap_index(obj.k, obj.s)
+        self.pairs = obj.plan.index
         self.draws: list[list[int]] = []
         # D^-1/2 on label and on column coordinates
         self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
@@ -727,12 +721,12 @@ def _hillclimb(cells, obj: _ContractionObjective, rng, max_iters, deadline):
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             break
-        moves = _catalogue(cells, obj.v)
-        if len(moves) == 0:
+        ids = _catalogue(cells, obj.v)
+        if len(ids) == 0:
             break
-        order = rng.permutation(len(moves))[: max_iters - evals]
+        order = rng.permutation(len(ids))[: max_iters - evals]
         floor = cur_val - _margin(cur_val)
-        score = obj.screen(cells, moves)
+        score = obj.screen(cells, ids)
         start, evals = evals, evals + len(order)
         improved = False
         lo, hi = 0, _FIRST_CHUNK
@@ -742,7 +736,7 @@ def _hillclimb(cells, obj: _ContractionObjective, rng, max_iters, deadline):
                     timed_out = True
                     evals = start + pos
                     break
-                cand = _swap(cells, moves[order[pos]])
+                cand = _swap(cells, obj.plan.index[ids[order[pos]]])
                 val = obj.value(cand)
                 if val > cur_val:
                     cells, cur_val, evals = cand, val, start + pos + 1
@@ -761,13 +755,14 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
     Each step scores the catalogue with one ``obj.screen`` call, exactly
     where it gives no finite score.  A swap is tabu if it puts a label back
     into a cell the label left fewer than ``rng.integers(*_TABU_TENURE)``
-    steps ago, unless it beats the best value by more than the margin.  Of
+    steps ago, unless it beats the best value by more than the margin; the
+    tenure table is indexed by label and by the plan's flat cells.  Of
     the rest, the step takes the first in a ``rng.permutation`` that scores
     within the margin of the top, so ties do not depend on rounding.  The
     budget counts screened candidates; the walk stops before a step that
     would exceed it, at a deadline checked once per step, or with no swap left.
     """
-    v, s = obj.v, obj.s
+    v, plan = obj.v, obj.plan
     best, best_val = cells, obj.value(cells)
     trace = [(0, best_val)]
     # [x - 1, p]: the first step at which label x may return to flat cell p
@@ -778,16 +773,15 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             break
-        moves = _catalogue(cells, v)
-        if len(moves) == 0 or evals + len(moves) > max_iters:
+        ids = _catalogue(cells, v)
+        if len(ids) == 0 or evals + len(ids) > max_iters:
             break
-        order = rng.permutation(len(moves))
-        evals += len(moves)
-        scores = obj.screen(cells, moves)(np.arange(len(moves)))
+        order = rng.permutation(len(ids))
+        evals += len(ids)
+        scores = obj.screen(cells, ids)(np.arange(len(ids)))
         unscored = np.flatnonzero(~np.isfinite(scores))
-        scores[unscored] = [obj.value(_swap(cells, moves[n])) for n in unscored.tolist()]
-        i1, j1, i2, j2 = moves.T
-        p1, p2 = i1 * s + j1, i2 * s + j2
+        scores[unscored] = [obj.value(_swap(cells, plan.index[n])) for n in ids[unscored].tolist()]
+        p1, p2 = plan.flat.take(ids, axis=1)
         lab = cells.ravel() - 1
         allowed = (((until[lab[p1], p2] <= step) & (until[lab[p2], p1] <= step))
                    | (scores > best_val + _margin(best_val)))
@@ -797,7 +791,7 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
         chosen = order[np.flatnonzero((allowed & (scores >= top - _margin(top)))[order])[0]]
         until[lab[p1[chosen]], p1[chosen]] = until[lab[p2[chosen]], p2[chosen]] = (
             step + rng.integers(*_TABU_TENURE))
-        cells = _swap(cells, moves[chosen])
+        cells = _swap(cells, plan.index[ids[chosen]])
         val = obj.value(cells)
         step += 1
         if val > best_val:

@@ -5,10 +5,12 @@ the code under test: pairwise variances go through the Moore-Penrose inverse
 (SVD) instead of an eigendecomposition, concurrences are counted by explicit
 enumeration instead of a matrix product, and small search spaces are
 enumerated outright, the move catalogue is walked with plain loops, the
-anneal's move sampler checks labels by scanning rows and columns, repeated
-labels are counted line by line instead of found by one sort, the
-augmented array is filled and read back cell by cell, and ``c_bar_s``
-comes from a centred Schur complement instead of the lifted joint matrix.
+anneal's move sampler checks labels by scanning rows and columns, the swap
+plan's cell pairs are looped and its flat cells and pair terms come from a
+full ks x ks table, repeated labels are counted line by line instead of
+found by one sort, the augmented array is filled and read back cell by
+cell, and ``c_bar_s`` comes from a centred Schur complement instead of the
+lifted joint matrix.
 The random fill keeps a set of labels per row and permutes index arrays
 with ``rng.permutation``, where the library shuffles lists of rows in
 place; the two must take the same draws.
@@ -30,7 +32,7 @@ from arcdesign import (
     validate_contraction,
 )
 from arcdesign.errors import DisconnectedDesignError
-from arcdesign.search import Move, _draw_pairs, _swap_index
+from arcdesign.search import Move, _draw_pairs, _swap_plan
 
 
 def apply_move(c: ContractionDesign, move: Move) -> ContractionDesign:
@@ -315,6 +317,30 @@ def catalogue_by_loops(cells, v: int):
     return moves
 
 
+def swap_pairs_in_order(k: int, s: int) -> list[tuple[int, int, int, int]]:
+    """Every (i1, j1, i2, j2) cell pair of a k x s array, looped in the canonical order."""
+    pairs = [(i1, j, i2, j) for j in range(s) for i1 in range(k - 1) for i2 in range(i1 + 1, k)]
+    pairs += [(i, j1, i, j2) for i in range(k) for j1 in range(s - 1) for j2 in range(j1 + 1, s)]
+    pairs += [(i1, j1, i2, j2) for i1 in range(k - 1) for i2 in range(i1 + 1, k)
+              for j1 in range(s) for j2 in range(s) if j1 != j2]
+    return pairs
+
+
+def flat_cell(i, j, s: int):
+    """The row-major flat index of cell (i, j) of an array with s columns."""
+    return i * s + j
+
+
+def pair_term_table(k: int, s: int) -> np.ndarray:
+    """``2 ([i1 != i2] / s + [j1 != j2] / k)`` for every pair of flat cells (p1, p2).
+
+    A k*s x k*s table indexed by (p1, p2), built from each flat cell's row and column.
+    """
+    flat = np.arange(k * s)
+    i, j = flat // s, flat % s
+    return 2.0 * ((i[:, None] != i) / s + (j[:, None] != j) / k)
+
+
 def sample_move_by_scans(cells, rng, draws):
     """The anneal's uniform valid swap, checking each label by scanning its row and column.
 
@@ -322,7 +348,7 @@ def sample_move_by_scans(cells, rng, draws):
     and refills it with the library's ``_draw_pairs`` when it runs empty,
     exactly as its sampler does; invalid pairs are rejected.
     """
-    pairs = _swap_index(*cells.shape)
+    pairs = _swap_plan(*cells.shape, int(cells.max())).index
     for _ in range(256):
         if not draws:
             draws.extend(_draw_pairs(pairs, rng))

@@ -1,22 +1,28 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcdesign import (
     AugmentedDesign,
     ConfigError,
     SearchConfig,
+    augment,
     full_report,
+    random_contraction,
     read_design,
     search_contraction,
 )
 from arcdesign import designs
 from arcdesign.cli import main
 from arcdesign.reference import REFERENCE_ROWS, load_reference_design
-from arcdesign.textio import write_design
+from arcdesign.textio import format_design, parse_design, write_design
 
 
 @pytest.fixture
@@ -459,3 +465,80 @@ class TestReproduceCommand:
             "eAugFound": round(report.e_aug_formula, 6),
         }
         assert {name: row[name] for name in expected} == expected
+
+
+#: Sizes of the designs the fuzzed files start from; bodies stay at v <= 12.
+_FUZZ_SIZES = [(3, 3, 2), (4, 4, 2), (6, 4, 3), (7, 5, 3), (10, 6, 3), (12, 8, 3)]
+#: Replacement fields: zero, negative, not a number, not an integer, beyond 64 bits.
+_BAD_FIELDS = ["0", "-1", "x", "3.0", "9" * 25]
+
+
+@st.composite
+def _design_text(draw):
+    """A seeded valid contraction or its augmented design, as (design, text)."""
+    v, s, k = draw(st.sampled_from(_FUZZ_SIZES))
+    design = random_contraction(v, s, k, seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        design = augment(design)
+    return design, format_design(design)
+
+
+@st.composite
+def _mutated_design_text(draw):
+    """A valid design file after one to three mutations of its fields, rows or header."""
+    _, text = draw(_design_text())
+    header, *rows = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["field", "drop", "duplicate", "lengthen", "size", "kind"]))
+        n = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if kind == "size":
+            name = draw(st.sampled_from("vsk"))
+            fields = dict(field.split("=") for field in header.split()[2:])
+            fields[name] = str(draw(st.integers(0, 99)))
+            header = " ".join(header.split()[:2] + [f"{key}={fields[key]}" for key in "vsk"])
+        elif kind == "kind":
+            header = (header.replace("contraction", "augmented") if "contraction" in header
+                      else header.replace("augmented", "contraction"))
+        elif not rows:
+            continue
+        elif kind == "drop":
+            del rows[n]
+        elif kind == "duplicate":
+            rows.insert(n, rows[n])
+        else:
+            fields = rows[n].split(",")
+            value = draw(st.sampled_from(_BAD_FIELDS + ["1"]))
+            if kind == "lengthen":
+                fields.append(value)
+            else:
+                fields[draw(st.integers(0, len(fields) - 1))] = value
+            rows[n] = ",".join(fields)
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestFuzzedDesignFiles:
+    @given(text=_mutated_design_text())
+    @settings(max_examples=80, deadline=None)
+    def test_every_command_exits_0_or_2(self, text):
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "design.txt"
+            path.write_text(text)
+            for args in (["evaluate"], ["evaluate", "--direct"], ["augment"]):
+                result = runner.invoke(main, [*args, str(path)])
+                assert result.exit_code in (0, 2), (args, text, result.output)
+                assert result.exception is None or isinstance(result.exception, SystemExit)
+                assert "Traceback" not in result.output
+                if result.exit_code == 2:
+                    errors = [line for line in result.output.splitlines()
+                              if line.startswith("error:")]
+                    assert len(errors) == 1, (args, text, result.output)
+
+    @given(design_text=_design_text())
+    @settings(max_examples=40, deadline=None)
+    def test_valid_designs_round_trip(self, design_text):
+        design, text = design_text
+        parsed = parse_design(text)
+        assert type(parsed) is type(design) and parsed.k == design.k
+        assert np.array_equal(parsed.cells, design.cells)
+        assert format_design(parsed) == text

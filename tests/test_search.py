@@ -44,7 +44,7 @@ from arcdesign.search import (
     _hillclimb,
     _run_restarts,
     _swap,
-    _swap_index,
+    _swap_plan,
     _SwapWalk,
     _tabu,
 )
@@ -54,7 +54,10 @@ from oracles import (
     c_bar_s_by_centring,
     catalogue_by_loops,
     exhaustive_best_e_con,
+    flat_cell,
+    pair_term_table,
     sample_move_by_scans,
+    swap_pairs_in_order,
     try_fill_by_sets,
 )
 
@@ -182,10 +185,23 @@ class TestCatalogueOracle:
         assert len(_catalogue(latin3.cells, latin3.v)) == 0
 
 
+class TestSwapPlan:
+    @pytest.mark.parametrize("size", _SIZES + [(48, 32, 6)])
+    def test_tables_match_the_cell_arithmetic(self, size):
+        v, s, k = size
+        plan = _swap_plan(k, s, v)
+        assert plan.index.tolist() == [list(pair) for pair in swap_pairs_in_order(k, s)]
+        i1, j1, i2, j2 = plan.index.T
+        assert np.array_equal(plan.flat, [flat_cell(i1, j1, s), flat_cell(i2, j2, s)])
+        # bit for bit: the screen adds these terms where it once added the whole table
+        assert plan.term.tobytes() == pair_term_table(k, s)[tuple(plan.flat)].tobytes()
+        assert not any(table.flags.writeable for table in plan[:-1])
+
+
 def _screened(obj, cells):
     """The catalogue of a state and the screened value of each of its moves."""
-    moves = _catalogue(cells, obj.v)
-    return moves, obj.screen(cells, moves)(np.arange(len(moves)))
+    ids = _catalogue(cells, obj.v)
+    return obj.plan.index[ids], obj.screen(cells, ids)(np.arange(len(ids)))
 
 
 class TestContractionObjective:
@@ -205,7 +221,7 @@ class TestContractionObjective:
             except DisconnectedDesignError:
                 disconnected = True
             assert (obj.value(cells) == 0.0) == disconnected
-            moves = _catalogue(cells, c.v)
+            moves = obj.plan.index[_catalogue(cells, c.v)]
             if len(moves) == 0:
                 break
             cells = _swap(cells, moves[rng.integers(len(moves))])
@@ -255,14 +271,14 @@ class TestScreen:
             if value_first:
                 assert obj.value(c.cells) == 0.0
             assert np.all(obj.screen(c.cells, moves)(np.arange(len(moves))) == np.inf)
-        exact = np.array([obj.value(_swap(c.cells, m)) for m in moves])
+        exact = np.array([obj.value(_swap(c.cells, m)) for m in obj.plan.index[moves]])
         assert np.any(exact > 0.0)
 
     @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_screen_without_cached_eigenvalues_matches(self, size, seed):
-        # screen reads the eigenvalues the last value took of the same A_s,
-        # and takes them itself when there are none
+        # screen guards itself with the inverse it forms, so a state scores
+        # alike whether or not value saw it first
         c = random_contraction(*size, seed=seed)
         runs = []
         for warm in (True, False):
@@ -278,6 +294,26 @@ class TestScreen:
             assert np.isfinite(runs[0]).any()
 
     @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(0, 12))
+    @example(size=(12, 8, 3), seed=0, steps=0)  # a disconnected start
+    @settings(max_examples=40, deadline=None)
+    def test_states_below_the_guard_are_never_screened(self, size, seed, steps):
+        # tr(M) >= 1 / (smallest eigenvalue of A_s + qq'), so the screen's own
+        # inverse refuses every state the eigenvalues would
+        c = random_contraction(*size, seed=seed)
+        obj = _ContractionObjective(c.v, c.s, c.k, c.r)
+        rng = np.random.default_rng(seed)
+        cells = c.cells
+        for _ in range(steps + 1):
+            ids = _catalogue(cells, c.v)
+            if len(ids) == 0:
+                break
+            w = np.linalg.eigvalsh(obj._scaled_info(cells)[0])
+            if min(1.0, w[1]) < search._SCREEN_MIN_EIG:
+                assert np.all(obj.screen(cells, ids)(np.arange(len(ids))) == np.inf)
+            cells = _swap(cells, obj.plan.index[ids[rng.integers(len(ids))]])
+
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
            steps=st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_guard_equals_smallest_eigenvalue_of_lifted_matrix(self, size, seed, steps):
@@ -287,7 +323,7 @@ class TestScreen:
         rng = np.random.default_rng(seed)
         cells = c.cells
         for _ in range(steps):
-            moves = _catalogue(cells, c.v)
+            moves = obj.plan.index[_catalogue(cells, c.v)]
             if len(moves) == 0:
                 break
             cells = _swap(cells, moves[rng.integers(len(moves))])
@@ -732,8 +768,9 @@ class TestSampler:
 
     @pytest.mark.parametrize("k, s", [(3, 8), (5, 16), (6, 32)])
     def test_pair_table_lists_every_cell_pair_once(self, k, s):
-        # so drawing rows of it iid is uniform over unordered cell pairs
-        pairs = [((i1, j1), (i2, j2)) for i1, j1, i2, j2 in _swap_index(k, s).tolist()]
+        # so drawing rows of it iid is uniform over unordered cell pairs (any v: the pairs
+        # do not depend on it)
+        pairs = [((i1, j1), (i2, j2)) for i1, j1, i2, j2 in _swap_plan(k, s, k * s).index.tolist()]
         cells = [(i, j) for i in range(k) for j in range(s)]
         assert sorted(pairs) == list(itertools.combinations(cells, 2))
 
@@ -747,9 +784,9 @@ class TestSampler:
 
 
 #: (design sha256, repr(objective), sha256 of repr(trace), restart of best);
-#: the climbs and the anneal were recorded from the exhaustive hill climb
-#: before screening existed, the tabu walks under 1 and 2 BLAS threads.  Any
-#: change of trajectory changes one of them.
+#: the desk-size climbs and the anneal were recorded from the exhaustive hill
+#: climb before screening existed, the tabu walks and the (48,32,6) rows
+#: under 1 and 2 BLAS threads.  Any change of trajectory changes one of them.
 _GOLDEN = {
     "hillclimb-12x8": ((12, 8, 3), dict(seed=7, restarts=3), (
         "6a558ef4b564be00591fd284e7167ddc35c315be254c7a038cbde875cba120e9", "0.5630003552573969",
@@ -767,6 +804,13 @@ _GOLDEN = {
     "tabu-24x16": ((24, 16, 5), dict(seed=3, strategy="tabu", restarts=2, max_iters=100000), (
         "52388cd6c9bdc13ea1fa154f846c2a758f944526e7e5c2f28e3c5a3567cf105d", "0.7898788073079485",
         "48f682400f1db4e3e97f3c68debd6fd46db0e659458796c76e7963cf03722931", 0)),
+    # field scale, where the screen's ks x ks tables are largest
+    "hillclimb-48x32": ((48, 32, 6), dict(seed=3, restarts=2), (
+        "e7df5e5d536bc30164b6e382c70fc85bd79e21ac9cf8dc705559ff50ef3d1539", "0.8159455334504594",
+        "0a0625c7c2530b89f6d02077757537468aa3eb5ee51c95de0cf4bda2de270e19", 0)),
+    "tabu-48x32": ((48, 32, 6), dict(seed=3, strategy="tabu", restarts=2, max_iters=100000), (
+        "550244787242bbcfad8b28f74c2e7d53f62b46140a6ab83d144ed3b48a36c6fd", "0.8138539264264012",
+        "ba3f5c64e97ae6d5b7255a1ee5b5b7c423779c88644eab34bedf53d634a2d7a5", 1)),
     # a disconnected start and an iteration cap that cuts a catalogue scan
     "capped-12x8": ((12, 8, 3), dict(seed=1, restarts=2, max_iters=40), (
         "ffe83e99c977ded3b4f366724940cb6b936026489461a2bf404f165e49a406ed", "0.535696027407117",
