@@ -37,6 +37,8 @@ print(f"\naugmented design ({design.v}x{design.s}, checks"
       f" {list(design.check_labels)}):")
 print(np.array2string(design.cells))
 
+# The contraction read back from the design must be valid and, given r, have
+# exactly the replication the search's contraction derived from its array.
 report = validate_augmented(design, r=contraction.r)
 print("\nstructural check:", "ok" if report.ok else report.violations)
 assert extract_contraction(design) == contraction

@@ -4,8 +4,8 @@ Two array types are used throughout:
 
 * ``ContractionDesign`` -- a small k x s auxiliary row-column design on v
   pseudo-treatment labels.  Each pseudo-treatment stands for one row of the
-  larger design it will generate, and its replication vector ``r`` records how
-  often each label occurs.
+  larger design it will generate.  The design is its array: the replication
+  vector ``r`` is derived from it, counting how often each label occurs.
 * ``AugmentedDesign`` -- the full v x s layout in which a handful of
   replicated check treatments share the array with unreplicated test lines.
   The last k labels are the checks; each check occupies exactly one plot per
@@ -17,7 +17,7 @@ so design values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,42 +58,42 @@ def _size_violations(v: int, s: int, k: int) -> list[str]:
     return violations
 
 
-def _frozen_int_array(values, name: str) -> np.ndarray:
+def _frozen_int_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.int64, copy=True)
     arr.setflags(write=False)
-    if name == "cells" and arr.ndim != 2:
+    if arr.ndim != 2:
         raise ValueError(f"cells must be a 2-D array, got {arr.ndim}-D")
-    if name == "r" and arr.ndim != 1:
-        raise ValueError(f"r must be a 1-D vector, got {arr.ndim}-D")
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class ContractionDesign:
-    """A k x s array of pseudo-treatment labels 1..v with replication vector r."""
+    """A k x s array of pseudo-treatment labels 1..v.
+
+    ``r``, the read-only count of each label 1..v in the cells, is derived
+    here, not passed; labels outside 1..v are left to validation.
+    """
 
     v: int
     cells: np.ndarray
-    r: np.ndarray
+    r: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", _frozen_int_array(self.cells, "cells"))
-        object.__setattr__(self, "r", _frozen_int_array(self.r, "r"))
+        object.__setattr__(self, "cells", _frozen_int_array(self.cells))
         if self.v < 1:
             raise ValueError("v must be positive")
-        if len(self.r) != self.v:
-            raise ValueError(f"r has length {len(self.r)}, expected v={self.v}")
+        flat = self.cells.ravel()
+        r = np.bincount(flat[(flat >= 1) & (flat <= self.v)], minlength=self.v + 1)[1:]
+        r.setflags(write=False)
+        object.__setattr__(self, "r", r)
 
     @classmethod
     def from_cells(cls, cells, v: int | None = None) -> "ContractionDesign":
-        """Build a design from its array alone, deriving r by counting labels."""
+        """Build a design from its array, with v the largest label unless given."""
         arr = np.asarray(cells, dtype=np.int64)
         if v is None:
             v = int(arr.max()) if arr.size else 0
-        # out-of-range labels are left to validation, which names them
-        flat = arr.ravel()
-        counts = np.bincount(flat[(flat >= 1) & (flat <= v)], minlength=v + 1)[1 : v + 1]
-        return cls(v=v, cells=arr, r=counts)
+        return cls(v=v, cells=arr)
 
     @property
     def k(self) -> int:
@@ -115,11 +115,10 @@ class ContractionDesign:
             self.v == other.v
             and self.cells.shape == other.cells.shape
             and np.array_equal(self.cells, other.cells)
-            and np.array_equal(self.r, other.r)
         )
 
     def __hash__(self):
-        return hash((self.v, self.cells.shape, self.cells.tobytes(), self.r.tobytes()))
+        return hash((self.v, self.cells.shape, self.cells.tobytes()))
 
     def __repr__(self):
         return f"ContractionDesign(v={self.v}, k={self.k}, s={self.s})"
@@ -133,7 +132,7 @@ class AugmentedDesign:
     cells: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", _frozen_int_array(self.cells, "cells"))
+        object.__setattr__(self, "cells", _frozen_int_array(self.cells))
         if not 1 <= self.k <= self.v:
             raise ValueError(f"k={self.k} out of range for a {self.v}-row array")
 
@@ -217,29 +216,28 @@ def validate_contraction(c: ContractionDesign) -> ValidationReport:
     Violations are returned as data (with cell coordinates) rather than
     raised, so callers can print actionable diagnostics.
     """
-    k, s, v = c.k, c.s, c.v
     cells = c.cells
-    violations = _size_violations(v, s, k)
-    outside = _labels_outside(cells, v)
+    violations = _size_violations(c.v, c.s, c.k)
+    outside = _labels_outside(cells, c.v)
     if outside:
         return ValidationReport(tuple(violations + outside))
-
     violations += _repeats(cells.T, "column", "rows") + _repeats(cells, "row", "columns")
+    return ValidationReport(tuple(violations + _replication_violations(c.r)))
 
-    counts = np.bincount(cells.ravel(), minlength=v + 1)[1 : v + 1]
-    if int(c.r.sum()) != k * s:
-        violations.append(f"replication vector sums to {int(c.r.sum())}, expected k*s={k * s}")
-    mismatched = np.nonzero(counts != c.r)[0]
-    for h in mismatched:
-        violations.append(
-            f"replication mismatch for label {h + 1}: r says {int(c.r[h])}, cells contain {int(counts[h])}"
-        )
-    if int(c.r.max()) - int(c.r.min()) > 1:
-        violations.append(
-            f"replication spread exceeds 1 (min {int(c.r.min())}, max {int(c.r.max())})"
-        )
 
-    return ValidationReport(tuple(violations))
+def _replication_violations(counts: np.ndarray, expected=None) -> list[str]:
+    """Each label whose count differs from ``expected``, if given, then the spread rule."""
+    violations = []
+    if expected is not None:
+        expected = np.asarray(expected, dtype=np.int64)
+        if expected.shape != counts.shape:
+            raise ValueError(f"r has shape {expected.shape}, expected {counts.shape}")
+        violations += [f"replication mismatch for label {h + 1}: r says {expected[h]}, "
+                       f"cells contain {counts[h]}" for h in np.flatnonzero(counts != expected)]
+    if int(counts.max()) - int(counts.min()) > 1:
+        violations.append(
+            f"replication spread exceeds 1 (min {int(counts.min())}, max {int(counts.max())})")
+    return violations
 
 
 def _labels_outside(cells: np.ndarray, top: int) -> list[str]:
@@ -272,12 +270,12 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
 
     Each check label must occur exactly once per column and each test line
     exactly once overall.  Once both hold, the contraction is read off ``a``
-    by the inverse placement rule, with replication vector ``r`` if given and
-    otherwise its label counts, and its ``validate_contraction`` violations
-    are returned.  A label repeated in a contraction row is a check repeated
-    in an array row, and is named so: ``check 73 occurs 2 times in row 7
-    (columns 1, 2)``.  The others, the size rule and the replication spread,
-    are prefixed ``generating contraction: ``.
+    by the inverse placement rule and judged by ``validate_contraction``'s
+    rules.  A label repeated in a contraction row is a check repeated in an
+    array row, and is named so: ``check 73 occurs 2 times in row 7
+    (columns 1, 2)``.  Given ``r``, the replication expected of it (length
+    v), each label whose count differs is reported too.  The other
+    violations are prefixed ``generating contraction: ``.
     """
     s, k = a.s, a.k
     cells = a.cells
@@ -300,29 +298,27 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     if violations:
         return ValidationReport(tuple(violations))
 
-    g = _generating_contraction(a, r)
-    # contraction row i is check n_test + i, and its labels are array rows
-    in_array_terms = dict(zip(_repeats(g.cells, "row", "columns"), (
-        f"check {n_test + i} occurs {cnt} times in row {row} (columns {where})"
-        for i, row, cnt, where in _repeat_sites(g.cells))))
-    return ValidationReport(tuple(in_array_terms.get(m, f"generating contraction: {m}")
-                                  for m in validate_contraction(g).violations))
+    g = _generating_contraction(a)
+    # contraction row i is check n_test + i and its labels are array rows;
+    # its columns, each k distinct rows, repeat nothing
+    repeats = [f"check {n_test + i} occurs {cnt} times in row {row} (columns {where})"
+               for i, row, cnt, where in _repeat_sites(g.cells)]
+    size = [f"generating contraction: {m}" for m in _size_violations(g.v, s, k)]
+    replication = [f"generating contraction: {m}" for m in _replication_violations(g.r, r)]
+    return ValidationReport(tuple(size + repeats + replication))
 
 
-def _generating_contraction(a: AugmentedDesign, r=None) -> ContractionDesign:
+def _generating_contraction(a: AugmentedDesign) -> ContractionDesign:
     """The contraction that the placement rule expands into ``a``, read back.
 
     The row holding check ``(v-k)s + i`` in column j becomes contraction cell
-    (i, j), so ``a`` must hold each check once per column.  The replication
-    vector is ``r`` if given, else the label counts.
+    (i, j), so ``a`` must hold each check once per column.
     """
     is_check = a.cells > a.n_test_lines
     rows, cols = np.nonzero(is_check)
     cells = np.zeros((a.k, a.s), dtype=np.int64)
     cells[a.cells[is_check] - a.n_test_lines - 1, cols] = rows + 1
-    if r is None:
-        return ContractionDesign.from_cells(cells, v=a.v)
-    return ContractionDesign(v=a.v, cells=cells, r=r)
+    return ContractionDesign(a.v, cells)
 
 
 def _require_valid(design: ContractionDesign | AugmentedDesign) -> None:

@@ -12,7 +12,7 @@ arrays with a fixed replication vector) by two-cell swaps of three kinds:
 Moves are emitted only when the result stays binary, so every design the
 search evaluates is valid.  Everything is deterministic given the seed:
 restart i draws from a generator seeded with ``seed ^ i``, and the reduction
-over restarts is by (objective, restart index, lexicographic array), so
+over restarts is by objective, ties going to the lowest restart index, so
 running restarts serially or concurrently gives the same answer.
 
 Every swap of one array shape has an id in one per-shape plan
@@ -200,7 +200,7 @@ def random_contraction(v: int, s: int, k: int, seed: int = 0) -> ContractionDesi
     r = balanced_replication(v, k, s)
     cells = _fill(v, s, k, r, np.random.default_rng(seed),
                   f"failed to fill a {k}x{s} array on {v} labels after bounded retries")
-    return ContractionDesign(v=v, cells=cells, r=r)
+    return ContractionDesign(v, cells)
 
 
 def _fill(v: int, s: int, k: int, r: np.ndarray, rng, failure: str) -> np.ndarray:
@@ -865,17 +865,17 @@ def _start_temp(probe: list[float]) -> float:
 # restarts and the contraction search
 
 
-def _run_restarts(cfg: SearchConfig, r: np.ndarray, restart_fn) -> SearchResult:
+def _run_restarts(cfg: SearchConfig, v: int, restart_fn) -> SearchResult:
     """Run ``cfg.restarts`` restarts and keep the best as a ``SearchResult``.
 
     Restart i calls ``restart_fn(i, rng, deadline)`` with
     ``rng = default_rng(cfg.seed ^ i)`` and gets a driver's
     (state, value, trace, evaluations, timed out) tuple back.  Restarts run
-    serially or on ``cfg.workers`` threads and are reduced by (objective,
-    restart index, lexicographic array), so both agree.  Either way no
+    serially or on ``cfg.workers`` threads and are reduced by objective,
+    ties going to the lowest restart index, so both agree.  Either way no
     restart after the first starts once the deadline has passed; ``run``
     returns None for a skipped one.  The best state is reported as a
-    contraction with replication vector ``r``.
+    contraction on ``v`` labels.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -896,10 +896,9 @@ def _run_restarts(cfg: SearchConfig, r: np.ndarray, restart_fn) -> SearchResult:
         runs = [run(i) for i in indices]
     outcomes = [o for o in runs if o is not None]
     skipped = len(outcomes) < len(runs)
-    restart, state, val, trace, _, _ = min(
-        outcomes, key=lambda o: (-o[2], o[0], tuple(o[1].ravel())))
+    restart, state, val, trace, _, _ = min(outcomes, key=lambda o: (-o[2], o[0]))
     return SearchResult(
-        best=ContractionDesign(v=len(r), cells=state, r=r),
+        best=ContractionDesign(v, state),
         objective=val,
         trace=tuple(trace),
         elapsed=time.monotonic() - start,
@@ -923,13 +922,12 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
     """Search for a contraction maximizing the configured efficiency objective.
 
     Deterministic given the seed; restarts are reduced in fixed index order
-    (ties by restart index, then lexicographically smallest array), so serial
-    and concurrent execution agree.  Raises ``ConfigError`` when the budget
+    (ties by restart index), so serial and concurrent execution agree.  Raises ``ConfigError`` when the budget
     left every restart at a disconnected design (objective 0.0).
     """
     cfg = cfg or SearchConfig()
     r = balanced_replication(v, k, s)
-    result = _run_restarts(cfg, r, functools.partial(_contraction_restart, v, s, k, r, cfg))
+    result = _run_restarts(cfg, v, functools.partial(_contraction_restart, v, s, k, r, cfg))
     if result.objective == 0.0:
         budget = f"max_iters {cfg.max_iters}"
         if cfg.time_budget is not None:

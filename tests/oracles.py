@@ -11,6 +11,9 @@ full ks x ks table, repeated labels are counted line by line instead of
 found by one sort, the augmented array is filled and read back cell by
 cell, and ``c_bar_s`` comes from a centred Schur complement instead of the
 lifted joint matrix.
+The validators' rules from when a contraction stored ``r`` beside its array
+are kept here, walked cell by cell, as the reference for the rules on the
+derived ``r``.
 The random fill keeps a set of labels per row and permutes index arrays
 with ``rng.permutation``, where the library shuffles lists of rows in
 place; the two must take the same draws.
@@ -31,16 +34,19 @@ from arcdesign import (
     incidence,
     validate_contraction,
 )
+from arcdesign.designs import _size_violations
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.search import Move, _draw_pairs, _swap_plan
 
 
 def apply_move(c: ContractionDesign, move: Move) -> ContractionDesign:
-    """The contraction after one two-cell swap; replications are unchanged."""
+    """The contraction after one two-cell swap; asserts that replications are unchanged."""
     cells = np.array(c.cells)
     (i1, j1), (i2, j2) = move.a, move.b
     cells[i1, j1], cells[i2, j2] = c.cells[i2, j2], c.cells[i1, j1]
-    return ContractionDesign(v=c.v, cells=cells, r=c.r)
+    after = ContractionDesign(c.v, cells)
+    assert np.array_equal(after.r, c.r)
+    return after
 
 
 def b_nontrivial_eigenvalues(c: ContractionDesign) -> np.ndarray:
@@ -126,6 +132,79 @@ def repeats_by_unique(lines, line: str, other: str) -> list[str]:
             where = ", ".join(str(p + 1) for p in np.nonzero(values == lab)[0])
             violations.append(f"{line} {n + 1} non-binary: label {lab} occurs {cnt} times ({other} {where})")
     return violations
+
+
+def validate_contraction_with_r(cells, v: int, r) -> tuple[str, ...]:
+    """``validate_contraction``'s violations as they were when ``r`` was stored beside the array.
+
+    The reference for the rules on a derived ``r``: the size rule, labels
+    outside 1..v (which end the check), column then row repeats, then the sum
+    of ``r``, each label whose count in the cells differs from ``r``, and the
+    spread of ``r``.  Cells are walked one by one.
+    """
+    cells, r = np.asarray(cells), np.asarray(r)
+    k, s = cells.shape
+    violations = _size_violations(v, s, k)
+    outside = [f"label {lab} at ({i + 1},{j + 1}) outside 1..{v}"
+               for (i, j), lab in np.ndenumerate(cells) if not 1 <= lab <= v]
+    if outside:
+        return tuple(violations + outside)
+    violations += repeats_by_unique(cells.T, "column", "rows")
+    violations += repeats_by_unique(cells, "row", "columns")
+    counts = [int(np.sum(cells == h + 1)) for h in range(v)]
+    if int(r.sum()) != k * s:
+        violations.append(f"replication vector sums to {int(r.sum())}, expected k*s={k * s}")
+    violations += [f"replication mismatch for label {h + 1}: r says {int(r[h])}, cells contain {counts[h]}"
+                   for h in range(v) if counts[h] != r[h]]
+    if int(r.max()) - int(r.min()) > 1:
+        violations.append(f"replication spread exceeds 1 (min {int(r.min())}, max {int(r.max())})")
+    return tuple(violations)
+
+
+def validate_augmented_with_r(cells, k: int, r=None) -> tuple[str, ...]:
+    """``validate_augmented``'s violations as they were when the read-back contraction stored ``r``.
+
+    Cell by cell: labels outside 1..v*, each check once per column, each test
+    line once.  The contraction read back from the check rows is then judged
+    by ``validate_contraction_with_r`` with ``r``, or its own counts if ``r``
+    is None, and a row repeat is renamed as a check repeated in an array row.
+    """
+    cells = np.asarray(cells)
+    v, s = cells.shape
+    n_test = (v - k) * s
+    outside = [f"label {lab} at ({i + 1},{j + 1}) outside 1..{n_test + k}"
+               for (i, j), lab in np.ndenumerate(cells) if not 1 <= lab <= n_test + k]
+    if outside:
+        return tuple(outside)
+    violations = []
+    for j in range(s):
+        for check in range(n_test + 1, n_test + k + 1):
+            times = int(np.sum(cells[:, j] == check))
+            if times != 1:
+                violations.append(f"column {j + 1} has check {check} {times} times (expected once)")
+    for line in range(1, n_test + 1):
+        times = int(np.sum(cells == line))
+        if times != 1:
+            violations.append(f"test line {line} occurs {times} times (expected once)")
+    if violations:
+        return tuple(violations)
+    g = np.zeros((k, s), dtype=np.int64)
+    for (row, j), lab in np.ndenumerate(cells):
+        if lab > n_test:
+            g[lab - n_test - 1, j] = row + 1
+    if r is None:
+        r = np.array([np.sum(g == h + 1) for h in range(v)])
+    renamed = {}
+    for i, values in enumerate(g):
+        for row in np.unique(values):
+            where = np.flatnonzero(values == row) + 1
+            if len(where) > 1:
+                columns = ", ".join(str(p) for p in where)
+                renamed[f"row {i + 1} non-binary: label {row} occurs {len(where)} times "
+                        f"(columns {columns})"] = (
+                    f"check {n_test + i + 1} occurs {len(where)} times in row {row} (columns {columns})")
+    return tuple(renamed.get(m, f"generating contraction: {m}")
+                 for m in validate_contraction_with_r(g, v, r))
 
 
 def augmented_cells_by_loops(check_rows, v: int) -> np.ndarray:

@@ -27,6 +27,8 @@ from oracles import (
     concurrence_by_enumeration,
     image_of_valid_contraction_by_loops,
     repeats_by_unique,
+    validate_augmented_with_r,
+    validate_contraction_with_r,
 )
 
 
@@ -40,12 +42,14 @@ class TestValidateContraction:
     def test_mutated_cell_reports_column_and_replication(self, ex1_contraction):
         cells = ex1_contraction.cells.copy()
         cells[0, 0] = 12  # was 3; 12 already sits at (2, 1)
-        mutant = ContractionDesign(v=12, cells=cells, r=ex1_contraction.r)
+        mutant = ContractionDesign(12, cells)
         report = validate_contraction(mutant)
         assert not report.ok
         assert any("column 1 non-binary" in v and "12" in v for v in report.violations)
-        assert any("replication mismatch for label 3" in v for v in report.violations)
-        assert any("replication mismatch for label 12" in v for v in report.violations)
+        moved = np.zeros(12, dtype=np.int64)
+        moved[[2, 11]] = -1, 1
+        assert np.array_equal(mutant.r - ex1_contraction.r, moved)
+        assert "replication spread exceeds 1 (min 1, max 3)" in report.violations
 
     def test_latin_square_is_valid(self, latin3):
         assert validate_contraction(latin3).ok
@@ -80,22 +84,46 @@ class TestValidateContraction:
             for view in (lines, lines.T):
                 assert _repeats(view, "row", "columns") == repeats_by_unique(view, "row", "columns")
 
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 10)), v=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), distinct=st.booleans(), stray=st.integers(0, 3),
+           v_from_labels=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_derived_r_validates_as_a_stored_r_did(self, shape, v, seed, distinct, stray,
+                                                    v_from_labels):
+        # Labels drawn with replacement repeat and leave labels out; rows of
+        # distinct labels can be valid; stray cells fall outside 1..v.  Sizes
+        # are drawn freely, so many break the size rule.
+        rng = np.random.default_rng(seed)
+        k, s = shape
+        if distinct:
+            cells = np.array([rng.permutation(max(v, s))[:s] + 1 for _ in range(k)])
+        else:
+            cells = rng.integers(1, v + 1, size=shape)
+        for _ in range(stray):
+            cells[rng.integers(k), rng.integers(s)] = rng.choice([-1, 0, v + 1, v + 7])
+        if v_from_labels:
+            assume(cells.max() >= 1)
+            c = ContractionDesign.from_cells(cells)
+        else:
+            c = ContractionDesign.from_cells(cells, v)
+        in_range = cells[(cells >= 1) & (cells <= c.v)]
+        assert np.array_equal(c.r, np.bincount(in_range, minlength=c.v + 1)[1:])
+        assert validate_contraction(c).violations == validate_contraction_with_r(cells, c.v, c.r)
+
     def test_v_smaller_than_s_is_reported(self):
-        c = ContractionDesign(
-            v=3, cells=np.array([[1, 2, 3, 1], [2, 3, 1, 2]]), r=np.array([3, 3, 2])
-        )
+        c = ContractionDesign(3, np.array([[1, 2, 3, 1], [2, 3, 1, 2]]))
         report = validate_contraction(c)
         assert any("pseudo-treatments as columns" in v for v in report.violations)
 
     def test_label_out_of_range(self):
-        c = ContractionDesign(v=3, cells=np.array([[1, 2, 3], [4, 3, 1]]), r=np.array([2, 1, 2]))
+        c = ContractionDesign(3, np.array([[1, 2, 3], [4, 3, 1]]))
         report = validate_contraction(c)
         assert any("outside 1..3" in v for v in report.violations)
 
     def test_infeasible_dimensions_reported(self):
-        # (v=10, s=3, k=2) has residual df -7
-        cells = np.array([[1, 2, 3], [4, 5, 6]])
-        c = ContractionDesign(v=10, cells=cells, r=np.array([2, 2, 1, 1, 0, 0, 0, 0, 0, 0]))
+        # (v=10, s=3, k=2) has residual df -7; label 1 occurs twice and labels 6..10 never
+        cells = np.array([[1, 2, 3], [4, 1, 5]])
+        c = ContractionDesign(10, cells)
         report = validate_contraction(c)
         assert any("degrees of freedom" in v for v in report.violations)
         assert any("spread" in v for v in report.violations)
@@ -146,8 +174,43 @@ class TestSizeRule:
         assert validate_contraction(c).violations[0] == message
 
 
-#: Sizes for the property below; (3,3,2) has no test lines and (12,8,3) is the reference size.
+#: Sizes for the properties below; (3,3,2) has no test lines and (12,8,3) is the reference size.
 _AUGMENT_SIZES = [(3, 3, 2), (6, 4, 3), (10, 5, 4), (12, 8, 3), (15, 10, 3)]
+
+#: Ways ``_mutant`` changes an augmented design.
+_MUTATIONS = ["none", "relabel", "held-row", "other-column", "any-swap"]
+
+
+def _mutant(size, seed: int, mutation: str):
+    """A random contraction and a mutant of the cells of its augmented design.
+
+    Test lines relabelled (still an image), a check moved within its column
+    into a row that holds it in another column, a check swapped with a test
+    line of another column, or any two cells swapped.
+    """
+    c = random_contraction(*size, seed=seed)
+    rng = np.random.default_rng(seed)
+    cells = augment(c).cells.copy()
+    v, s = cells.shape
+    n_test = cells.size - c.k * s
+    check = n_test + 1 + int(rng.integers(c.k))
+    j, other = rng.choice(s, size=2, replace=False)
+    row = int(np.flatnonzero(cells[:, j] == check)[0])
+    if mutation == "relabel":
+        tests = cells <= n_test
+        cells[tests] = rng.permutation(cells[tests])
+    elif mutation == "held-row":
+        target = int(np.flatnonzero(cells[:, other] == check)[0])
+        cells[[row, target], j] = cells[[target, row], j]
+    elif mutation == "other-column":
+        lines = np.flatnonzero(cells[:, other] <= n_test)
+        assume(len(lines) > 0)
+        target = int(rng.choice(lines))
+        cells[row, j], cells[target, other] = cells[target, other], cells[row, j]
+    elif mutation == "any-swap":
+        (r1, c1), (r2, c2) = rng.integers((v, s), size=(2, 2))
+        cells[r1, c1], cells[r2, c2] = cells[r2, c2], cells[r1, c1]
+    return c, cells
 
 
 class TestValidateAugmented:
@@ -173,7 +236,6 @@ class TestValidateAugmented:
         assert validate_augmented(ex1_augmented, r=r).violations == (
             "generating contraction: replication mismatch for label 1: r says 3, cells contain 2",
             "generating contraction: replication mismatch for label 2: r says 1, cells contain 2",
-            "generating contraction: replication spread exceeds 1 (min 1, max 3)",
         )
 
     def test_check_repeated_in_a_row_is_rejected(self):
@@ -190,41 +252,31 @@ class TestValidateAugmented:
                 use(a)
 
     @given(size=st.sampled_from(_AUGMENT_SIZES), seed=st.integers(0, 2**32 - 1),
-           mutation=st.sampled_from(["none", "relabel", "held-row", "other-column", "any-swap"]))
+           mutation=st.sampled_from(_MUTATIONS))
     @example(size=(12, 8, 3), seed=0, mutation="held-row")
     @settings(max_examples=150, deadline=None)
     def test_valid_exactly_when_the_image_of_a_valid_contraction(self, size, seed, mutation):
-        # Mutants of augment(c): test lines relabelled (still an image), a check
-        # moved within its column into a row that holds it in another column, a
-        # check swapped with a test line of another column, or any two cells swapped.
-        c = random_contraction(*size, seed=seed)
-        rng = np.random.default_rng(seed)
-        cells = augment(c).cells.copy()
-        v, s = cells.shape
-        n_test = cells.size - c.k * s
-        check = n_test + 1 + int(rng.integers(c.k))
-        j, other = rng.choice(s, size=2, replace=False)
-        row = int(np.flatnonzero(cells[:, j] == check)[0])
-        if mutation == "relabel":
-            tests = cells <= n_test
-            cells[tests] = rng.permutation(cells[tests])
-        elif mutation == "held-row":
-            target = int(np.flatnonzero(cells[:, other] == check)[0])
-            cells[[row, target], j] = cells[[target, row], j]
-        elif mutation == "other-column":
-            lines = np.flatnonzero(cells[:, other] <= n_test)
-            assume(len(lines) > 0)
-            target = int(rng.choice(lines))
-            cells[row, j], cells[target, other] = cells[target, other], cells[row, j]
-        elif mutation == "any-swap":
-            (r1, c1), (r2, c2) = rng.integers((v, s), size=(2, 2))
-            cells[r1, c1], cells[r2, c2] = cells[r2, c2], cells[r1, c1]
+        c, cells = _mutant(size, seed, mutation)
         ok = validate_augmented(AugmentedDesign(k=c.k, cells=cells)).ok
         assert ok == image_of_valid_contraction_by_loops(cells, c.k)
         if mutation in ("none", "relabel"):
             assert ok
         elif mutation in ("held-row", "other-column"):
             assert not ok
+
+    @given(size=st.sampled_from(_AUGMENT_SIZES), seed=st.integers(0, 2**32 - 1),
+           mutation=st.sampled_from(_MUTATIONS))
+    @example(size=(12, 8, 3), seed=0, mutation="held-row")
+    @settings(max_examples=150, deadline=None)
+    def test_messages_match_the_rules_on_a_stored_r(self, size, seed, mutation):
+        c, cells = _mutant(size, seed, mutation)
+        a = AugmentedDesign(k=c.k, cells=cells)
+        own = validate_augmented_with_r(cells, c.k)
+        assert validate_augmented(a).violations == own
+        # with the searched r given, the spread is still judged on the array's own counts
+        with_r = validate_augmented_with_r(cells, c.k, c.r)
+        assert validate_augmented(a, r=c.r).violations == (
+            *(m for m in with_r if "spread" not in m), *(m for m in own if "spread" in m))
 
 
 class TestIncidence:
@@ -316,12 +368,23 @@ class TestFeasibilityDf:
 
 class TestDesignValue:
     def test_equality_and_hash(self, ex1_contraction):
-        clone = ContractionDesign(
-            v=12, cells=ex1_contraction.cells.copy(), r=ex1_contraction.r.copy()
-        )
+        clone = ContractionDesign(12, ex1_contraction.cells.copy())
         assert clone == ex1_contraction
         assert hash(clone) == hash(ex1_contraction)
 
     def test_cells_are_read_only(self, ex1_contraction):
         with pytest.raises(ValueError):
             ex1_contraction.cells[0, 0] = 1
+
+    def test_r_is_derived_once_and_read_only(self, ex1_contraction):
+        with pytest.raises(TypeError):
+            ContractionDesign(v=12, cells=ex1_contraction.cells, r=ex1_contraction.r)
+        c = ContractionDesign(12, ex1_contraction.cells)
+        assert c.r is c.r
+        assert np.array_equal(c.r, np.full(12, 2))
+        with pytest.raises(ValueError):
+            c.r[0] = 3
+
+    def test_validate_augmented_rejects_an_r_of_the_wrong_length(self, ex1_augmented):
+        with pytest.raises(ValueError, match=r"r has shape \(11,\), expected \(12,\)"):
+            validate_augmented(ex1_augmented, r=np.full(11, 2))

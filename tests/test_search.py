@@ -215,8 +215,10 @@ class TestContractionObjective:
         rng = np.random.default_rng(seed)
         cells = c.cells
         for _ in range(steps + 1):
+            design = ContractionDesign(c.v, cells)
+            assert np.array_equal(design.r, c.r)
             try:
-                e_con(ContractionDesign(v=c.v, cells=cells, r=c.r))
+                e_con(design)
                 disconnected = False
             except DisconnectedDesignError:
                 disconnected = True
@@ -402,9 +404,11 @@ class TestTabu:
         assert not timed_out
         assert evals <= max_iters
         for cells in confirmed:
-            assert validate_contraction(ContractionDesign(v=c.v, cells=cells, r=c.r)).ok
+            design = ContractionDesign(c.v, cells)
+            assert validate_contraction(design).ok
+            assert np.array_equal(design.r, c.r)
         assert any(cells is best for cells in confirmed)
-        design = ContractionDesign(v=c.v, cells=best, r=c.r)
+        design = ContractionDesign(c.v, best)
         if val == 0.0:
             with pytest.raises(DisconnectedDesignError):
                 e_con(design)
@@ -591,7 +595,9 @@ class TestSwapWalk:
         states = []  # the start state, then the state each candidate is scored from
 
         def check(val, cells):
-            exact = _closed_form_e_aug(ContractionDesign(v=c.v, cells=cells, r=c.r))
+            design = ContractionDesign(c.v, cells)
+            assert np.array_equal(design.r, c.r)
+            exact = _closed_form_e_aug(design)
             assert val == 0.0 if exact == 0.0 else abs(val - exact) <= 1e-10
 
         def checked(walk, score, move):
@@ -992,7 +998,7 @@ class TestSearchContraction:
             return np.zeros((1, 1)), 0.0, [(0, 0.0)], 1, False
 
         cfg = SearchConfig(restarts=8, workers=2, time_budget=0.05)
-        result = _run_restarts(cfg, np.zeros(1, dtype=np.int64), restart)
+        result = _run_restarts(cfg, 1, restart)
         assert sorted(started) == [0, 1]
         assert result.timed_out
 
