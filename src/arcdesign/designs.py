@@ -185,7 +185,8 @@ class IncidenceSet:
 
     ``n_r[h, i] = 1`` iff label h+1 occurs in contraction row i+1; ``n_c`` is
     the same against columns; ``w = n_r @ n_r.T`` counts, for every pair of
-    labels, the rows in which they appear together.
+    labels, the rows in which they appear together.  The arrays are read-only:
+    ``incidence`` builds one set per design and every call returns it.
     """
 
     n_r: np.ndarray
@@ -229,9 +230,6 @@ def _replication_violations(counts: np.ndarray, expected=None) -> list[str]:
     """Each label whose count differs from ``expected``, if given, then the spread rule."""
     violations = []
     if expected is not None:
-        expected = np.asarray(expected, dtype=np.int64)
-        if expected.shape != counts.shape:
-            raise ValueError(f"r has shape {expected.shape}, expected {counts.shape}")
         violations += [f"replication mismatch for label {h + 1}: r says {expected[h]}, "
                        f"cells contain {counts[h]}" for h in np.flatnonzero(counts != expected)]
     if int(counts.max()) - int(counts.min()) > 1:
@@ -275,8 +273,13 @@ def validate_augmented(a: AugmentedDesign, r=None) -> ValidationReport:
     array row, and is named so: ``check 73 occurs 2 times in row 7
     (columns 1, 2)``.  Given ``r``, the replication expected of it (length
     v), each label whose count differs is reported too.  The other
-    violations are prefixed ``generating contraction: ``.
+    violations are prefixed ``generating contraction: ``.  An ``r`` of any
+    length but v raises ``ValueError``, whether or not ``a`` is valid.
     """
+    if r is not None:
+        r = np.asarray(r, dtype=np.int64)
+        if r.shape != (a.v,):
+            raise ValueError(f"r has shape {r.shape}, expected {(a.v,)}")
     s, k = a.s, a.k
     cells = a.cells
     n_test = a.n_test_lines
@@ -342,19 +345,26 @@ def _mark_valid(design: ContractionDesign | AugmentedDesign) -> None:
 
 
 def incidence(c: ContractionDesign) -> IncidenceSet:
-    """Incidence and concurrence matrices of a valid contraction.
+    """Incidence and concurrence matrices of a valid contraction, read-only.
 
     Rejects invalid input: incidence matrices of a non-binary array would not
-    be 0/1 and every downstream formula assumes binarity.
+    be 0/1 and every downstream formula assumes binarity.  The set is built
+    once per design object and kept on it, as ``_require_valid`` keeps its
+    verdict, so every call returns the same arrays.
     """
-    _require_valid(c)
-    n_r, n_c = _incidence_arrays(c.cells, c.v)
-    return IncidenceSet(n_r=n_r, n_c=n_c, w=n_r @ n_r.T)
+    inc = c.__dict__.get("_incidence")
+    if inc is None:
+        _require_valid(c)
+        n_r, n_c = _incidence_arrays(c.cells, c.v)
+        inc = IncidenceSet(n_r=n_r, n_c=n_c, w=n_r @ n_r.T)
+        for arr in (inc.n_r, inc.n_c, inc.w):
+            arr.setflags(write=False)
+        object.__setattr__(c, "_incidence", inc)
+    return inc
 
 
 def _incidence_arrays(cells: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-    # Assumes a binary array, of either design kind (for an augmented design v is v*);
-    # shared with the search hot path.
+    # Assumes a binary contraction array; shared with the search hot path.
     k, s = cells.shape
     labels = cells - 1
     n_r = np.zeros((v, k))

@@ -15,6 +15,14 @@ row block and ``c_bar_s`` from the column block of the inverse of the joint
 matrix lifted to eigenvalue 1 on its trivial directions (``_lifted_joint``,
 which the e_aug anneal inverts too).  ``e_aug_direct`` recomputes the same
 number from the full v* x v* eigenproblem: the independent route.
+
+The direct route forms no v* x v* product.  ``info_matrix_augmented`` writes
+each entry from where its two labels sit, with the four-term expression's
+operations in its order, so the matrix keeps that expression's bytes under any
+numbering of the test lines; ``augmented_cefs`` scales it in place and solves
+it once.  On the contraction side, ``incidence`` and ``contraction_cefs`` are
+kept on the design object, so one ``full_report`` builds one incidence set and
+solves the contraction's own spectrum once, for ``e_con`` and its cefs alike.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentor import augment
-from .designs import AugmentedDesign, ContractionDesign, _incidence_arrays, _require_valid, incidence
+from .designs import AugmentedDesign, ContractionDesign, _require_valid, incidence
 from .errors import DisconnectedDesignError
 from .spectra import (
     Spectrum,
@@ -53,12 +61,12 @@ def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
 
 def _info_matrix(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, n: int,
                  rr_term: np.ndarray | None = None) -> np.ndarray:
-    # The row-column information matrix from incidence arrays, the replication
-    # vector r and the plot count n, for both design kinds (an augmented design's
-    # n_r has one column per array row) and the search, which passes rr'/n built
-    # once per shape.  The N_R N_R' product is the result and one scratch buffer
-    # takes N_C N_C', then rr'/n: the four-term expression's steps in its order,
-    # so its bytes.
+    # The row-column information matrix of a contraction from its incidence arrays,
+    # the replication vector r and the plot count n, for info_matrix_contraction and
+    # the search, which passes rr'/n built once per shape.  The N_R N_R' product is
+    # the result and one scratch buffer takes N_C N_C', then rr'/n: the four-term
+    # expression's steps in its order, so its bytes.  info_matrix_augmented takes
+    # the same steps entry by entry.
     rows, s = n_r.shape[1], n_c.shape[1]
     a = _row_block(n_r, r, s)
     scratch = n_c @ n_c.T
@@ -83,8 +91,16 @@ def _row_block(n_r: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
 
 
 def contraction_cefs(c: ContractionDesign) -> Spectrum:
-    """Canonical efficiency factors of the contraction itself."""
-    return cefs_from_info(info_matrix_contraction(c), c.r.astype(float))
+    """Canonical efficiency factors of the contraction itself.
+
+    Solved once per design object and kept on it, like its ``incidence``: a
+    ``Spectrum`` is read-only, so ``e_con`` and ``full_report`` share it.
+    """
+    sp = c.__dict__.get("_cefs")
+    if sp is None:
+        sp = cefs_from_info(info_matrix_contraction(c), c.r.astype(float))
+        object.__setattr__(c, "_cefs", sp)
+    return sp
 
 
 def e_con(c: ContractionDesign) -> float:
@@ -201,10 +217,53 @@ def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
     replication-products term carries the 1/n factor required for zero row
     sums.  ``M_R``/``M_C`` are the treatment-by-row/column incidences.  The
     design is validated here, at the boundary, once per object.
+
+    The products are not formed: in a valid design two test lines share one
+    row, one column or no line, and every check shares each column with every
+    label, so each entry is written from where its two labels sit.  Each entry
+    takes the four-term expression's operations in its order (``entry``), so
+    the matrix has its bytes under any numbering of the test lines.
     """
     _require_valid(a)
-    m_r, m_c = _incidence_arrays(a.cells, a.v_star)  # 0/1: a valid design is row- and column-binary
-    return _info_matrix(m_r, m_c, a.u, a.cells.size)
+    v, s, k, n = a.v, a.s, a.k, a.cells.size
+    t = a.n_test_lines
+    labels = a.cells - 1
+    test = labels < t
+
+    def entry(rows_shared: float, cols_shared: float, diagonal: bool = False) -> float:
+        # one test-line entry (u = 1): the steps of _info_matrix on its counts
+        x = 0.0 - rows_shared / s
+        if diagonal:
+            x += 1.0
+        return (x - cols_shared / v) + 1.0 * 1.0 / n
+
+    info = np.full((t + k, t + k), entry(0.0, 0.0))
+    by_column = labels.T[test.T].reshape(s, v - k)  # each column holds v-k test lines
+    info[by_column[:, :, None], by_column[:, None, :]] = entry(0.0, 1.0)
+    per_row = test.sum(axis=1)  # rows differ in their count of test lines: one scatter per count
+    for m in set(per_row.tolist()):  # not np.unique, which imports numpy.ma (about 1 MB)
+        in_group = per_row == m
+        by_row = labels[in_group][test[in_group]].reshape(np.count_nonzero(in_group), m)
+        info[by_row[:, :, None], by_row[:, None, :]] = entry(1.0, 0.0)
+    info.ravel()[: t * (t + k + 1): t + k + 1] = entry(1.0, 1.0, diagonal=True)
+
+    # The k check columns: the rows each label shares with each check, from the
+    # checks' row incidence, and the columns it shares with a check, which are
+    # all of its own: u.  Then the four-term steps in order, over the block.
+    u = a.u
+    check_rows = np.zeros((v, k))
+    check_rows[np.nonzero(~test)[0], labels[~test] - t] = 1.0
+    test_row = np.empty(t, dtype=np.int64)
+    test_row[labels[test]] = np.nonzero(test)[0]
+    block = np.concatenate((check_rows[test_row], check_rows.T @ check_rows))
+    block /= s
+    np.subtract(0.0, block, out=block)
+    block.ravel()[t * k:: k + 1] += s
+    block -= (u / v)[:, None]
+    block += (u * s / n)[:, None]
+    info[:, t:] = block
+    info[t:, :t] = block[:t].T
+    return info
 
 
 def augmented_cefs(a: AugmentedDesign) -> Spectrum:
@@ -279,7 +338,9 @@ def full_report(c: ContractionDesign, include_direct: bool = False) -> Efficienc
 
     The direct route materializes the augmented design and solves the full
     v* x v* eigenproblem, which is O((vs)^3); it is optional for that reason.
-    The contraction is validated once, here; the quantities below reuse that.
+    The contraction is validated once, here; the quantities below reuse that,
+    its incidence set and its spectrum, which ``e_con`` solves and the
+    contraction cefs read back.
     """
     _require_valid(c)
     cbv = c_bar_v(c)

@@ -36,7 +36,7 @@ def format_design(design: ContractionDesign | AugmentedDesign) -> str:
     else:
         raise TypeError(f"cannot format {type(design).__name__}")
     lines = [header]
-    lines.extend(",".join(str(int(x)) for x in row) for row in design.cells)
+    lines.extend(",".join(map(str, row)) for row in design.cells.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -388,3 +388,12 @@ class TestDesignValue:
     def test_validate_augmented_rejects_an_r_of_the_wrong_length(self, ex1_augmented):
         with pytest.raises(ValueError, match=r"r has shape \(11,\), expected \(12,\)"):
             validate_augmented(ex1_augmented, r=np.full(11, 2))
+
+    def test_an_r_of_the_wrong_length_raises_on_an_invalid_array_too(self, ex1_augmented):
+        cells = ex1_augmented.cells.copy()
+        cells[11, 4] = 5  # test line 5 twice, test line 45 gone
+        invalid = AugmentedDesign(k=3, cells=cells)
+        assert not validate_augmented(invalid).ok
+        for a in (ex1_augmented, invalid):
+            with pytest.raises(ValueError, match=r"r has shape \(1,\), expected \(12,\)"):
+                validate_augmented(a, r=[1])

@@ -320,6 +320,22 @@ class TestInfoMatrixAugmented:
             a = load_reference_design(source)
         assert info_matrix_augmented(a).tobytes() == info_matrix_augmented_by_cells(a).tobytes()
 
+    # The matrix is written from where each label sits, so it must not depend
+    # on augment's column-major numbering of the test lines.
+    @given(size=st.sampled_from([(6, 4, 3), (7, 5, 3), (10, 6, 3), (12, 8, 3), (15, 10, 3),
+                                 (20, 12, 5), (24, 16, 5), (48, 32, 6)]),
+           seed=st.integers(0, 2**32 - 1), relabel=st.booleans())
+    @settings(max_examples=48, deadline=None)
+    def test_bit_identical_under_any_test_line_numbering(self, size, seed, relabel):
+        a = augment(random_contraction(*size, seed=seed))
+        if relabel:
+            t = a.n_test_lines
+            cells = a.cells.copy()
+            is_test = cells <= t
+            cells[is_test] = np.random.default_rng(seed).permutation(t)[cells[is_test] - 1] + 1
+            a = AugmentedDesign(k=a.k, cells=cells)
+        assert info_matrix_augmented(a).tobytes() == info_matrix_augmented_by_cells(a).tobytes()
+
     def test_one_row_is_invalid(self):
         one_row = AugmentedDesign(k=1, cells=[[1]])
         with pytest.raises(InvalidDesignError,
@@ -471,6 +487,26 @@ class TestFullReport:
         info_matrix_augmented(a)
         assert extract_contraction(a) == c
         assert calls == []
+
+    def test_one_incidence_set_and_one_contraction_spectrum(self, monkeypatch):
+        builds, solves = [], []
+        incidence_arrays, eigvalsh = designs._incidence_arrays, np.linalg.eigvalsh
+        monkeypatch.setattr(designs, "_incidence_arrays",
+                            lambda cells, v: builds.append(v) or incidence_arrays(cells, v))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(len(m)) or eigvalsh(m))
+        c = load_reference_design("contraction_24x16_k5")  # nothing is kept on it yet
+        full_report(c)
+        # c_bar_v, c_bar_s, e_con and e_dual; the report's contraction cefs are e_con's
+        assert builds == [24] and solves == [24, 40, 24, 16]
+        inc = incidence(c)
+        assert incidence(c) is inc
+        for arr in (inc.n_r, inc.n_c, inc.w):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
+        # the direct route adds its one v* x v* solve and no incidence build
+        builds.clear(), solves.clear()
+        full_report(load_reference_design("contraction_24x16_k5"), include_direct=True)
+        assert builds == [24] and solves == [24, 40, 24, 16, 309]
 
     # sha256 of the report JSON of the bundled (24,16,5) reference, recorded
     # when eig_symmetric became eigenvalues-only: the values must not move by one bit.
