@@ -22,7 +22,8 @@ operations in its order, so the matrix keeps that expression's bytes under any
 numbering of the test lines; ``augmented_cefs`` scales it in place and solves
 it once.  On the contraction side, ``incidence`` and ``contraction_cefs`` are
 kept on the design object, so one ``full_report`` builds one incidence set and
-solves the contraction's own spectrum once, for ``e_con`` and its cefs alike.
+solves the contraction's own spectrum once, for ``c_bar_s``'s connectivity,
+``e_con`` and the cefs alike.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 
 from .augmentor import augment
 from .designs import AugmentedDesign, ContractionDesign, _require_valid, incidence
-from .errors import DisconnectedDesignError
 from .spectra import (
     Spectrum,
     _checked_spectrum,
@@ -42,11 +42,7 @@ from .spectra import (
     cefs_from_info,
     eig_symmetric,
     harmonic_mean_nontrivial,
-    trivial_tolerance,
 )
-
-#: Largest |W N_C - r_bar^2| entry at which a contraction counts as generally balanced.
-_BALANCE_TOL = 1e-8
 
 
 def info_matrix_contraction(c: ContractionDesign) -> np.ndarray:
@@ -123,13 +119,14 @@ def c_bar_s(c: ContractionDesign) -> float:
 
     Its s-1 eigenvalues sum in reciprocal to ``(k/v) (tr(B~^-1[v:, v:]) - 1)``
     with ``B~`` from ``_lifted_joint``; the lifted column direction gives the 1.
-    ``B~`` is singular (``trivial_tolerance``) exactly when ``c`` is disconnected.
+    ``B~`` is singular exactly when the contraction's kept spectrum has a second
+    zero: ``N_C 1_s = r`` makes the contraction's information matrix the Schur
+    complement ``A_r - F F'/k`` of the joint matrix, and the lift moves only the
+    trivial directions ``(1_v, 0)`` and ``(0, 1_s)``.
     """
+    _require_one_trivial(contraction_cefs(c))
     inc = incidence(c)
     lifted = _lifted_joint(inc.n_r, inc.n_c, c.r.astype(float), c.k)
-    w = np.linalg.eigvalsh(lifted)
-    if w[0] < trivial_tolerance(w):
-        raise DisconnectedDesignError("lifted joint matrix is singular: contraction disconnected")
     col_trace = float(np.trace(np.linalg.inv(lifted)[c.v:, c.v:]))
     return (c.v / c.k) * (c.s - 1) / (col_trace - 1.0)
 
@@ -188,12 +185,13 @@ def e_dual_column(c: ContractionDesign) -> float:
 def is_generally_balanced(c: ContractionDesign) -> bool:
     """Whether row and column structures commute: ``W N_C`` constant at r_bar^2.
 
-    When true, the column block of the joint matrix collapses to the dual
-    column design and ``c_bar_s`` equals ``e_dual_column`` exactly.
+    ``W N_C`` counts concurrences, so the test is exact: ``v^2 W N_C = (ks)^2``,
+    never true when r_bar is not whole.  When true, the column block of the joint
+    matrix collapses to the dual column design and ``c_bar_s`` equals
+    ``e_dual_column`` exactly.
     """
     inc = incidence(c)
-    target = c.r_bar**2
-    return float(np.abs(inc.w @ inc.n_c - target).max()) <= _BALANCE_TOL
+    return bool(np.all(c.v**2 * (inc.w @ inc.n_c) == (c.k * c.s) ** 2))
 
 
 def e_aug_formula(v_star: int, v: int, s: int, k: int, c_bar_v: float, c_bar_s: float) -> float:
@@ -339,8 +337,8 @@ def full_report(c: ContractionDesign, include_direct: bool = False) -> Efficienc
     The direct route materializes the augmented design and solves the full
     v* x v* eigenproblem, which is O((vs)^3); it is optional for that reason.
     The contraction is validated once, here; the quantities below reuse that,
-    its incidence set and its spectrum, which ``e_con`` solves and the
-    contraction cefs read back.
+    its incidence set and its spectrum, which ``c_bar_s`` solves to decide
+    connectivity and ``e_con`` and the contraction cefs read back.
     """
     _require_valid(c)
     cbv = c_bar_v(c)

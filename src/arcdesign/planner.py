@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .designs import feasibility_df
 from .errors import InfeasibleParametersError
@@ -21,17 +21,36 @@ from .errors import InfeasibleParametersError
 
 @dataclass(frozen=True)
 class DesignPlan:
-    """A chosen (v, s, k) with its check proportion, capacity, and surplus."""
+    """A chosen (v, s, k), the test-line count it answers and the next-best values of v.
+
+    The check proportion, test-line capacity, surplus over the request (0 with
+    none) and residual df are properties: they follow from the dimensions, as a
+    contraction's ``r`` follows from its array.
+    """
 
     v: int
     s: int
     k: int
-    check_proportion: float
-    test_line_capacity: int
-    surplus: int
-    feasible_df: int
     requested_test_lines: int | None = None
-    alternatives: tuple[int, ...] = field(default=())
+    alternatives: tuple[int, ...] = ()
+
+    @property
+    def check_proportion(self) -> float:
+        return self.k / self.v
+
+    @property
+    def test_line_capacity(self) -> int:
+        return (self.v - self.k) * self.s
+
+    @property
+    def surplus(self) -> int:
+        if self.requested_test_lines is None:
+            return 0
+        return self.test_line_capacity - self.requested_test_lines
+
+    @property
+    def feasible_df(self) -> int:
+        return feasibility_df(self.v, self.s, self.k)
 
     def to_dict(self) -> dict:
         return {
@@ -112,18 +131,7 @@ def plan(k: int, target_proportion: float, n_test_lines: int) -> DesignPlan:
             f"add checks or raise the proportion so v grows",
         )
 
-    capacity = (v - k) * s
-    return DesignPlan(
-        v=v,
-        s=s,
-        k=k,
-        check_proportion=k / v,
-        test_line_capacity=capacity,
-        surplus=capacity - n_test_lines,
-        feasible_df=df,
-        requested_test_lines=n_test_lines,
-        alternatives=alternatives,
-    )
+    return DesignPlan(v, s, k, n_test_lines, alternatives)
 
 
 def plan_fixed_grid(rows: int, cols: int, k: int, orientation: str = "auto") -> DesignPlan:
@@ -157,14 +165,4 @@ def plan_fixed_grid(rows: int, cols: int, k: int, orientation: str = "auto") -> 
             f"(v={v}, s={s}, k={k}) leaves {df} residual degrees of freedom; "
             f"minimum feasible column count for this (v, k) is {_minimal_feasible_s(v, k)}"
         )
-    capacity = (v - k) * s
-    return DesignPlan(
-        v=v,
-        s=s,
-        k=k,
-        check_proportion=k / v,
-        test_line_capacity=capacity,
-        surplus=0,
-        feasible_df=df,
-        requested_test_lines=None,
-    )
+    return DesignPlan(v, s, k)

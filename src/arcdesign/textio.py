@@ -22,8 +22,11 @@ from .designs import AugmentedDesign, ContractionDesign, _size_violations
 from .errors import ParseError
 
 _HEADER_RE = re.compile(
-    r"^#\s*(contraction|augmented)\s+v=(\d+)\s+s=(\d+)\s+k=(\d+)\s*$"
+    r"^#\s*(contraction|augmented)\s+v=(\d+)\s+s=(\d+)\s+k=(\d+)\s*$", re.ASCII
 )
+# Labels are ASCII decimal integers; a sign of - is kept so that validation can
+# report a negative label as outside 1..v.
+_LABEL_RE = re.compile(r"-?[0-9]+")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -71,14 +74,11 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
         fields = line.split(",")
         row = []
         for col, field in enumerate(fields):
-            try:
-                label = int(field.strip())
-            except ValueError:
-                raise ParseError(
-                    f"expected an integer label, got {field.strip()!r}",
-                    line=lineno + 1,
-                    column=col + 1,
-                ) from None
+            field = field.strip()
+            if not _LABEL_RE.fullmatch(field):
+                raise ParseError(f"expected an integer label, got {field!r}",
+                                 line=lineno + 1, column=col + 1)
+            label = int(field)
             if not _INT64_MIN <= label <= _INT64_MAX:
                 raise ParseError(f"label {label} does not fit in 64 bits",
                                  line=lineno + 1, column=col + 1)

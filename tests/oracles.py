@@ -11,6 +11,10 @@ full ks x ks table, repeated labels are counted line by line instead of
 found by one sort, the augmented array is filled and read back cell by
 cell, and ``c_bar_s`` comes from a centred Schur complement instead of the
 lifted joint matrix.
+Two rules the library once decided by other means are kept as references:
+connectivity from the eigenvalues of the lifted joint matrix, which
+``c_bar_s`` now reads from the contraction's own spectrum, and general
+balance in exact fractions, which the library decides in scaled integers.
 The validators' rules from when a contraction stored ``r`` beside its array
 are kept here, walked cell by cell, as the reference for the rules on the
 derived ``r``.
@@ -23,6 +27,7 @@ must agree bit for bit.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from arcdesign import (
 from arcdesign.designs import _size_violations
 from arcdesign.errors import DisconnectedDesignError
 from arcdesign.search import Move, _draw_pairs, _swap_plan
+from arcdesign.spectra import trivial_tolerance
 
 
 def apply_move(c: ContractionDesign, move: Move) -> ContractionDesign:
@@ -104,6 +110,27 @@ def c_bar_s_by_centring(c: ContractionDesign) -> float:
     if vals[0] < 1e-9:
         raise DisconnectedDesignError("column block has a second zero eigenvalue")
     return (s - 1) / float(np.sum(1.0 / vals))
+
+
+def lifted_joint_is_singular(c: ContractionDesign) -> bool:
+    """Whether ``B~`` has an eigenvalue below ``trivial_tolerance``: ``c_bar_s``'s former rule.
+
+    ``B~`` is the dense-diagonal ``b_matrix`` with its trivial directions
+    ``t1 = (1_v, 0)/sqrt(v)`` (eigenvalue 0) and ``t2 = (0, 1_s)/sqrt(s)``
+    (eigenvalue k/v) lifted to eigenvalue 1 by rank-one updates.
+    """
+    t1 = np.concatenate([np.ones(c.v), np.zeros(c.s)]) / np.sqrt(c.v)
+    t2 = np.concatenate([np.zeros(c.v), np.ones(c.s)]) / np.sqrt(c.s)
+    lifted = (b_matrix_with_dense_diagonal(c) + np.outer(t1, t1)
+              + (1.0 - c.k / c.v) * np.outer(t2, t2))
+    w = np.linalg.eigvalsh(lifted)
+    return bool(w[0] < trivial_tolerance(w))
+
+
+def generally_balanced_by_fractions(c: ContractionDesign) -> bool:
+    """Whether every entry of ``W N_C``, counted cell by cell, equals ``r_bar^2`` as a ``Fraction``."""
+    r_bar = Fraction(c.k * c.s, c.v)
+    return all(Fraction(int(x)) == r_bar**2 for x in column_product_by_enumeration(c.cells, c.v).flat)
 
 
 def dual_info_with_dense_diagonal(c: ContractionDesign) -> np.ndarray:

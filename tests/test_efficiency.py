@@ -42,8 +42,10 @@ from oracles import (
     c_bar_s_by_centring,
     column_product_by_enumeration,
     dual_info_with_dense_diagonal,
+    generally_balanced_by_fractions,
     info_matrix_augmented_by_cells,
     info_matrix_by_bracket_expansion,
+    lifted_joint_is_singular,
     pairwise_variance_efficiency,
     row_block_with_dense_diagonal,
 )
@@ -130,15 +132,34 @@ class TestCBarS:
                     c_bar_s(c)
         assert disconnected >= 5
 
+    def test_raises_exactly_when_the_lifted_joint_matrix_is_singular(self, small_designs):
+        singular = 0
+        for c in small_designs:
+            if lifted_joint_is_singular(c):
+                singular += 1
+                with pytest.raises(DisconnectedDesignError, match="near-zero eigenvalues where 1 expected"):
+                    c_bar_s(c)
+            else:
+                assert c_bar_s(c) > 0
+        assert singular >= 20
+
 
 def _random_walk(size, seed, swaps):
     """A random contraction of ``size`` after ``swaps`` random validity-preserving swaps."""
     c = random_valid(*size, seed)
     rng = np.random.default_rng(seed)
     for _ in range(swaps):
-        moves = neighbor_moves(c)
-        c = apply_move(c, moves[rng.integers(len(moves))])
+        if moves := neighbor_moves(c):  # the smallest arrays may have no valid swap
+            c = apply_move(c, moves[rng.integers(len(moves))])
     return c
+
+
+@pytest.fixture(scope="module")
+def small_designs():
+    """Six seeded designs at every feasible size with v <= 9, 0 to 3 random swaps from a random start."""
+    sizes = [(v, s, k) for v in range(2, 10) for k in range(2, v + 1) for s in range(1, v + 1)
+             if feasibility_df(v, s, k) >= 0 and s <= v]
+    return [_random_walk(size, seed, seed % 4) for size in sizes for seed in range(6)]
 
 
 class TestBMatrix:
@@ -263,6 +284,14 @@ class TestGeneralBalance:
         assert is_generally_balanced(ex1_contraction) == bool(
             np.abs(product - 4.0).max() <= 1e-8
         )
+
+    def test_matches_the_exact_fraction_oracle(self, small_designs, ex1_contraction, ex2_contraction):
+        verdicts = [is_generally_balanced(c) for c in small_designs]
+        assert verdicts == [generally_balanced_by_fractions(c) for c in small_designs]
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert is_generally_balanced(ex1_contraction) and generally_balanced_by_fractions(ex1_contraction)
+        assert not is_generally_balanced(ex2_contraction)
+        assert not generally_balanced_by_fractions(ex2_contraction)
 
     def test_perturbation_breaks_balance(self, ex1_contraction):
         from arcdesign import neighbor_moves
@@ -496,8 +525,9 @@ class TestFullReport:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(len(m)) or eigvalsh(m))
         c = load_reference_design("contraction_24x16_k5")  # nothing is kept on it yet
         full_report(c)
-        # c_bar_v, c_bar_s, e_con and e_dual; the report's contraction cefs are e_con's
-        assert builds == [24] and solves == [24, 40, 24, 16]
+        # c_bar_v, the contraction cefs (c_bar_s's connectivity, e_con and the
+        # report's cefs alike) and e_dual
+        assert builds == [24] and solves == [24, 24, 16]
         inc = incidence(c)
         assert incidence(c) is inc
         for arr in (inc.n_r, inc.n_c, inc.w):
@@ -506,7 +536,7 @@ class TestFullReport:
         # the direct route adds its one v* x v* solve and no incidence build
         builds.clear(), solves.clear()
         full_report(load_reference_design("contraction_24x16_k5"), include_direct=True)
-        assert builds == [24] and solves == [24, 40, 24, 16, 309]
+        assert builds == [24] and solves == [24, 24, 16, 309]
 
     # sha256 of the report JSON of the bundled (24,16,5) reference, recorded
     # when eig_symmetric became eigenvalues-only: the values must not move by one bit.

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from arcdesign import feasibility_df, plan, plan_fixed_grid
+from arcdesign import DesignPlan, feasibility_df, plan, plan_fixed_grid
 from arcdesign.errors import InfeasibleParametersError
 from arcdesign.planner import _minimal_feasible_s
 
@@ -130,6 +130,13 @@ class TestPlanFixedGrid:
             plan_fixed_grid(*args)
         assert plan_fixed_grid(*(np.int64(x) for x in (8, 12, 3))).v == 12
 
+    def test_size_rule_at_minus_one_residual_df(self):
+        # with k = 2 the residual df is s - v; -1 is the closest size refused
+        assert feasibility_df(4, 3, 2) == -1 and feasibility_df(4, 4, 2) == 0
+        with pytest.raises(InfeasibleParametersError, match="leaves -1 residual degrees of freedom"):
+            plan_fixed_grid(4, 3, 2)
+        assert plan_fixed_grid(4, 4, 2).feasible_df == 0
+
     def test_infeasible_grid_names_a_large_minimum(self):
         # (20000, 1, 2) needs 20000 columns, beyond any bounded scan
         with pytest.raises(InfeasibleParametersError,
@@ -152,3 +159,14 @@ class TestPlanSerialization:
         assert d["v"] == 20 and d["s"] == 11 and d["k"] == 4
         assert d["surplus"] == 3
         assert d["feasibleDf"] == feasibility_df(20, 11, 4)
+
+
+class TestDesignPlan:
+    def test_summaries_follow_from_the_dimensions(self):
+        p = DesignPlan(20, 11, 4, 173, (21, 19, 22, 18, 23))
+        assert p == plan(4, 0.2, 173)
+        assert (p.check_proportion, p.test_line_capacity, p.surplus, p.feasible_df) == (
+            0.2, 176, 3, feasibility_df(20, 11, 4))
+        grid = DesignPlan(12, 8, 3)
+        assert (grid.requested_test_lines, grid.alternatives, grid.surplus) == (None, (), 0)
+        assert grid == plan_fixed_grid(8, 12, 3)

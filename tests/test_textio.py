@@ -80,6 +80,30 @@ def test_negative_label_is_left_to_validation(malformed_files):
     assert "label -1 at (2,5) outside 1..12" in validate_contraction(design).violations
 
 
+# Labels are ASCII decimal integers: int() would also take a sign of +,
+# digit-group underscores and non-ASCII digits.
+@pytest.mark.parametrize("label", ["+5", "1_0", "\u0661\u0662", "\uff14", "5.0", ""])
+def test_label_spellings_outside_the_format_report_line_and_column(label):
+    with pytest.raises(ParseError) as raised:
+        parse_design(f"# contraction v=3 s=3 k=2\n1,2,3\n2,{label},1\n")
+    assert str(raised.value) == f"expected an integer label, got {label!r} (line 3, column 2)"
+
+
+# The header's \d would take any Unicode digit without re.ASCII.
+@pytest.mark.parametrize("header", ["# contraction v=\u0663 s=3 k=2", "# contraction v=3 s=\uff13 k=2",
+                                    "# augmented v=3 s=3 k=\u0662"])
+def test_header_takes_ascii_digits_only(header):
+    with pytest.raises(ParseError, match=r"^expected header .*\(line 1\)$"):
+        parse_design(f"{header}\n1,2,3\n2,3,1\n")
+
+
+def test_header_at_minus_one_residual_df_rejected():
+    # with k = 2 the residual df is s - v
+    with pytest.raises(ParseError, match=r"leaves -1 residual degrees of freedom.*\(line 1\)"):
+        parse_design("# contraction v=4 s=3 k=2\n1,2,3\n2,3,4\n")
+    assert parse_design("# contraction v=4 s=4 k=2\n1,2,3,4\n2,3,4,1\n").v == 4
+
+
 def test_label_beyond_int64_reports_line_and_column(malformed_files):
     with pytest.raises(ParseError, match=r"label 99999999999999999999 .*line 3, column 5"):
         parse_design(malformed_files["label-beyond-int64"])
