@@ -72,34 +72,37 @@ def _user_errors_exit_2(fn):
     return wrapper
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _write_artifact(path: Path, text: str) -> str:
-    data = text.encode()
-    path.write_bytes(data)
-    return _sha256_bytes(data)
-
-
 def _manifest_options(cfg: SearchConfig) -> dict:
     # Each search field but the seed, keyed by its flag in camelCase (--time-budget: timeBudget).
     return {re.sub(r"-(\w)", lambda m: m[1].upper(), _FLAGS[f.name][2:]): getattr(cfg, f.name)
             for f in dataclasses.fields(cfg) if f.name != "seed"}
 
 
-def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int | None,
-                    inputs: dict, outputs: dict, wall: float) -> None:
+def _write_run(out: Path, command: str, parameters: dict, seed: int | None,
+               inputs: list[Path], texts: dict[str, str], t0: float, note: str = "") -> None:
+    """Write a run's artifacts and its ``manifest.json`` into ``out``, then say so.
+
+    The manifest records the sha256 of each input file and of the bytes
+    written for each artifact, and the wall time since ``t0``.
+    """
+    digests = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, text in texts.items():
+        data = text.encode()
+        (out / name).write_bytes(data)
+        outputs[name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "command": command,
         "parameters": parameters,
         "seed": seed,
         "version": __version__,
-        "inputs": inputs,
+        "inputs": digests,
         "outputs": outputs,
-        "wallClockSeconds": wall,
+        "wallClockSeconds": time.monotonic() - t0,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    click.echo(f"wrote {', '.join(texts)} to {out}{note}")
 
 
 def _render_pairs(pairs: list[tuple[str, object]], fmt: str) -> str:
@@ -113,6 +116,8 @@ def _render_pairs(pairs: list[tuple[str, object]], fmt: str) -> str:
 
 
 def _csv_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.6f}"
     if isinstance(v, (list, tuple)):
@@ -181,11 +186,9 @@ def main():
 def cmd_plan(k, prop, test_lines, grid, orient, fmt):
     """Choose trial dimensions (v, s, k) from requirements."""
     if grid is not None:
-        try:
-            rows, cols = (int(x) for x in grid.lower().split("x"))
-        except ValueError:
+        if not (m := re.fullmatch(r"([0-9]+)[xX]([0-9]+)", grid)):
             raise click.BadParameter(f"expected RxC, e.g. 8x12; got {grid!r}", param_hint="--grid")
-        result = plan_fixed_grid(rows, cols, k, orientation=orient)
+        result = plan_fixed_grid(int(m[1]), int(m[2]), k, orientation=orient)
     else:
         if prop is None or test_lines is None:
             raise click.UsageError("either --grid or both --prop and --test-lines are required")
@@ -214,14 +217,9 @@ def cmd_search(v, s, k, out, **options):
         click.echo(format_design(result.best), nl=False)
         click.echo(f"# objective {result.objective:.6f} (restart {result.restart_of_best})")
         return
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "contraction.txt": _write_artifact(out / "contraction.txt", format_design(result.best)),
-        "search.json": _write_artifact(out / "search.json", result.to_json() + "\n"),
-    }
-    params = dict(v=v, s=s, k=k, **_manifest_options(cfg))
-    _write_manifest(out, "search", params, cfg.seed, {}, outputs, time.monotonic() - t0)
-    click.echo(f"wrote {', '.join(outputs)} to {out} (objective {result.objective:.6f})")
+    texts = {"contraction.txt": format_design(result.best), "search.json": result.to_json() + "\n"}
+    _write_run(out, "search", dict(v=v, s=s, k=k, **_manifest_options(cfg)), cfg.seed, [], texts,
+               t0, f" (objective {result.objective:.6f})")
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +240,8 @@ def cmd_augment(design_file, out):
     if out is None:
         click.echo(format_design(augmented), nl=False)
         return
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "augmented.txt": _write_artifact(out / "augmented.txt", format_design(augmented)),
-    }
-    inputs = {str(design_file): _sha256_bytes(design_file.read_bytes())}
-    _write_manifest(out, "augment", {"designFile": str(design_file)}, None, inputs, outputs,
-                    time.monotonic() - t0)
-    click.echo(f"wrote augmented.txt to {out}")
+    _write_run(out, "augment", {"designFile": str(design_file)}, None, [design_file],
+               {"augmented.txt": format_design(augmented)}, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +301,8 @@ def _read_plan(path: Path) -> tuple[int, int, int]:
 def cmd_generate(v, s, k, plan_file, direct, out, **options):
     """Search, augment, and report in one run, writing all artifacts."""
     t0 = time.monotonic()
-    inputs = {}
     if plan_file is not None:
         v, s, k = _read_plan(plan_file)
-        inputs[str(plan_file)] = _sha256_bytes(plan_file.read_bytes())
     if v is None or s is None or k is None:
         raise click.UsageError("either --plan or all of --v, --s, --k are required")
 
@@ -321,19 +311,15 @@ def cmd_generate(v, s, k, plan_file, direct, out, **options):
     augmented = augment(result.best)
     report = full_report(result.best, include_direct=direct)
 
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "contraction.txt": _write_artifact(out / "contraction.txt", format_design(result.best)),
-        "augmented.txt": _write_artifact(out / "augmented.txt", format_design(augmented)),
-        "report.json": _write_artifact(out / "report.json", report.to_json() + "\n"),
+    texts = {
+        "contraction.txt": format_design(result.best),
+        "augmented.txt": format_design(augmented),
+        "report.json": report.to_json() + "\n",
     }
     params = dict(v=v, s=s, k=k, **_manifest_options(cfg), direct=direct,
                   planFile=str(plan_file) if plan_file else None)
-    _write_manifest(out, "generate", params, cfg.seed, inputs, outputs, time.monotonic() - t0)
-    click.echo(
-        f"wrote {', '.join(outputs)} to {out} "
-        f"(objective {result.objective:.6f}, eAugFormula {report.e_aug_formula:.6f})"
-    )
+    _write_run(out, "generate", params, cfg.seed, [plan_file] if plan_file else [], texts, t0,
+               f" (objective {result.objective:.6f}, eAugFormula {report.e_aug_formula:.6f})")
 
 
 # ---------------------------------------------------------------------------

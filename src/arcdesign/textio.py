@@ -22,7 +22,7 @@ from .designs import AugmentedDesign, ContractionDesign, _size_violations
 from .errors import ParseError
 
 _HEADER_RE = re.compile(
-    r"^#\s*(contraction|augmented)\s+v=(\d+)\s+s=(\d+)\s+k=(\d+)\s*$", re.ASCII
+    r"^#[ \t]*(contraction|augmented)[ \t]+v=(\d+)[ \t]+s=(\d+)[ \t]+k=(\d+)$", re.ASCII
 )
 # Labels are ASCII decimal integers; a sign of - is kept so that validation can
 # report a negative label as outside 1..v.
@@ -48,13 +48,14 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
 
     Raises ``ParseError`` with line (and column, for bad fields) context.
     """
-    lines = text.splitlines()
+    # Lines end at "\n", with one "\r" before it dropped; only spaces and tabs are trimmed.
+    lines = [line.removesuffix("\r").strip(" \t") for line in text.split("\n")]
     idx = 0
-    while idx < len(lines) and not lines[idx].strip():
+    while idx < len(lines) and not lines[idx]:
         idx += 1
     if idx >= len(lines):
         raise ParseError("empty input: expected a header line")
-    m = _HEADER_RE.match(lines[idx].strip())
+    m = _HEADER_RE.match(lines[idx])
     if not m:
         raise ParseError(
             "expected header '# contraction v=.. s=.. k=..' or '# augmented v=.. s=.. k=..'",
@@ -68,13 +69,13 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
 
     rows: list[list[int]] = []
     for lineno in range(idx + 1, len(lines)):
-        line = lines[lineno].strip()
+        line = lines[lineno]
         if not line or line.startswith("#"):
             continue
         fields = line.split(",")
         row = []
         for col, field in enumerate(fields):
-            field = field.strip()
+            field = field.strip(" \t")
             if not _LABEL_RE.fullmatch(field):
                 raise ParseError(f"expected an integer label, got {field!r}",
                                  line=lineno + 1, column=col + 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -71,6 +72,28 @@ class TestPlanCommand:
         assert f"(v={v}," in result.output
         assert "Traceback" not in result.output
 
+    def test_grid_takes_upper_case_x(self, runner):
+        result = runner.invoke(main, ["plan", "--grid", "8X12", "--checks", "3",
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        d = json.loads(result.output)
+        assert (d["v"], d["s"]) == (12, 8)
+
+    # int() would take digit-group underscores, non-ASCII digits, a sign and spaces.
+    @pytest.mark.parametrize("grid", ["1_6x2_4", "\uff11\uff16x\uff12\uff14", "+8x12", " 8x12",
+                                      "8x12x2", "8\uff5812", "x12"])
+    def test_grid_takes_ascii_digits_only(self, runner, grid):
+        result = runner.invoke(main, ["plan", "--grid", grid, "--checks", "3"])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"expected RxC, e.g. 8x12; got {grid!r}" in result.output
+
+    def test_missing_value_is_an_empty_csv_field(self, runner):
+        result = runner.invoke(main, ["plan", "--grid", "8x12", "--checks", "3",
+                                      "--format", "csv"])
+        assert result.exit_code == 0
+        header, row = result.output.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["requestedTestLines"] == ""
+
     def test_orientation_override(self, runner):
         result = runner.invoke(main, ["plan", "--grid", "16x24", "--checks", "3",
                                       "--orient", "rows", "--format", "json"])
@@ -88,6 +111,15 @@ class TestEvaluateCommand:
         assert d["cBarV"] == pytest.approx(0.5739, abs=5e-5)
         assert d["cBarS"] == pytest.approx(0.4828, abs=5e-5)
         assert d["eAugFormula"] == pytest.approx(0.3881, abs=5e-5)
+
+    def test_contraction_csv_without_direct(self, runner, ex1_files):
+        result = runner.invoke(main, ["evaluate", str(ex1_files["contraction_12x8_k3"]),
+                                      "--format", "csv"])
+        assert result.exit_code == 0
+        header, row = result.output.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["eAugDirect"], cells["cefsAugmented"]) == ("", "")
+        assert "None" not in result.output
 
     def test_augmented_direct(self, runner, ex1_files):
         result = runner.invoke(main, ["evaluate", str(ex1_files["augmented_12x8_k3"]),
@@ -419,6 +451,45 @@ class TestSearchAndAugmentCommands:
     def test_augment_rejects_augmented_input(self, runner, ex1_files):
         result = runner.invoke(main, ["augment", str(ex1_files["augmented_12x8_k3"])])
         assert result.exit_code == 2
+
+
+class TestRunRecord:
+    """``manifest.json`` names exactly the files a run wrote, with the sha256 of their bytes."""
+
+    @pytest.mark.parametrize("command, files", [
+        ("search", ["contraction.txt", "search.json"]),
+        ("augment", ["augmented.txt"]),
+        ("generate", ["contraction.txt", "augmented.txt", "report.json"]),
+        ("generate --plan", ["contraction.txt", "augmented.txt", "report.json"]),
+    ])
+    def test_manifest_digests_inputs_and_outputs(self, runner, ex1_files, tmp_path, command,
+                                                  files):
+        out, plan_path = tmp_path / "run", tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"v": 12, "s": 8, "k": 3}))
+        search = ["--v", "12", "--s", "8", "--k", "3", "--restarts", "2", "--iters", "500"]
+        args, inputs = {
+            "search": (["search", *search], []),
+            "augment": (["augment", str(ex1_files["contraction_12x8_k3"])],
+                        [ex1_files["contraction_12x8_k3"]]),
+            "generate": (["generate", *search], []),
+            "generate --plan": (["generate", "--plan", str(plan_path), "--restarts", "2",
+                                 "--iters", "500"], [plan_path]),
+        }[command]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"wrote {', '.join(files)} to {out}")
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["command", "parameters", "seed", "version", "inputs",
+                                  "outputs", "wallClockSeconds"]
+        assert manifest["command"] == command.split()[0]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+        assert manifest["outputs"] == {name: sha256(out / name) for name in files}
+        assert list(manifest["outputs"]) == files
+        assert manifest["inputs"] == {str(path): sha256(path) for path in inputs}
 
 
 class TestReproduceCommand:

@@ -41,6 +41,22 @@ def test_parse_tolerates_blank_lines_and_spaces():
     assert np.array_equal(design.cells, [[1, 2, 3], [2, 3, 1]])
 
 
+def test_crlf_line_ends_parse():
+    design = parse_design("# contraction v=3 s=3 k=2\r\n1,2,3\t\r\n\r\n2,3,1\r\n")
+    assert np.array_equal(design.cells, [[1, 2, 3], [2, 3, 1]])
+
+
+# Lines end at \n only: str.splitlines() would also end them at these.
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_other_line_breaks_are_not_line_ends(sep):
+    with pytest.raises(ParseError, match=r"^expected an integer label, .*\(line 2, column 3\)$"):
+        parse_design(f"# contraction v=3 s=3 k=2\n1,2,3{sep}2,3,1\n")
+    with pytest.raises(ParseError, match=r"^expected header .*\(line 1\)$"):
+        parse_design(f"# contraction v=3 s=3 k=2{sep}1,2,3\n2,3,1\n")
+    with pytest.raises(ParseError, match=r"^expected header .*\(line 1\)$"):
+        parse_design(f"# contraction{sep}v=3 s=3 k=2\n1,2,3\n2,3,1\n")
+
+
 def test_missing_header_reports_line():
     with pytest.raises(ParseError, match="line 1"):
         parse_design("1,2,3\n2,3,1\n")
@@ -81,8 +97,10 @@ def test_negative_label_is_left_to_validation(malformed_files):
 
 
 # Labels are ASCII decimal integers: int() would also take a sign of +,
-# digit-group underscores and non-ASCII digits.
-@pytest.mark.parametrize("label", ["+5", "1_0", "\u0661\u0662", "\uff14", "5.0", ""])
+# digit-group underscores and non-ASCII digits, and str.strip() would trim
+# non-ASCII spaces.
+@pytest.mark.parametrize("label", ["+5", "1_0", "\u0661\u0662", "\uff14", "5.0", "",
+                                   "\u3000 3", "3\xa0"])
 def test_label_spellings_outside_the_format_report_line_and_column(label):
     with pytest.raises(ParseError) as raised:
         parse_design(f"# contraction v=3 s=3 k=2\n1,2,3\n2,{label},1\n")
