@@ -15,10 +15,12 @@ restart i draws from a generator seeded with ``seed ^ i``, and the reduction
 over restarts is by objective, ties going to the lowest restart index, so
 running restarts serially or concurrently gives the same answer.
 
-Every swap of one array shape has an id in one per-shape plan
-(``_swap_plan``) that holds its cells, its two flat cells and its constant
-in the screen.  A state's move catalogue is the ids a few gathers against
-that plan find valid, and every walk reads the plan by id.
+Every swap of one array shape has an id, its row in one per-shape pair
+table (``_swap_index``).  The plan built on that table (``_swap_plan``) adds
+each swap's two flat cells, its constant in the screen and the catalogue's
+lookup tables.  A state's move catalogue is the ids a few gathers against
+the plan find valid, and the hill climb and the tabu walk read the plan by
+id; an anneal reads only the pair table.
 
 Hill climbing screens, then confirms.  A rank-2 Woodbury update of the
 information matrix scores candidates in chunks of their random order, the
@@ -32,12 +34,13 @@ those of evaluating every candidate in turn.
 
 A tabu walk (Glover, 1989) goes on past local optima: each step screens the
 whole catalogue and moves to a best-scored swap that is not tabu, even a
-worse one, and confirms the state it reaches (see ``_tabu``).
+worse one.  It confirms the state it reaches only if the state's score
+could make it the best (see ``_tabu``).
 
 Annealing scores one sampled swap per iteration.  One driver, ``_anneal``,
 runs every anneal over a walk that owns its state and proposes, scores and
-commits moves.  The contraction walk's sampler draws rows of the plan's
-cell pairs, ``_DRAW_BLOCK`` per generator call, and checks each pair
+commits moves.  The contraction walk's sampler draws rows of the pair
+table, ``_DRAW_BLOCK`` per generator call, and checks each pair
 against Python tables of the state's labels; the acceptance draws of the
 anneal fall between those calls.  Its first iterations
 probe the start state without moving, and the start temperature is a fixed
@@ -284,7 +287,7 @@ def _match_rows(labels: list[int], row_mask: list[int], k: int, rng) -> list[int
 def neighbor_moves(c: ContractionDesign):
     """All validity-preserving two-cell swaps of a contraction, in canonical order."""
     _require_valid(c)
-    index = _swap_plan(c.k, c.s, c.v).index
+    index = _swap_index(c.k, c.s)
     return tuple(
         Move("within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose",
              (i1, j1), (i2, j2))
@@ -299,14 +302,36 @@ def _swap(cells: np.ndarray, move) -> np.ndarray:
     return out
 
 
-class _SwapPlan(NamedTuple):
-    """Every two-cell swap of one array shape, with the tables that check and score it.
+@functools.lru_cache(maxsize=2)
+def _swap_index(k: int, s: int) -> np.ndarray:
+    """Every two-cell swap of a k x s array: row n is ``(i1, j1, i2, j2)``, read-only.
 
-    Swap n exchanges cells ``index[n] = (i1, j1, i2, j2)``.  Within-column
-    swaps go by column, within-row swaps by row, transposes by row pair, then
-    first and second column.  Cell (i, j) is flat cell ``i*s + j``, and
-    ``flat[:, n] = (p1, p2)``.  ``term[n] = 2 ([i1 != i2] / s + [j1 != j2] / k)``
-    is the swap's constant in the screen's Woodbury matrix.
+    Within-column swaps go by column, within-row swaps by row, transposes by
+    row pair, then first and second column.  A search works on one shape at
+    a time, so the cache keeps two.
+    """
+    r1, r2 = np.triu_indices(k, 1)
+    c1, c2 = np.triu_indices(s, 1)
+    j = np.repeat(np.arange(s), len(r1))
+    i = np.repeat(np.arange(k), len(c1))
+    j1, j2 = np.nonzero(~np.eye(s, dtype=bool))
+    index = np.concatenate([
+        np.column_stack([np.tile(r1, s), j, np.tile(r2, s), j]),
+        np.column_stack([i, np.tile(c1, k), i, np.tile(c2, k)]),
+        np.column_stack([np.repeat(r1, len(j1)), np.tile(j1, len(r1)),
+                         np.repeat(r2, len(j1)), np.tile(j2, len(r1))]),
+    ], dtype=np.int32)  # int32 halves the C(ks, 2)-row tables; cell coordinates fit
+    index.flags.writeable = False
+    return index
+
+
+class _SwapPlan(NamedTuple):
+    """The swaps of ``_swap_index(k, s)``, with the tables that check and score them.
+
+    Swap n exchanges cells ``index[n] = (i1, j1, i2, j2)``.  Cell (i, j) is
+    flat cell ``i*s + j``, and ``flat[:, n] = (p1, p2)``.
+    ``term[n] = 2 ([i1 != i2] / s + [j1 != j2] / k)`` is the swap's constant
+    in the screen's Woodbury matrix.
 
     For the catalogue, a state's labels go into a zeroed boolean table of
     ``size = (k+s) * (v+1)`` entries, rows first, then columns: line l holds
@@ -327,19 +352,9 @@ class _SwapPlan(NamedTuple):
     size: int
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=2)
 def _swap_plan(k: int, s: int, v: int) -> _SwapPlan:
-    r1, r2 = np.triu_indices(k, 1)
-    c1, c2 = np.triu_indices(s, 1)
-    j = np.repeat(np.arange(s), len(r1))
-    i = np.repeat(np.arange(k), len(c1))
-    j1, j2 = np.nonzero(~np.eye(s, dtype=bool))
-    index = np.concatenate([
-        np.column_stack([np.tile(r1, s), j, np.tile(r2, s), j]),
-        np.column_stack([i, np.tile(c1, k), i, np.tile(c2, k)]),
-        np.column_stack([np.repeat(r1, len(j1)), np.tile(j1, len(r1)),
-                         np.repeat(r2, len(j1)), np.tile(j2, len(r1))]),
-    ], dtype=np.int32)  # int32 halves the C(ks, 2)-row tables; cell coordinates fit
+    index = _swap_index(k, s)
     i1, j1, i2, j2 = index.T
     rows = np.stack([i2, i1]) * (v + 1)
     cols = np.stack([k + j2, k + j1]) * (v + 1)
@@ -404,8 +419,12 @@ class _ContractionObjective:
         inv_sqrt = 1.0 / np.sqrt(self.r)
         self.scale = np.outer(inv_sqrt, inv_sqrt)
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
-        self.plan = _swap_plan(k, s, v)
         self._last = None, None
+
+    @functools.cached_property
+    def plan(self) -> _SwapPlan:
+        """The shape's swap plan, built on first use: an anneal never reads it."""
+        return _swap_plan(self.k, self.s, self.v)
 
     def value(self, cells: np.ndarray) -> float:
         w = np.linalg.eigvalsh(self._scaled_info(cells)[0])
@@ -525,7 +544,7 @@ class _SwapWalk:
         self.v_star = (obj.v - obj.k) * obj.s + obj.k
         self.cells = cells.copy()
         self.move = self.pending = None
-        self.pairs = obj.plan.index
+        self.pairs = _swap_index(obj.k, obj.s)
         self.draws: list[list[int]] = []
         # D^-1/2 on label and on column coordinates
         self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
@@ -761,6 +780,9 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
     within the margin of the top, so ties do not depend on rounding.  The
     budget counts screened candidates; the walk stops before a step that
     would exceed it, at a deadline checked once per step, or with no swap left.
+    A state is confirmed only if its score lies above the best minus the
+    margin: scores are within about 1e-12 of exact values, so no other state
+    can become the best.
     """
     v, plan = obj.v, obj.plan
     best, best_val = cells, obj.value(cells)
@@ -792,8 +814,10 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
         until[lab[p1[chosen]], p1[chosen]] = until[lab[p2[chosen]], p2[chosen]] = (
             step + rng.integers(*_TABU_TENURE))
         cells = _swap(cells, plan.index[ids[chosen]])
-        val = obj.value(cells)
         step += 1
+        if scores[chosen] <= best_val - _margin(best_val):
+            continue
+        val = obj.value(cells)
         if val > best_val:
             best, best_val = cells, val
             trace.append((evals, val))

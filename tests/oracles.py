@@ -41,7 +41,7 @@ from arcdesign import (
 )
 from arcdesign.designs import _size_violations
 from arcdesign.errors import DisconnectedDesignError
-from arcdesign.search import Move, _draw_pairs, _swap_plan
+from arcdesign.search import Move, _draw_pairs, _swap_index
 from arcdesign.spectra import trivial_tolerance
 
 
@@ -454,7 +454,7 @@ def sample_move_by_scans(cells, rng, draws):
     and refills it with the library's ``_draw_pairs`` when it runs empty,
     exactly as its sampler does; invalid pairs are rejected.
     """
-    pairs = _swap_plan(*cells.shape, int(cells.max())).index
+    pairs = _swap_index(*cells.shape)
     for _ in range(256):
         if not draws:
             draws.extend(_draw_pairs(pairs, rng))

@@ -44,6 +44,7 @@ from arcdesign.search import (
     _hillclimb,
     _run_restarts,
     _swap,
+    _swap_index,
     _swap_plan,
     _SwapWalk,
     _tabu,
@@ -196,6 +197,10 @@ class TestSwapPlan:
         # bit for bit: the screen adds these terms where it once added the whole table
         assert plan.term.tobytes() == pair_term_table(k, s)[tuple(plan.flat)].tobytes()
         assert not any(table.flags.writeable for table in plan[:-1])
+        # the plan is built on the shape's pair table, which the anneal reads alone
+        assert plan.index is _swap_index(k, s)
+        with pytest.raises(ValueError):
+            plan.index[0, 0] = 1
 
 
 def _screened(obj, cells):
@@ -466,6 +471,55 @@ class TestTabu:
                 left[int(before[p]), p] = step
             best = max(best, val)
         assert len(states) > 50
+
+
+class _Confirming(_ContractionObjective):
+    """An objective that records the states ``value`` confirms."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.confirmed = []
+
+    def value(self, cells):
+        self.confirmed.append(cells)
+        return super().value(cells)
+
+
+def _tabu_states(c, seed, max_iters):
+    """Every state a tabu walk reaches, in order, and the states it confirmed."""
+    obj = _Confirming(c.v, c.s, c.k, c.r)
+    states, catalogue = [], search._catalogue
+    # each state the walk reaches, the last included, has its catalogue built
+    with mock.patch.object(search, "_catalogue",
+                           lambda cells, v: states.append(cells) or catalogue(cells, v)):
+        _tabu(c.cells, obj, np.random.default_rng(seed), max_iters, None)
+    return states, obj.confirmed
+
+
+class TestTabuConfirmation:
+    @given(size=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           max_iters=st.sampled_from([500, 2000, 8000]))
+    @example(size=(12, 8, 3), seed=0, max_iters=8000)  # a disconnected start
+    @settings(max_examples=30, deadline=None)
+    def test_a_state_left_unconfirmed_cannot_beat_the_best(self, size, seed, max_iters):
+        c = random_contraction(*size, seed=seed)
+        states, confirmed = _tabu_states(c, seed, max_iters)
+        assert states[0] is confirmed[0]
+        best = 0.0
+        for cells in states:
+            try:  # the slow oracle: the library's e_con of the design
+                exact = e_con(ContractionDesign(c.v, cells))
+            except DisconnectedDesignError:
+                exact = 0.0
+            if any(cells is x for x in confirmed):
+                best = max(best, exact)
+            else:
+                assert exact <= best
+
+    def test_value_is_called_fewer_times_than_the_walk_steps(self):
+        c = random_contraction(24, 16, 5, seed=3)
+        states, confirmed = _tabu_states(c, 3, 20000)
+        assert len(confirmed) < len(states) - 1
 
 
 class TestAnneal:
@@ -774,9 +828,8 @@ class TestSampler:
 
     @pytest.mark.parametrize("k, s", [(3, 8), (5, 16), (6, 32)])
     def test_pair_table_lists_every_cell_pair_once(self, k, s):
-        # so drawing rows of it iid is uniform over unordered cell pairs (any v: the pairs
-        # do not depend on it)
-        pairs = [((i1, j1), (i2, j2)) for i1, j1, i2, j2 in _swap_plan(k, s, k * s).index.tolist()]
+        # so drawing rows of it iid is uniform over unordered cell pairs
+        pairs = [((i1, j1), (i2, j2)) for i1, j1, i2, j2 in _swap_index(k, s).tolist()]
         cells = [(i, j) for i in range(k) for j in range(s)]
         assert sorted(pairs) == list(itertools.combinations(cells, 2))
 
@@ -881,11 +934,28 @@ _GOLDEN_ANNEAL_E_AUG = {
 }
 
 
+def _anneal_search(name, objective="e_aug"):
+    dims, options, _ = _GOLDEN_ANNEAL_E_AUG[name]
+    return search_contraction(*dims, SearchConfig(strategy="anneal", objective=objective,
+                                                  **options))
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_ANNEAL_E_AUG))
 def test_golden_anneal_e_aug(name):
-    dims, options, (design, restart, objective, trace) = _GOLDEN_ANNEAL_E_AUG[name]
-    result = search_contraction(*dims, SearchConfig(strategy="anneal", objective="e_aug",
-                                                    **options))
+    _assert_golden_anneal(_anneal_search(name), name)
+
+
+def test_anneals_build_no_swap_plan():
+    # An anneal draws from the pair table alone; the screen's tables are never built.
+    name = "anneal-e_aug-48x32"
+    with mock.patch.object(search, "_swap_plan", side_effect=AssertionError("plan built")):
+        e_aug_result = _anneal_search(name)
+        assert _anneal_search(name, "e_con").objective > 0.0
+    _assert_golden_anneal(e_aug_result, name)
+
+
+def _assert_golden_anneal(result, name):
+    _, _, (design, restart, objective, trace) = _GOLDEN_ANNEAL_E_AUG[name]
     assert hashlib.sha256(result.best.cells.tobytes()).hexdigest() == design
     assert result.restart_of_best == restart
     assert [it for it, _ in result.trace] == [it for it, _ in trace]
