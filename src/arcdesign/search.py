@@ -16,11 +16,11 @@ over restarts is by objective, ties going to the lowest restart index, so
 running restarts serially or concurrently gives the same answer.
 
 Every swap of one array shape has an id, its row in one per-shape pair
-table (``_swap_index``).  The plan built on that table (``_swap_plan``) adds
+table (``_swap_index``).  The plan of the shape (``_swap_plan``) holds
 each swap's two flat cells, its constant in the screen and the catalogue's
 lookup tables.  A state's move catalogue is the ids a few gathers against
-the plan find valid, and the hill climb and the tabu walk read the plan by
-id; an anneal reads only the pair table.
+the plan find valid, and the hill climb and the tabu walk read the pair
+table and the plan by id; an anneal reads only the pair table.
 
 Hill climbing screens, then confirms.  A rank-2 Woodbury update of the
 information matrix scores candidates in chunks of their random order, the
@@ -302,13 +302,13 @@ def _swap(cells: np.ndarray, move) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _swap_index(k: int, s: int) -> np.ndarray:
     """Every two-cell swap of a k x s array: row n is ``(i1, j1, i2, j2)``, read-only.
 
     Within-column swaps go by column, within-row swaps by row, transposes by
     row pair, then first and second column.  A search works on one shape at
-    a time, so the cache keeps two.
+    a time, so the cache keeps one.
     """
     r1, r2 = np.triu_indices(k, 1)
     c1, c2 = np.triu_indices(s, 1)
@@ -326,10 +326,10 @@ def _swap_index(k: int, s: int) -> np.ndarray:
 
 
 class _SwapPlan(NamedTuple):
-    """The swaps of ``_swap_index(k, s)``, with the tables that check and score them.
+    """The tables that check and score the swaps of ``_swap_index(k, s)``.
 
-    Swap n exchanges cells ``index[n] = (i1, j1, i2, j2)``.  Cell (i, j) is
-    flat cell ``i*s + j``, and ``flat[:, n] = (p1, p2)``.
+    Swap n exchanges cells ``(i1, j1, i2, j2)``, row n of the pair table.
+    Cell (i, j) is flat cell ``i*s + j``, and ``flat[:, n] = (p1, p2)``.
     ``term[n] = 2 ([i1 != i2] / s + [j1 != j2] / k)`` is the swap's constant
     in the screen's Woodbury matrix.
 
@@ -341,10 +341,9 @@ class _SwapPlan(NamedTuple):
     of (a, b) would move into.  A swap within one row probes its columns
     twice, and one within a column its rows twice, so the swap is valid iff
     all four probes miss.  Built once per shape and shared read-only between
-    threads.
+    threads; the pair table is not a field, so only ``_swap_index`` holds it.
     """
 
-    index: np.ndarray
     flat: np.ndarray
     term: np.ndarray
     probes: np.ndarray
@@ -352,10 +351,9 @@ class _SwapPlan(NamedTuple):
     size: int
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _swap_plan(k: int, s: int, v: int) -> _SwapPlan:
-    index = _swap_index(k, s)
-    i1, j1, i2, j2 = index.T
+    i1, j1, i2, j2 = _swap_index(k, s).T
     rows = np.stack([i2, i1]) * (v + 1)
     cols = np.stack([k + j2, k + j1]) * (v + 1)
     # flat and probes take the index type of the gathers that read them
@@ -363,7 +361,7 @@ def _swap_plan(k: int, s: int, v: int) -> _SwapPlan:
                       dtype=np.int64)
     cell = np.arange(k * s)
     marks = np.stack([cell // s, k + cell % s]) * (v + 1)
-    plan = _SwapPlan(index, np.stack([i1 * s + j1, i2 * s + j2], dtype=np.int64),
+    plan = _SwapPlan(np.stack([i1 * s + j1, i2 * s + j2], dtype=np.int64),
                      2.0 * ((i1 != i2) / s + (j1 != j2) / k), probes, marks, (k + s) * (v + 1))
     for table in plan[:-1]:
         table.flags.writeable = False
@@ -371,7 +369,7 @@ def _swap_plan(k: int, s: int, v: int) -> _SwapPlan:
 
 
 def _catalogue(cells: np.ndarray, v: int) -> np.ndarray:
-    """The ids in ``_swap_plan`` of the swaps that keep rows and columns binary.
+    """The ids (rows of ``_swap_index``) of the swaps that keep rows and columns binary.
 
     A swap of labels a and b is valid when neither lands in a row or column
     that already holds it; that also rules out a == b.
@@ -732,6 +730,7 @@ def _hillclimb(cells, obj: _ContractionObjective, rng, max_iters, deadline):
     trajectory, trace and evaluation count match evaluating every candidate
     exactly.
     """
+    index = _swap_index(obj.k, obj.s)
     cur_val = obj.value(cells)
     trace = [(0, cur_val)]
     evals = 0
@@ -755,7 +754,7 @@ def _hillclimb(cells, obj: _ContractionObjective, rng, max_iters, deadline):
                     timed_out = True
                     evals = start + pos
                     break
-                cand = _swap(cells, obj.plan.index[ids[order[pos]]])
+                cand = _swap(cells, index[ids[order[pos]]])
                 val = obj.value(cand)
                 if val > cur_val:
                     cells, cur_val, evals = cand, val, start + pos + 1
@@ -784,7 +783,7 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
     margin: scores are within about 1e-12 of exact values, so no other state
     can become the best.
     """
-    v, plan = obj.v, obj.plan
+    v, plan, index = obj.v, obj.plan, _swap_index(obj.k, obj.s)
     best, best_val = cells, obj.value(cells)
     trace = [(0, best_val)]
     # [x - 1, p]: the first step at which label x may return to flat cell p
@@ -802,7 +801,7 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
         evals += len(ids)
         scores = obj.screen(cells, ids)(np.arange(len(ids)))
         unscored = np.flatnonzero(~np.isfinite(scores))
-        scores[unscored] = [obj.value(_swap(cells, plan.index[n])) for n in ids[unscored].tolist()]
+        scores[unscored] = [obj.value(_swap(cells, index[n])) for n in ids[unscored].tolist()]
         p1, p2 = plan.flat.take(ids, axis=1)
         lab = cells.ravel() - 1
         allowed = (((until[lab[p1], p2] <= step) & (until[lab[p2], p1] <= step))
@@ -813,7 +812,7 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
         chosen = order[np.flatnonzero((allowed & (scores >= top - _margin(top)))[order])[0]]
         until[lab[p1[chosen]], p1[chosen]] = until[lab[p2[chosen]], p2[chosen]] = (
             step + rng.integers(*_TABU_TENURE))
-        cells = _swap(cells, plan.index[ids[chosen]])
+        cells = _swap(cells, index[ids[chosen]])
         step += 1
         if scores[chosen] <= best_val - _margin(best_val):
             continue
