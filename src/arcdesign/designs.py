@@ -17,6 +17,7 @@ so design values can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +103,6 @@ class ContractionDesign:
     @property
     def s(self) -> int:
         return self.cells.shape[1]
-
-    @property
-    def r_bar(self) -> float:
-        """Mean replication k*s/v."""
-        return self.k * self.s / self.v
 
     def __eq__(self, other):
         if not isinstance(other, ContractionDesign):
@@ -344,22 +340,33 @@ def _mark_valid(design: ContractionDesign | AugmentedDesign) -> None:
     object.__setattr__(design, "_valid", True)
 
 
+def _kept(build):
+    """``build(design)`` run once per design object and kept on it, as its arrays are read-only."""
+    name = f"_kept_{build.__name__}"
+
+    @functools.wraps(build)
+    def kept(design):
+        if name not in design.__dict__:
+            object.__setattr__(design, name, build(design))
+        return design.__dict__[name]
+
+    return kept
+
+
+@_kept
 def incidence(c: ContractionDesign) -> IncidenceSet:
     """Incidence and concurrence matrices of a valid contraction, read-only.
 
     Rejects invalid input: incidence matrices of a non-binary array would not
     be 0/1 and every downstream formula assumes binarity.  The set is built
-    once per design object and kept on it, as ``_require_valid`` keeps its
-    verdict, so every call returns the same arrays.
+    once per design object and kept on it (``_kept``), so every call returns
+    the same arrays.
     """
-    inc = c.__dict__.get("_incidence")
-    if inc is None:
-        _require_valid(c)
-        n_r, n_c = _incidence_arrays(c.cells, c.v)
-        inc = IncidenceSet(n_r=n_r, n_c=n_c, w=n_r @ n_r.T)
-        for arr in (inc.n_r, inc.n_c, inc.w):
-            arr.setflags(write=False)
-        object.__setattr__(c, "_incidence", inc)
+    _require_valid(c)
+    n_r, n_c = _incidence_arrays(c.cells, c.v)
+    inc = IncidenceSet(n_r=n_r, n_c=n_c, w=n_r @ n_r.T)
+    for arr in (inc.n_r, inc.n_c, inc.w):
+        arr.setflags(write=False)
     return inc
 
 

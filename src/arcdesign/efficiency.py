@@ -16,14 +16,12 @@ matrix lifted to eigenvalue 1 on its trivial directions (``_lifted_joint``,
 which the e_aug anneal inverts too).  ``e_aug_direct`` recomputes the same
 number from the full v* x v* eigenproblem: the independent route.
 
-The direct route forms no v* x v* product.  ``info_matrix_augmented`` writes
-each entry from where its two labels sit, with the four-term expression's
-operations in its order, so the matrix keeps that expression's bytes under any
-numbering of the test lines; ``augmented_cefs`` scales it in place and solves
-it once.  On the contraction side, ``incidence`` and ``contraction_cefs`` are
-kept on the design object, so one ``full_report`` builds one incidence set and
-solves the contraction's own spectrum once, for ``c_bar_s``'s connectivity,
-``e_con`` and the cefs alike.
+The direct route forms no v* x v* product (``info_matrix_augmented``) and
+solves its matrix once (``augmented_cefs``).  On the contraction side,
+``incidence``, ``contraction_cefs`` and the two block traces of ``B~^-1`` are
+kept on the design object, so one ``full_report`` builds one incidence set,
+solves the contraction's own spectrum once (connectivity, ``e_con`` and the
+cefs) and inverts ``B~`` once (``c_bar_v`` and ``c_bar_s``).
 """
 
 from __future__ import annotations
@@ -34,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentor import augment
-from .designs import AugmentedDesign, ContractionDesign, _require_valid, incidence
+from .designs import AugmentedDesign, ContractionDesign, _kept, _require_valid, incidence
 from .spectra import (
     Spectrum,
     _checked_spectrum,
     _require_one_trivial,
     cefs_from_info,
-    eig_symmetric,
     harmonic_mean_nontrivial,
 )
 
@@ -86,17 +83,14 @@ def _row_block(n_r: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
     return block
 
 
+@_kept
 def contraction_cefs(c: ContractionDesign) -> Spectrum:
     """Canonical efficiency factors of the contraction itself.
 
     Solved once per design object and kept on it, like its ``incidence``: a
     ``Spectrum`` is read-only, so ``e_con`` and ``full_report`` share it.
     """
-    sp = c.__dict__.get("_cefs")
-    if sp is None:
-        sp = cefs_from_info(info_matrix_contraction(c), c.r.astype(float))
-        object.__setattr__(c, "_cefs", sp)
-    return sp
+    return cefs_from_info(info_matrix_contraction(c), c.r.astype(float))
 
 
 def e_con(c: ContractionDesign) -> float:
@@ -109,26 +103,34 @@ def c_bar_v(c: ContractionDesign) -> float:
 
     Equals ``e_con`` whenever replication is equal; with unequal replication
     the two differ because the scaling here uses the mean rather than the
-    per-label replications.
+    per-label replications.  It is ``(v/k) (v-1) / (tr(B~^-1[:v, :v]) - 1)``.
     """
-    return harmonic_mean_nontrivial(eig_symmetric(info_matrix_contraction(c))) / c.r_bar
+    return (c.v / c.k) * (c.v - 1) / (_joint_traces(c)[0] - 1.0)
 
 
 def c_bar_s(c: ContractionDesign) -> float:
     """Harmonic-mean eigenvalue of the column block of the joint matrix inverse.
 
-    Its s-1 eigenvalues sum in reciprocal to ``(k/v) (tr(B~^-1[v:, v:]) - 1)``
-    with ``B~`` from ``_lifted_joint``; the lifted column direction gives the 1.
-    ``B~`` is singular exactly when the contraction's kept spectrum has a second
-    zero: ``N_C 1_s = r`` makes the contraction's information matrix the Schur
-    complement ``A_r - F F'/k`` of the joint matrix, and the lift moves only the
-    trivial directions ``(1_v, 0)`` and ``(0, 1_s)``.
+    It is ``(v/k) (s-1) / (tr(B~^-1[v:, v:]) - 1)``: the lifted column direction gives the 1.
+    """
+    return (c.v / c.k) * (c.s - 1) / (_joint_traces(c)[1] - 1.0)
+
+
+@_kept
+def _joint_traces(c: ContractionDesign) -> tuple[float, float]:
+    """The traces of the row and the column block of ``B~^-1``, from one inverse of ``B~``.
+
+    ``F' 1_v = 0`` and ``F F'/k = N_C N_C'/k - r r'/(ks)``, so the Schur
+    complement of ``B~``'s column block is ``A/s + 1 1'/v`` for the
+    contraction's information matrix ``A``, whose inverse has trace
+    ``s sum(1/lambda_i) + 1`` over A's non-trivial eigenvalues.  So ``B~`` is
+    singular exactly when A has a second zero, as the contraction's kept
+    spectrum shows first: the lift moves only ``(1_v, 0)`` and ``(0, 1_s)``.
     """
     _require_one_trivial(contraction_cefs(c))
     inc = incidence(c)
-    lifted = _lifted_joint(inc.n_r, inc.n_c, c.r.astype(float), c.k)
-    col_trace = float(np.trace(np.linalg.inv(lifted)[c.v:, c.v:]))
-    return (c.v / c.k) * (c.s - 1) / (col_trace - 1.0)
+    inv = np.linalg.inv(_lifted_joint(inc.n_r, inc.n_c, c.r.astype(float), c.k))
+    return float(np.trace(inv[:c.v, :c.v])), float(np.trace(inv[c.v:, c.v:]))
 
 
 def b_matrix(c: ContractionDesign) -> np.ndarray:
@@ -336,13 +338,11 @@ def full_report(c: ContractionDesign, include_direct: bool = False) -> Efficienc
 
     The direct route materializes the augmented design and solves the full
     v* x v* eigenproblem, which is O((vs)^3); it is optional for that reason.
-    The contraction is validated once, here; the quantities below reuse that,
-    its incidence set and its spectrum, which ``c_bar_s`` solves to decide
-    connectivity and ``e_con`` and the contraction cefs read back.
+    The contraction is validated once, here; the quantities below share that
+    verdict and the facts kept on the design (see the module docstring).
     """
     _require_valid(c)
-    cbv = c_bar_v(c)
-    cbs = c_bar_s(c)
+    cbv, cbs = c_bar_v(c), c_bar_s(c)
     v_star = (c.v - c.k) * c.s + c.k
     report = dict(
         e_con=e_con(c),

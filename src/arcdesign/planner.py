@@ -70,9 +70,9 @@ class DesignPlan:
 
 
 def _require_integers(**values) -> None:
-    # Sizes are counts: a value such as 2.5 would give a plan no design has.
+    # Sizes are counts: a value such as 2.5 would give a plan no design has, and a bool is no count.
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InfeasibleParametersError(f"{name} must be an integer, got {value!r}")
 
 

@@ -80,7 +80,7 @@ import numpy as np
 from .designs import ContractionDesign, _incidence_arrays, _require_valid, balanced_replication
 from .efficiency import _info_matrix, _lifted_joint
 from .errors import ConfigError, ConstructionError
-from .spectra import trivial_tolerance
+from .spectra import _harmonic_mean, trivial_tolerance
 from .textio import format_design
 
 _STRATEGIES = ("hillclimb", "anneal", "tabu")
@@ -137,10 +137,10 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("seed", "restarts", "max_iters", "workers"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.strategy not in _STRATEGIES:
@@ -154,7 +154,7 @@ class SearchConfig:
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.time_budget is not None:
-            if not isinstance(self.time_budget, numbers.Real):
+            if isinstance(self.time_budget, bool) or not isinstance(self.time_budget, numbers.Real):
                 raise ConfigError(f"time_budget must be a number, got {self.time_budget!r}")
             if not (math.isfinite(self.time_budget) and self.time_budget > 0):
                 raise ConfigError("time_budget must be a finite number > 0")
@@ -390,8 +390,8 @@ def _catalogue(cells: np.ndarray, v: int) -> np.ndarray:
 class _ContractionObjective:
     """Average-efficiency evaluation and move screening on raw cell arrays.
 
-    ``value`` is exact: it rebuilds the information matrix ``A``, scales it
-    to ``A_s = D A D`` with ``D = diag(r)^-1/2`` and takes its eigenvalues.
+    ``value`` is exact: it rebuilds the information matrix ``A``, scales it to
+    ``A_s = D A D`` with ``D = diag(r)^-1/2`` and takes ``e_con``'s ``_harmonic_mean``.
 
     ``screen`` scores a catalogue from one state.  A swap of label a at flat
     cell p1 = i1*s + j1 with label b at p2 changes ``A`` by
@@ -428,7 +428,7 @@ class _ContractionObjective:
         w = np.linalg.eigvalsh(self._scaled_info(cells)[0])
         if w[1] < trivial_tolerance(w):
             return 0.0
-        return (self.v - 1) / float(np.sum(1.0 / w[1:]))
+        return _harmonic_mean(w[1:])
 
     def _scaled_info(self, cells):
         # The last result is kept for the screen of a just-accepted state.
@@ -506,8 +506,8 @@ class _SwapWalk:
 
     Without ``e_aug`` the walk scores ``obj.value`` of the swapped cells.
     With it, ``B~`` is the one evaluator: ``b_matrix`` lifted to eigenvalue
-    1 on its two trivial directions (``efficiency._lifted_joint``, which
-    ``c_bar_s`` inverts too), with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)``
+    1 on its two trivial directions (``efficiency._lifted_joint``, whose
+    inverse gives ``c_bar_v`` and ``c_bar_s``), with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)``
     over its eigenvalues ``w``, or 0.0 if ``w[0] < trivial_tolerance(w)``.
     The walk keeps ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  A swap of
     label a at (i1, j1) with label b at (i2, j2) changes ``B~`` by

@@ -128,8 +128,12 @@ def harmonic_mean_nontrivial(sp: Spectrum) -> float:
     The spectrum must have exactly one trivial zero (``_require_one_trivial``).
     """
     _require_one_trivial(sp)
-    kept = sp.nontrivial()
-    return len(kept) / float(np.sum(1.0 / kept))
+    return _harmonic_mean(sp.nontrivial()[::-1])
+
+
+def _harmonic_mean(ascending: np.ndarray) -> float:
+    """``m / sum(1/lambda)`` summed in ascending order: the search's and the report's ``e_con``."""
+    return len(ascending) / float(np.sum(1.0 / ascending))
 
 
 def cefs_from_info(a, u) -> Spectrum:

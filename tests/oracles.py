@@ -10,7 +10,9 @@ plan's cell pairs are looped and its flat cells and pair terms come from a
 full ks x ks table, repeated labels are counted line by line instead of
 found by one sort, the augmented array is filled and read back cell by
 cell, and ``c_bar_s`` comes from a centred Schur complement instead of the
-lifted joint matrix.
+lifted joint matrix.  ``c_bar_v`` is read from the same inverse as ``c_bar_s``;
+its former route, the eigenvalues of the contraction's information matrix,
+is kept here as the reference.
 Two rules the library once decided by other means are kept as references:
 connectivity from the eigenvalues of the lifted joint matrix, which
 ``c_bar_s`` now reads from the contraction's own spectrum, and general
@@ -36,6 +38,8 @@ from arcdesign import (
     ContractionDesign,
     b_matrix,
     e_con,
+    eig_symmetric,
+    harmonic_mean_nontrivial,
     incidence,
     validate_contraction,
 )
@@ -110,6 +114,16 @@ def c_bar_s_by_centring(c: ContractionDesign) -> float:
     if vals[0] < 1e-9:
         raise DisconnectedDesignError("column block has a second zero eigenvalue")
     return (s - 1) / float(np.sum(1.0 / vals))
+
+
+def c_bar_v_by_eigensolve(c: ContractionDesign) -> float:
+    """``c_bar_v`` as the harmonic mean of the information matrix's eigenvalues over ``r_bar = ks/v``.
+
+    The matrix is the bracket-expanded one, and a second zero eigenvalue
+    raises ``DisconnectedDesignError``.
+    """
+    spectrum = eig_symmetric(info_matrix_by_bracket_expansion(c))
+    return harmonic_mean_nontrivial(spectrum) / (c.k * c.s / c.v)
 
 
 def lifted_joint_is_singular(c: ContractionDesign) -> bool:

@@ -40,6 +40,7 @@ from oracles import (
     b_matrix_with_dense_diagonal,
     b_nontrivial_eigenvalues,
     c_bar_s_by_centring,
+    c_bar_v_by_eigensolve,
     column_product_by_enumeration,
     dual_info_with_dense_diagonal,
     generally_balanced_by_fractions,
@@ -95,6 +96,19 @@ class TestCBarV:
         c = ContractionDesign.from_cells(np.array([[1, 2, 3, 4], [2, 1, 4, 3]]), v=4)
         with pytest.raises(DisconnectedDesignError):
             c_bar_v(c)
+
+    def test_matches_the_eigensolve_oracle(self, small_designs, ex1_contraction, ex2_contraction):
+        disconnected = 0
+        for c in (*small_designs, ex1_contraction, ex2_contraction):
+            try:
+                expected = c_bar_v_by_eigensolve(c)
+            except DisconnectedDesignError:
+                disconnected += 1
+                with pytest.raises(DisconnectedDesignError):
+                    c_bar_v(c)
+            else:
+                assert c_bar_v(c) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert disconnected >= 20
 
 
 class TestCBarS:
@@ -525,9 +539,9 @@ class TestFullReport:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(len(m)) or eigvalsh(m))
         c = load_reference_design("contraction_24x16_k5")  # nothing is kept on it yet
         full_report(c)
-        # c_bar_v, the contraction cefs (c_bar_s's connectivity, e_con and the
-        # report's cefs alike) and e_dual
-        assert builds == [24] and solves == [24, 24, 16]
+        # the contraction cefs (connectivity, e_con and the report's cefs alike)
+        # and e_dual; c_bar_v and c_bar_s read one inverse, not a solve
+        assert builds == [24] and solves == [24, 16]
         inc = incidence(c)
         assert incidence(c) is inc
         for arr in (inc.n_r, inc.n_c, inc.w):
@@ -536,13 +550,26 @@ class TestFullReport:
         # the direct route adds its one v* x v* solve and no incidence build
         builds.clear(), solves.clear()
         full_report(load_reference_design("contraction_24x16_k5"), include_direct=True)
-        assert builds == [24] and solves == [24, 24, 16, 309]
+        assert builds == [24] and solves == [24, 16, 309]
+
+    def test_one_inverse_of_the_lifted_joint_matrix_per_design(self, monkeypatch):
+        inverses, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(len(m)) or inv(m))
+        c = load_reference_design("contraction_24x16_k5")
+        first = full_report(c)
+        assert full_report(c) == first
+        assert (c_bar_v(c), c_bar_s(c)) == (first.c_bar_v, first.c_bar_s)
+        assert inverses == [24 + 16]
+        full_report(load_reference_design("contraction_24x16_k5"))
+        assert inverses == [40, 40]
 
     # sha256 of the report JSON of the bundled (24,16,5) reference, recorded
-    # when eig_symmetric became eigenvalues-only: the values must not move by one bit.
+    # when c_bar_v came to be read from the row block of B~^-1, which moved
+    # cBarV and eAugFormula in their last bits (it was 2f12a095...399033fb7
+    # with c_bar_v from its own eigensolve): the values must not move by one bit.
     # The case id leaves the digest out, so that a re-pin keeps the test's name.
     @pytest.mark.parametrize("include_direct, digest", [
-        pytest.param(False, "2f12a095dab65108e1a3d21d33dc04046f8e45c82b6b6d040e9cee4399033fb7",
+        pytest.param(False, "46f97fd2ef0ab21b4916be655d958c6cb0b71a1764d62afaea68cdb7bf3cbfbc",
                      id="formula-only"),
     ])
     def test_reference_report_json_unchanged(self, include_direct, digest):

@@ -84,7 +84,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("args, name", [
         ((2.5, 0.2, 10), "k"), ((3.0, 0.2, 10), "k"), ((3, 0.2, 10.5), "n_test_lines"),
-        ((3, 0.2, "10"), "n_test_lines"),
+        ((3, 0.2, "10"), "n_test_lines"), ((True, 0.2, 10), "k"), ((3, 0.2, True), "n_test_lines"),
     ])
     def test_sizes_must_be_integers(self, args, name):
         with pytest.raises(InfeasibleParametersError, match=f"^{name} must be an integer, got "):
@@ -123,7 +123,7 @@ class TestPlanFixedGrid:
             plan_fixed_grid(4, 3, 5, orientation="rows")
 
     @pytest.mark.parametrize("args, name", [
-        ((8.5, 12, 3), "rows"), ((8, 12.0, 3), "cols"), ((8, 12, 2.5), "k"),
+        ((8.5, 12, 3), "rows"), ((8, 12.0, 3), "cols"), ((8, 12, 2.5), "k"), ((8, 12, True), "k"),
     ])
     def test_sizes_must_be_integers(self, args, name):
         with pytest.raises(InfeasibleParametersError, match=f"^{name} must be an integer, got "):

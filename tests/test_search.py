@@ -17,7 +17,6 @@ from arcdesign import (
     ContractionDesign,
     SearchConfig,
     augment,
-    c_bar_v,
     e_aug_direct,
     e_aug_formula,
     e_con,
@@ -53,6 +52,7 @@ from arcdesign.search import (
 from oracles import (
     apply_move,
     c_bar_s_by_centring,
+    c_bar_v_by_eigensolve,
     catalogue_by_loops,
     exhaustive_best_e_con,
     flat_cell,
@@ -522,6 +522,26 @@ class TestTabuConfirmation:
         assert len(confirmed) < len(states) - 1
 
 
+class _ScoredBelow(_Confirming):
+    """A screen that scores every swap 1e-7 below the exact value of the state it is given."""
+
+    def screen(self, cells, ids):
+        below = _ContractionObjective.value(self, cells) - 1e-7
+        return lambda idx: np.full(len(idx), below)
+
+
+def test_the_margin_is_smaller_than_a_real_loss():
+    # The margin absorbs the screen's rounding, about 1e-12, so a swap scored
+    # 1e-7 below the current value is passed over: the climb confirms only its
+    # start state and stops there.
+    c = random_contraction(24, 16, 5, seed=3)
+    obj = _ScoredBelow(c.v, c.s, c.k, c.r)
+    cells, val, trace, evals, _ = _hillclimb(c.cells, obj, np.random.default_rng(3), 20000, None)
+    assert len(obj.confirmed) == 1 and obj.confirmed[0] is c.cells
+    assert cells is c.cells and trace == [(0, val)] and val > 0.0
+    assert evals == len(_catalogue(c.cells, c.v))
+
+
 class TestAnneal:
     def _run(self, max_iters, propose=lambda walk: walk.propose, deadline=None,
              score=lambda walk: walk.score):
@@ -614,12 +634,12 @@ def _walk_anneal(c, objective, seed, iters, t0=None, **hooks):
 
 
 def _closed_form_e_aug(c):
-    """The closed form of ``e_aug`` on the centring oracle's ``c_bar_s``, 0.0 if disconnected.
+    """The closed form of ``e_aug`` on the oracles' ``c_bar_v`` and ``c_bar_s``, 0.0 if disconnected.
 
-    The oracle does not share the anneal's lifted joint matrix.
+    Neither oracle shares the anneal's lifted joint matrix.
     """
     try:
-        return e_aug_formula((c.v - c.k) * c.s + c.k, c.v, c.s, c.k, c_bar_v(c),
+        return e_aug_formula((c.v - c.k) * c.s + c.k, c.v, c.s, c.k, c_bar_v_by_eigensolve(c),
                              c_bar_s_by_centring(c))
     except DisconnectedDesignError:
         return 0.0
@@ -1033,7 +1053,12 @@ class TestSearchContraction:
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
             SearchConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", ["1", 1j, [1.0]])
+    @pytest.mark.parametrize("field", ["seed", "restarts", "max_iters", "workers"])
+    def test_a_bool_is_not_a_count(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got True$"):
+            SearchConfig(**{field: True})
+
+    @pytest.mark.parametrize("value", ["1", 1j, [1.0], True])
     def test_time_budget_must_be_a_number(self, value):
         message = f"^time_budget must be a number, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigError, match=message):
@@ -1047,6 +1072,16 @@ class TestSearchContraction:
         plain = SearchConfig(seed=3, restarts=2, max_iters=300)
         assert (search_contraction(8, 6, 3, cfg).to_json()
                 == search_contraction(8, 6, 3, plain).to_json())
+
+    # Six sizes, four of them with unequal replication, and seeds that share no generator.
+    @pytest.mark.parametrize("strategy", ["hillclimb", "tabu", "anneal"])
+    def test_objective_is_the_reports_e_con_bit_for_bit(self, strategy):
+        for (v, s, k), seed in itertools.product(
+                [(10, 6, 3), (12, 8, 3), (16, 10, 4), (20, 12, 5), (24, 16, 5), (30, 20, 5)],
+                (0, 64, 128)):
+            cfg = SearchConfig(seed=seed, strategy=strategy, restarts=2, max_iters=3000)
+            result = search_contraction(v, s, k, cfg)
+            assert result.objective == e_con(result.best), (v, s, k, seed)
 
     def test_infeasible_parameters_raise(self):
         with pytest.raises(InfeasibleParametersError):
