@@ -278,7 +278,7 @@ def cmd_evaluate(design_file, direct, fmt):
 def _read_plan(path: Path) -> tuple[int, int, int]:
     try:
         data = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to parse
         raise ParseError(f"{path} is not a plan JSON: {exc}") from exc
     dims = tuple(data.get(key) if isinstance(data, dict) else None for key in "vsk")
     if not all(type(x) is int for x in dims):

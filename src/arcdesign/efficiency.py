@@ -10,11 +10,11 @@ non-trivial canonical efficiency factors (cefs) of the augmented design are
 exactly the non-trivial eigenvalues of a joint (v+s) x (v+s) matrix assembled
 from the contraction alone (``b_matrix``), padded with unit cefs.  The
 average efficiency factor of the augmented design therefore has a closed form
-(``e_aug_formula``) in two contraction-level summaries: ``c_bar_v`` from the
-row block and ``c_bar_s`` from the column block of the inverse of the joint
-matrix lifted to eigenvalue 1 on its trivial directions (``_lifted_joint``,
-which the e_aug anneal inverts too).  ``e_aug_direct`` recomputes the same
-number from the full v* x v* eigenproblem: the independent route.
+(``_e_aug``, written once) in the trace of the inverse of the joint matrix
+lifted to eigenvalue 1 on its trivial directions (``_lifted_joint``), whose
+row and column blocks give the contraction-level ``c_bar_v`` and ``c_bar_s``.
+``e_aug_direct`` recomputes the same number from the full v* x v*
+eigenproblem: the independent route.
 
 The direct route forms no v* x v* product (``info_matrix_augmented``) and
 solves its matrix once (``augmented_cefs``).  On the contraction side,
@@ -129,8 +129,13 @@ def _joint_traces(c: ContractionDesign) -> tuple[float, float]:
     """
     _require_one_trivial(contraction_cefs(c))
     inc = incidence(c)
-    inv = np.linalg.inv(_lifted_joint(inc.n_r, inc.n_c, c.r.astype(float), c.k))
-    return float(np.trace(inv[:c.v, :c.v])), float(np.trace(inv[c.v:, c.v:]))
+    return _block_traces(inc.n_r, inc.n_c, c.r.astype(float), c.k)
+
+
+def _block_traces(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> tuple[float, float]:
+    # The block traces of one fresh B~^-1 from raw arrays; the e_aug anneal values its best by it.
+    inv, v = np.linalg.inv(_lifted_joint(n_r, n_c, r, k)), len(r)
+    return float(np.trace(inv[:v, :v])), float(np.trace(inv[v:, v:]))
 
 
 def b_matrix(c: ContractionDesign) -> np.ndarray:
@@ -199,15 +204,20 @@ def is_generally_balanced(c: ContractionDesign) -> bool:
 def e_aug_formula(v_star: int, v: int, s: int, k: int, c_bar_v: float, c_bar_s: float) -> float:
     """Closed-form average efficiency factor of the augmented design.
 
-    ``(v*-1) / (v* - (v+s) + 1 + (v/k) ((v-1)/c_bar_v + (s-1)/c_bar_s))``.
+    ``_e_aug`` of the trace ``(v/k) ((v-1)/c_bar_v + (s-1)/c_bar_s) + 2`` of ``B~^-1``.
     """
     for name, value in (("v_star", v_star), ("v", v), ("s", s), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
     if c_bar_v <= 0 or c_bar_s <= 0:
         raise ValueError("c_bar_v and c_bar_s must be positive")
-    denom = v_star - (v + s) + 1 + (v / k) * ((v - 1) / c_bar_v + (s - 1) / c_bar_s)
-    return (v_star - 1) / denom
+    return _e_aug(v_star, v, s, (v / k) * ((v - 1) / c_bar_v + (s - 1) / c_bar_s) + 2)
+
+
+def _e_aug(v_star: int, v: int, s: int, trace: float) -> float:
+    # e_aug from tr(B~^-1), for the report, e_aug_formula and the e_aug anneal: B~ holds the
+    # v+s-2 non-unit cefs and two lifted 1s, so sum(1/cef) = (v*-1) - (v+s-2) + (trace - 2).
+    return (v_star - 1) / (v_star - v - s - 1 + trace)
 
 
 def info_matrix_augmented(a: AugmentedDesign) -> np.ndarray:
@@ -342,14 +352,12 @@ def full_report(c: ContractionDesign, include_direct: bool = False) -> Efficienc
     verdict and the facts kept on the design (see the module docstring).
     """
     _require_valid(c)
-    cbv, cbs = c_bar_v(c), c_bar_s(c)
-    v_star = (c.v - c.k) * c.s + c.k
     report = dict(
         e_con=e_con(c),
-        c_bar_v=cbv,
-        c_bar_s=cbs,
+        c_bar_v=c_bar_v(c),
+        c_bar_s=c_bar_s(c),
         e_dual=e_dual_column(c),
-        e_aug_formula=e_aug_formula(v_star, c.v, c.s, c.k, cbv, cbs),
+        e_aug_formula=_e_aug((c.v - c.k) * c.s + c.k, c.v, c.s, sum(_joint_traces(c))),
         generally_balanced=is_generally_balanced(c),
         cefs_contraction=_clamped_cefs(contraction_cefs(c)),
     )

@@ -57,7 +57,8 @@ eigenvalues, so disconnected ones score 0.0; a two-stage guard (a cheap norm
 bound, then the exact norm) finds the candidates.  Values agree with the exact
 ones to about 1e-12, so a seeded anneal only leaves the exact path where a
 candidate ties the current value exactly and rounding decides whether a
-random number is drawn.
+random number is drawn.  The search values its best state from one fresh
+inverse, as the report does, so the objective is its ``e_aug_formula``.
 
 The search walks contractions only.  Every augmented design comes from one
 by the placement rule, and its ``e_aug`` follows in closed form, so no
@@ -67,18 +68,20 @@ search scores the full v* x v* eigenproblem.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
 import operator
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .designs import ContractionDesign, _incidence_arrays, _require_valid, balanced_replication
-from .efficiency import _info_matrix, _lifted_joint
+from .efficiency import _block_traces, _e_aug, _info_matrix, _lifted_joint
 from .errors import ConfigError, ConstructionError
 from .spectra import _harmonic_mean, trivial_tolerance
 from .textio import format_design
@@ -501,13 +504,13 @@ class _SwapWalk:
 
     It follows the walk protocol of ``_anneal``; ``state()`` copies the cells.
     For the sampler the walk keeps the labels as a flat Python list and the
-    labels of each row and each column as Python sets, and it draws cell
-    pairs ``_DRAW_BLOCK`` at a time.
+    labels of each row and each column as Python sets, which ``accept``
+    keeps, and it draws cell pairs ``_DRAW_BLOCK`` at a time.
 
     Without ``e_aug`` the walk scores ``obj.value`` of the swapped cells.
     With it, ``B~`` is the one evaluator: ``b_matrix`` lifted to eigenvalue
     1 on its two trivial directions (``efficiency._lifted_joint``, whose
-    inverse gives ``c_bar_v`` and ``c_bar_s``), with ``e_aug = (v*-1) / (v*-v-s-1 + sum 1/w)``
+    inverse gives ``c_bar_v`` and ``c_bar_s``), with ``e_aug = efficiency._e_aug(sum 1/w)``
     over its eigenvalues ``w``, or 0.0 if ``w[0] < trivial_tolerance(w)``.
     The walk keeps ``M = B~^-1``, ``tr(M)`` and ``|M|_F^2``.  A swap of
     label a at (i1, j1) with label b at (i2, j2) changes ``B~`` by
@@ -539,32 +542,30 @@ class _SwapWalk:
     def __init__(self, obj: _ContractionObjective, cells: np.ndarray, e_aug: bool):
         self.obj = obj
         self.inverse = e_aug
-        self.v_star = (obj.v - obj.k) * obj.s + obj.k
         self.cells = cells.copy()
         self.move = self.pending = None
         self.pairs = _swap_index(obj.k, obj.s)
         self.draws: list[list[int]] = []
-        # D^-1/2 on label and on column coordinates
-        self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
-        if self.inverse:
-            # U' = [u z]' over G' = U'M (M is symmetric, so G = MU); G' is kept until the next score
-            ug = np.zeros((4, obj.v + obj.s))
-            self.u, self.z, self.x = ug[0], ug[1], ug[1, :obj.v]
-            self.ug, self.uz, self.gt = ug, ug[:2], ug[2:]
-        self._rebuild()
+        rows = cells.tolist()
+        self.labels = [lab for row in rows for lab in row]
+        self.rows = [set(row) for row in rows]
+        self.cols = [set(col) for col in zip(*rows)]
         if not self.inverse:
             self.val = obj.value(cells)
+            return
+        self.e_aug = functools.partial(_e_aug, (obj.v - obj.k) * obj.s + obj.k, obj.v, obj.s)
+        # D^-1/2 on label and on column coordinates
+        self.dv, self.dc = 1.0 / np.sqrt(obj.s), 1.0 / np.sqrt(obj.v)
+        # U' = [u z]' over G' = U'M (M is symmetric, so G = MU); G' is kept until the next score
+        ug = np.zeros((4, obj.v + obj.s))
+        self.u, self.z, self.x = ug[0], ug[1], ug[1, :obj.v]
+        self.ug, self.uz, self.gt = ug, ug[:2], ug[2:]
+        self._rebuild()
 
     def state(self) -> np.ndarray:
         return self.cells.copy()
 
     def _rebuild(self) -> None:
-        rows = self.cells.tolist()
-        self.labels = [lab for row in rows for lab in row]
-        self.rows = [set(row) for row in rows]
-        self.cols = [set(col) for col in zip(*rows)]
-        if not self.inverse:
-            return
         self.updates = 0
         n_r, n_c = _incidence_arrays(self.cells, self.obj.v)
         joint = _lifted_joint(n_r, n_c, self.obj.r, self.obj.k)
@@ -578,21 +579,18 @@ class _SwapWalk:
         self.m = np.linalg.inv(joint)
         self.tr, self.norm2 = float(np.trace(self.m)), float(np.vdot(self.m, self.m))
         self.norm = math.sqrt(self.norm2)
-        self.val = self._e_aug(self.tr)
+        self.val = self.e_aug(self.tr)
 
     def _exact(self, w: np.ndarray) -> float:
         """``e_aug`` from the ascending eigenvalues of ``B~``; 0.0 if disconnected."""
         if w[0] < trivial_tolerance(w):
             return 0.0
-        return self._e_aug(float(np.sum(1.0 / w)))
+        return self.e_aug(float(np.sum(1.0 / w)))
 
     def _exact_value(self, move) -> float:
         cand = _swap(self.cells, move)
         joint = _lifted_joint(*_incidence_arrays(cand, self.obj.v), self.obj.r, self.obj.k)
         return self._exact(np.linalg.eigvalsh(joint))
-
-    def _e_aug(self, trace: float) -> float:
-        return (self.v_star - 1) / (self.v_star - self.obj.v - self.obj.s - 1 + trace)
 
     def propose(self, rng) -> tuple[int, int, int, int] | None:
         """A valid swap, uniform over them: draw cell pairs, reject invalid ones.
@@ -695,7 +693,7 @@ class _SwapWalk:
                 return self._exact_value(move)
         trace = self.tr - (t11 + t22)
         self.pending = (s11, s12, s22, det), trace, t2, norm2
-        return self._e_aug(trace)
+        return self.e_aug(trace)
 
     def _norm2(self, s11: float, s12: float, s22: float, det: float, t2: float) -> float:
         """``|M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr(T^2)`` for the candidate just scored."""
@@ -894,11 +892,11 @@ def _run_restarts(cfg: SearchConfig, v: int, restart_fn) -> SearchResult:
     Restart i calls ``restart_fn(i, rng, deadline)`` with
     ``rng = default_rng(cfg.seed ^ i)`` and gets a driver's
     (state, value, trace, evaluations, timed out) tuple back.  Restarts run
-    serially or on ``cfg.workers`` threads and are reduced by objective,
-    ties going to the lowest restart index, so both agree.  Either way no
-    restart after the first starts once the deadline has passed; ``run``
-    returns None for a skipped one.  The best state is reported as a
-    contraction on ``v`` labels.
+    serially or on at most ``cfg.workers`` threads, one per restart and CPU,
+    and are reduced by objective, ties going to the lowest restart index, so
+    both agree.  No restart after the first starts once the deadline has
+    passed: ``run`` returns None, and the serial loop stops there.  The best
+    state is reported as a contraction on ``v`` labels.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -909,16 +907,17 @@ def _run_restarts(cfg: SearchConfig, v: int, restart_fn) -> SearchResult:
         return (i, *restart_fn(i, np.random.default_rng(cfg.seed ^ i), deadline))
 
     indices = range(cfg.restarts)
-    if cfg.workers > 1:
+    workers = min(cfg.workers, cfg.restarts, os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: every CLI start would pay for it, and few searches use threads.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(run, indices))
     else:
-        runs = [run(i) for i in indices]
+        runs = itertools.takewhile(operator.truth, map(run, indices))
     outcomes = [o for o in runs if o is not None]
-    skipped = len(outcomes) < len(runs)
+    skipped = len(outcomes) < cfg.restarts
     restart, state, val, trace, _, _ = min(outcomes, key=lambda o: (-o[2], o[0]))
     return SearchResult(
         best=ContractionDesign(v, state),
@@ -946,7 +945,8 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
 
     Deterministic given the seed; restarts are reduced in fixed index order
     (ties by restart index), so serial and concurrent execution agree.  Raises ``ConfigError`` when the budget
-    left every restart at a disconnected design (objective 0.0).
+    left every restart at a disconnected design (objective 0.0).  An ``e_aug`` objective is the
+    best state's value by the report's route, the block traces of one fresh ``B~^-1``.
     """
     cfg = cfg or SearchConfig()
     r = balanced_replication(v, k, s)
@@ -956,4 +956,7 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
         if cfg.time_budget is not None:
             budget += f" and time_budget {cfg.time_budget:g}"
         raise ConfigError(f"{budget} left every restart at a disconnected design; raise the budget")
+    if cfg.objective == "e_aug":
+        traces = _block_traces(*_incidence_arrays(result.best.cells, v), r.astype(float), k)
+        result = replace(result, objective=_e_aug((v - k) * s + k, v, s, sum(traces)))
     return result

@@ -329,6 +329,16 @@ class TestGenerateCommand:
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
         assert "not a plan JSON" in result.output
 
+    def test_plan_nested_too_deeply_exits_2(self, runner, tmp_path):
+        # json.loads raises RecursionError here, not a ValueError
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text("[" * 100_000)
+        result = runner.invoke(main, ["generate", "--plan", str(plan_path),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert "not a plan JSON" in result.output
+
 
 @pytest.mark.parametrize("dims, message", [
     ((1, 1, 1), "needs at least 2 pseudo-treatments (v=1)"),
@@ -587,6 +597,50 @@ def _mutated_design_text(draw):
     return "\n".join([header, *rows]) + "\n"
 
 
+def _assert_exit_0_or_2(result, args, given):
+    assert result.exit_code in (0, 2), (args, given, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, given)
+    assert "Traceback" not in result.output
+
+
+#: JSON values for plan files: scalars, lists and objects keyed partly by v, s and k.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["v", "s", "k", "x"]), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _plan_text(draw):
+    """A plan file: fuzzed JSON, a plan of sizes <= 12, a cut of one or deep nesting."""
+    kind = draw(st.sampled_from(["json", "plan", "cut", "nested"]))
+    if kind == "nested":
+        opener = draw(st.sampled_from(["[", '{"v": ', '[{"v": [']))
+        return opener * draw(st.integers(1, 100_000))
+    if kind == "json":
+        return json.dumps(draw(_JSON))
+    dims = draw(st.sampled_from(_FUZZ_SIZES) | st.tuples(*[st.integers(-1, 12)] * 3))
+    plan = dict(zip("vsk", dims), **draw(st.dictionaries(st.sampled_from(["x", "prop"]), _JSON)))
+    text = json.dumps(plan)
+    return text[: draw(st.integers(0, len(text)))] if kind == "cut" else text
+
+
+class TestFuzzedPlanFiles:
+    # Every search a plan reaches is tiny: sizes <= 12, one restart of 50 evaluations.
+    @given(text=_plan_text())
+    @settings(max_examples=60, deadline=None)
+    def test_generate_plan_exits_0_or_2(self, text):
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plan.json"
+            path.write_text(text)
+            args = ["generate", "--plan", str(path), "--restarts", "1", "--iters", "50",
+                    "--out", str(Path(tmp) / "out")]
+            _assert_exit_0_or_2(runner.invoke(main, args), "generate --plan", text[:200])
+
+
 class TestFuzzedDesignFiles:
     @given(text=_mutated_design_text())
     @settings(max_examples=80, deadline=None)
@@ -597,13 +651,28 @@ class TestFuzzedDesignFiles:
             path.write_text(text)
             for args in (["evaluate"], ["evaluate", "--direct"], ["augment"]):
                 result = runner.invoke(main, [*args, str(path)])
-                assert result.exit_code in (0, 2), (args, text, result.output)
-                assert result.exception is None or isinstance(result.exception, SystemExit)
-                assert "Traceback" not in result.output
+                _assert_exit_0_or_2(result, args, text)
                 if result.exit_code == 2:
                     errors = [line for line in result.output.splitlines()
                               if line.startswith("error:")]
                     assert len(errors) == 1, (args, text, result.output)
+
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.text(max_size=200).map(str.encode),
+        # a header of at most 12 labels over a body of fuzzed text
+        st.builds("# {} v={} s={} k={}\n{}".format, st.sampled_from(["contraction", "augmented"]),
+                  *[st.integers(0, 12)] * 3, st.text(alphabet="0123456789,-\n \t#x", max_size=120)
+                  ).map(str.encode),
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_fuzzed_text_exits_0_or_2(self, data):
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "design.txt"
+            path.write_bytes(data)
+            for args in (["evaluate"], ["augment"]):
+                _assert_exit_0_or_2(runner.invoke(main, [*args, str(path)]), args, data)
 
     @given(design_text=_design_text())
     @settings(max_examples=40, deadline=None)

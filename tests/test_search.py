@@ -3,8 +3,10 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import re
 import time
+import types
 import warnings
 from unittest import mock
 
@@ -20,6 +22,7 @@ from arcdesign import (
     e_aug_direct,
     e_aug_formula,
     e_con,
+    full_report,
     neighbor_moves,
     random_contraction,
     search_contraction,
@@ -718,6 +721,20 @@ class TestSwapWalk:
         assert self._exact_paths((10, 6, 3), 361)["state"] >= 5
         assert self._exact_paths((10, 6, 3), 40)["candidate"] >= 5
 
+    def test_rebuilds_keep_the_label_tables(self):
+        # accept keeps the sampler's tables exact; a rebuild of the inverse leaves them be
+        c = random_contraction(24, 16, 5, seed=3)
+        tables = []
+
+        def rebuilt(walk, rebuild):
+            tables.append((walk.labels, walk.rows, walk.cols))
+            rebuild()
+            assert (walk.labels, walk.rows, walk.cols) == tables[-1]
+            assert all(a is b for a, b in zip((walk.labels, walk.rows, walk.cols), tables[-1]))
+
+        _walk_anneal(c, "e_aug", 3, 300, 0.05, _rebuild=rebuilt)
+        assert len(tables) >= 2
+
     def test_rebuilds_every_64_updates(self):
         # (24,16,5) stays well conditioned, so only the update count rebuilds M
         c = random_contraction(24, 16, 5, seed=3)
@@ -1083,6 +1100,15 @@ class TestSearchContraction:
             result = search_contraction(v, s, k, cfg)
             assert result.objective == e_con(result.best), (v, s, k, seed)
 
+    def test_e_aug_objective_is_the_reports_e_aug_formula_bit_for_bit(self):
+        # The walk's own value comes from a Woodbury-updated inverse; the reported one does not.
+        for (v, s, k), seed in itertools.product(
+                [(10, 6, 3), (12, 8, 3), (16, 10, 4), (24, 16, 5), (48, 32, 6)], (0, 64, 128)):
+            cfg = SearchConfig(seed=seed, strategy="anneal", objective="e_aug", restarts=2,
+                               max_iters=2000)
+            result = search_contraction(v, s, k, cfg)
+            assert result.objective == full_report(result.best).e_aug_formula, (v, s, k, seed)
+
     def test_infeasible_parameters_raise(self):
         with pytest.raises(InfeasibleParametersError):
             search_contraction(10, 3, 2, SearchConfig(seed=0, restarts=1))
@@ -1106,6 +1132,58 @@ class TestSearchContraction:
         result = _run_restarts(cfg, 1, restart)
         assert sorted(started) == [0, 1]
         assert result.timed_out
+
+    def test_the_thread_pool_is_capped_by_the_restarts_and_the_cpus(self, monkeypatch):
+        # A stand-in pool records its size and starts no thread.
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def restart(i, rng, deadline):
+            return np.zeros((1, 1)), 1.0, [(0, 1.0)], 1, False
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        for cpus, restarts in ((4, 3), (4, 6), (None, 3)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            result = _run_restarts(SearchConfig(restarts=restarts, workers=100_000), 1, restart)
+            assert result.restart_of_best == 0
+        # the third run has one CPU at most, so it runs serially
+        assert sizes == [3, 4]
+
+    def test_serial_restarts_stop_at_the_deadline(self, monkeypatch):
+        # The clock reads 0 at the start and past the deadline ever after.
+        ticks = []
+
+        def clock():
+            ticks.append(len(ticks))
+            assert len(ticks) <= 10, "the restart loop went on past the deadline"
+            return 0.0 if len(ticks) == 1 else 2.0
+
+        started = []
+
+        def restart(i, rng, deadline):
+            started.append(i)
+            return np.zeros((1, 1)), 1.0, [(0, 1.0)], 1, False
+
+        monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=clock))
+        result = _run_restarts(SearchConfig(restarts=10**8, time_budget=1.0), 1, restart)
+        assert started == [0]
+        assert result.timed_out
+        # the start, restart 1's deadline check and the elapsed time
+        assert len(ticks) == 3
 
     @pytest.mark.parametrize("strategy, iters", [("hillclimb", 1), ("anneal", 10), ("tabu", 50)])
     def test_budget_that_leaves_every_restart_disconnected_raises(self, strategy, iters):
