@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import re
 import time
@@ -85,6 +84,9 @@ def _write_run(out: Path, command: str, parameters: dict, seed: int | None,
     The manifest records the sha256 of each input file and of the bytes
     written for each artifact, and the wall time since ``t0``.
     """
+    # Imported here: it loads OpenSSL, which only the commands that write a run need.
+    import hashlib
+
     digests = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
     out.mkdir(parents=True, exist_ok=True)
     outputs = {}

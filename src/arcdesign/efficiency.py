@@ -129,12 +129,7 @@ def _joint_traces(c: ContractionDesign) -> tuple[float, float]:
     """
     _require_one_trivial(contraction_cefs(c))
     inc = incidence(c)
-    return _block_traces(inc.n_r, inc.n_c, c.r.astype(float), c.k)
-
-
-def _block_traces(n_r: np.ndarray, n_c: np.ndarray, r: np.ndarray, k: int) -> tuple[float, float]:
-    # The block traces of one fresh B~^-1 from raw arrays; the e_aug anneal values its best by it.
-    inv, v = np.linalg.inv(_lifted_joint(n_r, n_c, r, k)), len(r)
+    inv, v = np.linalg.inv(_lifted_joint(inc.n_r, inc.n_c, c.r.astype(float), c.k)), c.v
     return float(np.trace(inv[:v, :v])), float(np.trace(inv[v:, v:]))
 
 

@@ -57,8 +57,8 @@ eigenvalues, so disconnected ones score 0.0; a two-stage guard (a cheap norm
 bound, then the exact norm) finds the candidates.  Values agree with the exact
 ones to about 1e-12, so a seeded anneal only leaves the exact path where a
 candidate ties the current value exactly and rounding decides whether a
-random number is drawn.  The search values its best state from one fresh
-inverse, as the report does, so the objective is its ``e_aug_formula``.
+random number is drawn.  The search values its best state by the block
+traces the report keeps on the design, so the objective is its ``e_aug_formula``.
 
 The search walks contractions only.  Every augmented design comes from one
 by the placement rule, and its ``e_aug`` follows in closed form, so no
@@ -68,7 +68,6 @@ search scores the full v* x v* eigenproblem.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -81,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import ContractionDesign, _incidence_arrays, _require_valid, balanced_replication
-from .efficiency import _block_traces, _e_aug, _info_matrix, _lifted_joint
+from .efficiency import _e_aug, _info_matrix, _joint_traces, _lifted_joint
 from .errors import ConfigError, ConstructionError
 from .spectra import _harmonic_mean, trivial_tolerance
 from .textio import format_design
@@ -531,7 +530,8 @@ class _SwapWalk:
     ``_WALK_MIN_EIG``) the eigenvalues of ``B~`` score the state and all its
     candidates.  So they do every candidate that may itself lie below it, by
     a two-stage guard on ``|M'|_F``, which bounds 1/(smallest eigenvalue)
-    from above: first ``bound = |M|_F + |G S^-1 G'|_F = |M|_F + sqrt(tr(T^2))``;
+    from above: first ``bound = |M|_F + |G S^-1 G'|_F = |M|_F + sqrt(tr(T^2))``
+    plus ``_margin(bound)``, as rounding may leave the sum below ``|M'|_F``;
     only if that is too large, ``G'MG`` for the exact
     ``|M'|_F^2 = |M|_F^2 - 2 tr(S^-1 G'MG) + tr(T^2)``, which an accepted
     swap forms too, so ``|M|_F^2`` stays exact.  They also score every
@@ -686,7 +686,8 @@ class _SwapWalk:
         t21, t22 = (s11 * p21 - s12 * p11) / det, (s11 * p22 - s12 * p12) / det
         t2 = t11 * t11 + 2.0 * t12 * t21 + t22 * t22
         norm2 = None
-        self.bound = self.norm + math.sqrt(abs(t2))
+        bound = self.norm + math.sqrt(abs(t2))
+        self.bound = bound + _margin(bound)  # so rounding cannot take it below |M'|_F
         if self.bound * _WALK_MIN_EIG > 1.0:
             norm2 = self._norm2(s11, s12, s22, det, t2)
             if norm2 * _WALK_MIN_EIG**2 > 1.0:
@@ -891,42 +892,42 @@ def _run_restarts(cfg: SearchConfig, v: int, restart_fn) -> SearchResult:
 
     Restart i calls ``restart_fn(i, rng, deadline)`` with
     ``rng = default_rng(cfg.seed ^ i)`` and gets a driver's
-    (state, value, trace, evaluations, timed out) tuple back.  Restarts run
-    serially or on at most ``cfg.workers`` threads, one per restart and CPU,
-    and are reduced by objective, ties going to the lowest restart index, so
-    both agree.  No restart after the first starts once the deadline has
-    passed: ``run`` returns None, and the serial loop stops there.  The best
-    state is reported as a contraction on ``v`` labels.
+    (state, value, trace, evaluations, timed out) tuple back.  Of ``n``
+    workers (at most ``cfg.workers``, the restarts and the CPUs), worker w
+    runs restarts w, w + n, w + 2n, ..., inline if n is 1 and else on a
+    thread, stops at its first restart past the deadline (restart 0 always
+    runs) and keeps only its best, so memory grows with n, not the restarts.
+    Bests go by objective, ties to the lowest restart index, so serial and
+    threaded searches agree.  The best state is a contraction on ``v`` labels.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
+    n = min(cfg.workers, cfg.restarts, os.cpu_count() or 1)
 
-    def run(i: int):
-        if i > 0 and deadline is not None and time.monotonic() > deadline:
-            return None
-        return (i, *restart_fn(i, np.random.default_rng(cfg.seed ^ i), deadline))
+    def stride(w: int):
+        # The (value, restart, state, trace) of the worker's best, and whether it timed out.
+        best, timed_out = None, False
+        for i in range(w, cfg.restarts, n):
+            if i > 0 and deadline is not None and time.monotonic() > deadline:
+                return best, True
+            state, val, trace, _, out = restart_fn(i, np.random.default_rng(cfg.seed ^ i), deadline)
+            timed_out |= out
+            if best is None or val > best[0]:
+                best = val, i, state, trace
+        return best, timed_out
 
-    indices = range(cfg.restarts)
-    workers = min(cfg.workers, cfg.restarts, os.cpu_count() or 1)
-    if workers > 1:
+    if n > 1:
         # Imported here: every CLI start would pay for it, and few searches use threads.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run, indices))
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            strides = list(pool.map(stride, range(n)))
     else:
-        runs = itertools.takewhile(operator.truth, map(run, indices))
-    outcomes = [o for o in runs if o is not None]
-    skipped = len(outcomes) < cfg.restarts
-    restart, state, val, trace, _, _ = min(outcomes, key=lambda o: (-o[2], o[0]))
-    return SearchResult(
-        best=ContractionDesign(v, state),
-        objective=val,
-        trace=tuple(trace),
-        elapsed=time.monotonic() - start,
-        restart_of_best=restart,
-        timed_out=skipped or any(o[5] for o in outcomes),
-    )
+        strides = [stride(0)]
+    val, restart, state, trace = min((b for b, _ in strides if b), key=lambda b: (-b[0], b[1]))
+    return SearchResult(best=ContractionDesign(v, state), objective=val, trace=tuple(trace),
+                        elapsed=time.monotonic() - start, restart_of_best=restart,
+                        timed_out=any(out for _, out in strides))
 
 
 def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, rng, deadline):
@@ -943,10 +944,10 @@ def _contraction_restart(v, s, k, r, cfg: SearchConfig, restart: int, rng, deadl
 def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) -> SearchResult:
     """Search for a contraction maximizing the configured efficiency objective.
 
-    Deterministic given the seed; restarts are reduced in fixed index order
-    (ties by restart index), so serial and concurrent execution agree.  Raises ``ConfigError`` when the budget
-    left every restart at a disconnected design (objective 0.0).  An ``e_aug`` objective is the
-    best state's value by the report's route, the block traces of one fresh ``B~^-1``.
+    Deterministic given the seed, serially or on threads (``_run_restarts``).  Raises
+    ``ConfigError`` when the budget left every restart at a disconnected design (objective
+    0.0).  An ``e_aug`` objective is the best state's value by the block traces that
+    ``full_report`` keeps on the design and reads.
     """
     cfg = cfg or SearchConfig()
     r = balanced_replication(v, k, s)
@@ -957,6 +958,6 @@ def search_contraction(v: int, s: int, k: int, cfg: SearchConfig | None = None) 
             budget += f" and time_budget {cfg.time_budget:g}"
         raise ConfigError(f"{budget} left every restart at a disconnected design; raise the budget")
     if cfg.objective == "e_aug":
-        traces = _block_traces(*_incidence_arrays(result.best.cells, v), r.astype(float), k)
+        traces = _joint_traces(result.best)
         result = replace(result, objective=_e_aug((v - k) * s + k, v, s, sum(traces)))
     return result

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from arcdesign import (
     read_design,
     search_contraction,
 )
+import arcdesign
 from arcdesign import designs
 from arcdesign.cli import main
 from arcdesign.reference import REFERENCE_ROWS, load_reference_design
@@ -500,6 +504,36 @@ class TestRunRecord:
         assert manifest["outputs"] == {name: sha256(out / name) for name in files}
         assert list(manifest["outputs"]) == files
         assert manifest["inputs"] == {str(path): sha256(path) for path in inputs}
+
+
+class TestReadOnlyCommandsLoadNoHashlib:
+    """``hashlib`` loads OpenSSL; only a command that writes a run record needs it."""
+
+    #: Exits 3 if numpy or click already loaded hashlib, 4 if the command did.
+    _FRESH = (
+        "import sys\n"
+        "import click, numpy\n"
+        "if 'hashlib' in sys.modules:\n"
+        "    sys.exit(3)\n"
+        "from arcdesign.cli import main\n"
+        "main(sys.argv[1:], standalone_mode=False)\n"
+        "sys.exit(4 if 'hashlib' in sys.modules else 0)\n"
+    )
+
+    @pytest.mark.parametrize("args", [
+        ["evaluate", "reference_contraction_24x16_k5.txt", "--direct", "--format", "json"],
+        ["evaluate", "reference_contraction_12x8_k3.txt"],
+        ["plan", "--grid", "8x12", "--checks", "3"],
+    ])
+    def test_in_a_fresh_interpreter(self, args):
+        package = Path(arcdesign.__file__).parent
+        args = [str(package / "data" / a) if a.endswith(".txt") else a for a in args]
+        env = {**os.environ, "PYTHONPATH": str(package.parent)}
+        run = subprocess.run([sys.executable, "-c", self._FRESH, *args], env=env,
+                             capture_output=True, text=True, timeout=120)
+        if run.returncode == 3:
+            pytest.skip("importing numpy and click loads hashlib in this environment")
+        assert run.returncode == 0, run.stderr
 
 
 class TestReproduceCommand:

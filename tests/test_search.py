@@ -773,6 +773,8 @@ class TestSwapWalk:
 
     @given(size=st.sampled_from(_WALK_SIZES), seed=st.integers(0, 2**32 - 1),
            steps=st.integers(0, 40))
+    # the sum |M|_F + sqrt(tr(T^2)) rounds 4e-15 relative below the exact |M'|_F here
+    @example(size=(10, 5, 4), seed=39354, steps=0)
     @settings(max_examples=40, deadline=None)
     def test_cheap_bound_is_never_below_the_exact_norm(self, size, seed, steps):
         # |M'|_F <= |M|_F + sqrt(tr(T^2)) for the candidates of a random state;
@@ -1184,6 +1186,93 @@ class TestSearchContraction:
         assert result.timed_out
         # the start, restart 1's deadline check and the elapsed time
         assert len(ticks) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restart_memory_does_not_grow_with_the_restarts(self, monkeypatch, workers):
+        # Each stand-in restart returns a fresh 8 KiB state and a 32-entry trace.
+        import tracemalloc
+
+        def restart(i, rng, deadline):
+            trace = [(j, float(j)) for j in range(32)]
+            return np.zeros((32, 32)), 1.0 / (1 + i % 7), trace, 1, False
+
+        def peak(restarts):
+            tracemalloc.start()
+            try:
+                _run_restarts(SearchConfig(restarts=restarts, workers=workers), 1, restart)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        peak(10)  # first-use allocations, such as imports, are not the restarts'
+        small = peak(1_000)
+        assert peak(10_000) <= 2 * small, small
+
+    def test_a_spent_budget_hands_the_pool_one_callable_per_worker(self, monkeypatch):
+        # A stand-in pool runs what it is handed in turn; the clock is past the deadline
+        # after the start.
+        import concurrent.futures
+
+        handed, started = [], []
+
+        class Serial:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                handed.extend(items)
+                return [fn(x) for x in items]
+
+        def restart(i, rng, deadline):
+            started.append(i)
+            return np.zeros((1, 1)), 1.0, [(0, 1.0)], 1, False
+
+        ticks = iter([0.0])
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(ticks, 2.0)))
+        cfg = SearchConfig(restarts=10_000, workers=2, time_budget=1.0)
+        result = _run_restarts(cfg, 1, restart)
+        assert len(handed) <= 2
+        assert started == [0]
+        assert result.timed_out and result.restart_of_best == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tied_objectives_go_to_the_lowest_restart(self, monkeypatch, workers):
+        values = [0.5, 1.0, 0.7, 1.0, 1.0, 0.2, 1.0]
+
+        def restart(i, rng, deadline):
+            return np.full((1, 1), i), values[i], [(0, values[i]), (i, values[i])], 1, False
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        result = _run_restarts(SearchConfig(restarts=len(values), workers=workers), 1, restart)
+        assert result.restart_of_best == 1
+        assert result.best.cells.tolist() == [[1]]
+        assert result.trace == ((0, 1.0), (1, 1.0))
+        assert not result.timed_out
+
+    def test_the_report_of_an_e_aug_search_builds_no_lifted_joint_matrix(self, monkeypatch):
+        # The search values its best by the block traces the report keeps on the design.
+        from arcdesign import efficiency
+
+        cfg = SearchConfig(seed=3, strategy="anneal", objective="e_aug", restarts=2,
+                           max_iters=500)
+        result = search_contraction(12, 8, 3, cfg)
+
+        def refused(*args):
+            raise AssertionError("the report built B~ again")
+
+        monkeypatch.setattr(efficiency, "_lifted_joint", refused)
+        assert full_report(result.best).e_aug_formula == result.objective
 
     @pytest.mark.parametrize("strategy, iters", [("hillclimb", 1), ("anneal", 10), ("tabu", 50)])
     def test_budget_that_leaves_every_restart_disconnected_raises(self, strategy, iters):
