@@ -8,10 +8,10 @@ top to bottom within each column -- the one free choice in the rule, fixed so
 output is deterministic.
 
 The rule makes the expansion of a valid contraction valid by construction,
-so ``augment`` returns its output marked valid.  The inverse rule lives in
-``designs``, where ``validate_augmented`` also reads an augmented design's
-contraction back by it: an augmented design is valid exactly when it is the
-image of a valid contraction.
+so ``augment`` keeps its output's validation as passed (``_kept``).  The
+inverse rule lives in ``designs``, where ``validate_augmented`` also reads an
+augmented design's contraction back by it: an augmented design is valid
+exactly when it is the image of a valid contraction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .designs import (
     AugmentedDesign,
     ContractionDesign,
     _generating_contraction,
-    _mark_valid,
     _require_valid,
 )
 
@@ -36,7 +35,7 @@ def augment(c: ContractionDesign) -> AugmentedDesign:
     cells[c.cells - 1, np.arange(s)] = n_test + 1 + np.arange(k)[:, None]
     cells.T[cells.T == 0] = np.arange(1, n_test + 1)  # column by column, top to bottom
     a = AugmentedDesign(k=k, cells=cells)
-    _mark_valid(a)
+    _require_valid.keep(a, None)
     return a
 
 

@@ -7,7 +7,8 @@ invocations yield byte-identical design artifacts (the manifest's wall-clock
 field is the one exception).
 
 Exit codes: 0 success, 1 internal error, 2 infeasible parameters, an
-out-of-range option, or a validation/parse failure (design or plan file).
+out-of-range option, a validation/parse failure (design or plan file), or a
+file the operating system would not read or write.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _user_errors_exit_2(fn):
 
     A command on a design file names the file, unless the message already
     begins with it; a ``ConfigError`` names the command-line flags where the
-    library names ``SearchConfig`` fields.
+    library names ``SearchConfig`` fields; an ``OSError`` names the path the OS refused.
     """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -66,6 +67,11 @@ def _user_errors_exit_2(fn):
             if path and not message.startswith(path):
                 message = f"{path}: {message}"
             click.echo(f"error: {message}", err=True)
+            raise SystemExit(2) from exc
+        except OSError as exc:
+            if exc.filename is None:  # not about a file: an internal error
+                raise
+            click.echo(f"error: {exc.filename}: {exc.strerror}", err=True)
             raise SystemExit(2) from exc
 
     return wrapper
@@ -88,22 +94,25 @@ def _write_run(out: Path, command: str, parameters: dict, seed: int | None,
     import hashlib
 
     digests = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = {}
-    for name, text in texts.items():
-        data = text.encode()
-        (out / name).write_bytes(data)
-        outputs[name] = hashlib.sha256(data).hexdigest()
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "version": __version__,
-        "inputs": digests,
-        "outputs": outputs,
-        "wallClockSeconds": time.monotonic() - t0,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = {}
+        for name, text in texts.items():
+            data = text.encode()
+            (out / name).write_bytes(data)
+            outputs[name] = hashlib.sha256(data).hexdigest()
+        manifest = {
+            "command": command,
+            "parameters": parameters,
+            "seed": seed,
+            "version": __version__,
+            "inputs": digests,
+            "outputs": outputs,
+            "wallClockSeconds": time.monotonic() - t0,
+        }
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:  # a write that fails once its file is open names no file
+        raise OSError(exc.errno, exc.strerror, exc.filename or str(out)) from exc
     click.echo(f"wrote {', '.join(texts)} to {out}{note}")
 
 
@@ -282,6 +291,8 @@ def _read_plan(path: Path) -> tuple[int, int, int]:
         data = json.loads(path.read_text())
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to parse
         raise ParseError(f"{path} is not a plan JSON: {exc}") from exc
+    except OSError as exc:  # a read that fails once the file is open names no file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     dims = tuple(data.get(key) if isinstance(data, dict) else None for key in "vsk")
     if not all(type(x) is int for x in dims):
         raise ParseError(f"{path} needs integer 'v', 's' and 'k' entries")

@@ -320,26 +320,6 @@ def _generating_contraction(a: AugmentedDesign) -> ContractionDesign:
     return ContractionDesign(a.v, cells)
 
 
-def _require_valid(design: ContractionDesign | AugmentedDesign) -> None:
-    """Raise ``InvalidDesignError`` unless ``design`` is valid; validates each object once.
-
-    Both design kinds keep read-only arrays, so one successful validation
-    holds for the object's lifetime and later checks of it are free.
-    """
-    if design.__dict__.get("_valid"):
-        return
-    if isinstance(design, ContractionDesign):
-        validate_contraction(design).raise_if_invalid("contraction")
-    else:
-        validate_augmented(design).raise_if_invalid("augmented design")
-    _mark_valid(design)
-
-
-def _mark_valid(design: ContractionDesign | AugmentedDesign) -> None:
-    """Record that ``design`` is valid, so ``_require_valid`` passes it without a check."""
-    object.__setattr__(design, "_valid", True)
-
-
 def _kept(build):
     """``build(design)`` run once per design object and kept on it, as its arrays are read-only."""
     name = f"_kept_{build.__name__}"
@@ -347,10 +327,25 @@ def _kept(build):
     @functools.wraps(build)
     def kept(design):
         if name not in design.__dict__:
-            object.__setattr__(design, name, build(design))
+            kept.keep(design, build(design))
         return design.__dict__[name]
 
+    # kept.keep(design, value) keeps a value known without a build
+    kept.keep = lambda design, value: object.__setattr__(design, name, value)
     return kept
+
+
+@_kept
+def _require_valid(design: ContractionDesign | AugmentedDesign) -> None:
+    """Raise ``InvalidDesignError`` unless ``design`` is valid; validates each object once.
+
+    Both design kinds keep read-only arrays, so one successful validation
+    holds for the object's lifetime and is kept; later checks of it are free.
+    """
+    if isinstance(design, ContractionDesign):
+        validate_contraction(design).raise_if_invalid("contraction")
+    else:
+        validate_augmented(design).raise_if_invalid("augmented design")
 
 
 @_kept

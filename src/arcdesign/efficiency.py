@@ -204,8 +204,8 @@ def e_aug_formula(v_star: int, v: int, s: int, k: int, c_bar_v: float, c_bar_s: 
     for name, value in (("v_star", v_star), ("v", v), ("s", s), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
-    if c_bar_v <= 0 or c_bar_s <= 0:
-        raise ValueError("c_bar_v and c_bar_s must be positive")
+    if not (0 < c_bar_v < np.inf and 0 < c_bar_s < np.inf):  # NaN fails both comparisons
+        raise ValueError("c_bar_v and c_bar_s must be positive and finite")
     return _e_aug(v_star, v, s, (v / k) * ((v - 1) / c_bar_v + (s - 1) / c_bar_s) + 2)
 
 

@@ -111,14 +111,6 @@ _ANNEAL_DECAY = 0.999
 _TABU_TENURE = (10, 21)
 
 
-class Move(NamedTuple):
-    """A two-cell swap; positions are 0-based (row, column) pairs."""
-
-    kind: str
-    a: tuple[int, int]
-    b: tuple[int, int]
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of the stochastic search; defaults suit desk-scale arrays.
@@ -271,11 +263,7 @@ def _match_rows(labels: list[int], row_mask: list[int], k: int, rng) -> list[int
     order = list(range(len(labels)))
     rng.shuffle(order)
     for li in order:
-        rows = allowed[li]
-        # the first step of assign: a free first row is taken outright
-        if rows and row_owner[rows[0]] == -1:
-            row_owner[rows[0]] = li
-        elif not assign(li, [False] * k):
+        if not assign(li, [False] * k):
             return None
     rows_for_label = [-1] * len(labels)
     for row, li in enumerate(row_owner):
@@ -286,15 +274,10 @@ def _match_rows(labels: list[int], row_mask: list[int], k: int, rng) -> list[int
 # ---------------------------------------------------------------------------
 # neighbourhood
 
-def neighbor_moves(c: ContractionDesign):
-    """All validity-preserving two-cell swaps of a contraction, in canonical order."""
+def neighbor_moves(c: ContractionDesign) -> np.ndarray:
+    """The ``(i1, j1, i2, j2)`` rows of ``_swap_index`` whose swaps keep ``c`` valid, in order."""
     _require_valid(c)
-    index = _swap_index(c.k, c.s)
-    return tuple(
-        Move("within_row" if i1 == i2 else "within_column" if j1 == j2 else "transpose",
-             (i1, j1), (i2, j2))
-        for i1, j1, i2, j2 in index[_catalogue(c.cells, c.v)].tolist()
-    )
+    return _swap_index(c.k, c.s)[_catalogue(c.cells, c.v)]
 
 
 def _swap(cells: np.ndarray, move) -> np.ndarray:

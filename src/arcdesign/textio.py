@@ -106,11 +106,13 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
 
 
 def read_design(path) -> ContractionDesign | AugmentedDesign:
-    """Parse a UTF-8 design file; bytes that are not UTF-8 raise ``ParseError``."""
+    """Parse a UTF-8 design file; non-UTF-8 bytes raise ``ParseError``, an ``OSError`` names ``path``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:  # a read that fails once the file is open names no file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     return parse_design(text)
 
 

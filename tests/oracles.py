@@ -45,14 +45,17 @@ from arcdesign import (
 )
 from arcdesign.designs import _size_violations
 from arcdesign.errors import DisconnectedDesignError
-from arcdesign.search import Move, _draw_pairs, _swap_index
+from arcdesign.search import _draw_pairs, _swap_index
 from arcdesign.spectra import trivial_tolerance
 
 
-def apply_move(c: ContractionDesign, move: Move) -> ContractionDesign:
-    """The contraction after one two-cell swap; asserts that replications are unchanged."""
+def apply_move(c: ContractionDesign, move) -> ContractionDesign:
+    """The contraction after the two-cell swap ``(i1, j1, i2, j2)``.
+
+    Asserts that replications are unchanged.
+    """
     cells = np.array(c.cells)
-    (i1, j1), (i2, j2) = move.a, move.b
+    i1, j1, i2, j2 = (int(x) for x in move)
     cells[i1, j1], cells[i2, j2] = c.cells[i2, j2], c.cells[i1, j1]
     after = ContractionDesign(c.v, cells)
     assert np.array_equal(after.r, c.r)
@@ -394,9 +397,10 @@ def exhaustive_best_e_con(v: int, s: int):
 def catalogue_by_loops(cells, v: int):
     """Every validity-preserving two-cell swap, found by looping over cell pairs.
 
-    Membership tables are filled label by label and each kind of swap is
-    walked in the canonical order (within-column by column, within-row by row,
-    transposes by row pair, then first and second column).
+    Each swap is an ``(i1, j1, i2, j2)`` tuple of two cells' 0-based (row,
+    column) positions.  Membership tables are filled label by label and each
+    kind of swap is walked in the canonical order (within-column by column,
+    within-row by row, transposes by row pair, then first and second column).
     """
     cells = np.asarray(cells)
     k, s = cells.shape
@@ -412,13 +416,13 @@ def catalogue_by_loops(cells, v: int):
             for i2 in range(i1 + 1, k):
                 a, b = cells[i1, j], cells[i2, j]
                 if a != b and not row_has[i1, b] and not row_has[i2, a]:
-                    moves.append(Move("within_column", (i1, j), (i2, j)))
+                    moves.append((i1, j, i2, j))
     for i in range(k):
         for j1 in range(s - 1):
             for j2 in range(j1 + 1, s):
                 a, b = cells[i, j1], cells[i, j2]
                 if a != b and not col_has[j1, b] and not col_has[j2, a]:
-                    moves.append(Move("within_row", (i, j1), (i, j2)))
+                    moves.append((i, j1, i, j2))
     for i1 in range(k - 1):
         for i2 in range(i1 + 1, k):
             for j1 in range(s):
@@ -433,7 +437,7 @@ def catalogue_by_loops(cells, v: int):
                         and not col_has[j1, b]
                         and not col_has[j2, a]
                     ):
-                        moves.append(Move("transpose", (i1, j1), (i2, j2)))
+                        moves.append((i1, j1, i2, j2))
     return moves
 
 

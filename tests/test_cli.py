@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,6 +369,46 @@ class TestSizeRuleExits2:
         result = runner.invoke(main, ["evaluate", str(path)])
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert result.output == f"error: {path}: header: {message} (line 1)\n"
+
+
+class TestIOErrorsExit2:
+    """An input the OS will not read or a run directory it will not write exits 2, naming the path."""
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs Linux /proc")
+    @pytest.mark.parametrize("args", [["evaluate", "/proc/self/mem"],
+                                      ["augment", "/proc/self/mem"],
+                                      ["generate", "--plan", "/proc/self/mem", "--out", "{tmp}"]],
+                             ids=["evaluate", "augment", "generate-plan"])
+    def test_read_failure(self, runner, tmp_path, args):
+        # reading a process's memory at address 0 fails once the file is open
+        args = [a.format(tmp=tmp_path / "x") for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: /proc/self/mem: {os.strerror(errno.EIO)}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "generate"])
+    def test_write_failure(self, runner, ex1_files, tmp_path, command):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("a regular file\n")
+        args = {"augment": ["augment", str(ex1_files["contraction_12x8_k3"])],
+                "generate": ["generate", "--v", "6", "--s", "4", "--k", "3", "--restarts", "1"]}
+        result = runner.invoke(main, args[command] + ["--out", str(blocker / "sub")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {blocker / 'sub'}: {os.strerror(errno.ENOTDIR)}\n"
+
+    def test_a_write_that_names_no_file_names_the_run_directory(self, runner, ex1_files, tmp_path):
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))  # as a failed write() raises it
+        with mock.patch.object(Path, "write_bytes", side_effect=full):
+            result = runner.invoke(main, ["augment", str(ex1_files["contraction_12x8_k3"]),
+                                          "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2
+        assert result.output == f"error: {tmp_path / 'run'}: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_an_os_error_on_no_file_stays_internal(self, runner):
+        with mock.patch("arcdesign.cli.search_contraction", side_effect=OSError(errno.EIO, "boom")):
+            result = runner.invoke(main, ["search", "--v", "6", "--s", "4", "--k", "3"])
+        assert result.exit_code == 1 and isinstance(result.exception, OSError)
 
 
 class TestSearchOptionsFromConfig:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def _random_walk(size, seed, swaps):
     c = random_valid(*size, seed)
     rng = np.random.default_rng(seed)
     for _ in range(swaps):
-        if moves := neighbor_moves(c):  # the smallest arrays may have no valid swap
+        if len(moves := neighbor_moves(c)):  # the smallest arrays may have no valid swap
             c = apply_move(c, moves[rng.integers(len(moves))])
     return c
 
@@ -335,6 +336,13 @@ class TestEAugFormula:
             e_aug_formula(75, 12, 8, 3, 0.0, 0.5)
         with pytest.raises(ValueError):
             e_aug_formula(75, 12, 8, 3, 0.5, -0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_summaries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            e_aug_formula(75, 12, 8, 3, bad, 0.4828)
+        with pytest.raises(ValueError, match="finite"):
+            e_aug_formula(75, 12, 8, 3, 0.5739, bad)
 
 
 class TestInfoMatrixAugmented:
