@@ -37,7 +37,7 @@ from .planner import plan as plan_dimensions
 from .planner import plan_fixed_grid
 from .reference import REFERENCE_ROWS
 from .search import _OBJECTIVES, _STRATEGIES, SearchConfig, search_contraction
-from .textio import format_design, read_design
+from .textio import _read_file, format_design, parse_design, read_design
 
 _USER_ERRORS = (ConfigError, InfeasibleParametersError, InvalidDesignError, ParseError,
                 DisconnectedDesignError)
@@ -84,16 +84,16 @@ def _manifest_options(cfg: SearchConfig) -> dict:
 
 
 def _write_run(out: Path, command: str, parameters: dict, seed: int | None,
-               inputs: list[Path], texts: dict[str, str], t0: float, note: str = "") -> None:
+               inputs: dict[Path, bytes], texts: dict[str, str], t0: float,
+               note: str = "") -> None:
     """Write a run's artifacts and its ``manifest.json`` into ``out``, then say so.
 
-    The manifest records the sha256 of each input file and of the bytes
-    written for each artifact, and the wall time since ``t0``.
+    The manifest records the sha256 of the bytes the command parsed from each
+    input and wrote for each artifact, and the wall time since ``t0``.
     """
     # Imported here: it loads OpenSSL, which only the commands that write a run need.
     import hashlib
 
-    digests = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
     try:
         out.mkdir(parents=True, exist_ok=True)
         outputs = {}
@@ -106,7 +106,7 @@ def _write_run(out: Path, command: str, parameters: dict, seed: int | None,
             "parameters": parameters,
             "seed": seed,
             "version": __version__,
-            "inputs": digests,
+            "inputs": {str(path): hashlib.sha256(raw).hexdigest() for path, raw in inputs.items()},
             "outputs": outputs,
             "wallClockSeconds": time.monotonic() - t0,
         }
@@ -229,7 +229,7 @@ def cmd_search(v, s, k, out, **options):
         click.echo(f"# objective {result.objective:.6f} (restart {result.restart_of_best})")
         return
     texts = {"contraction.txt": format_design(result.best), "search.json": result.to_json() + "\n"}
-    _write_run(out, "search", dict(v=v, s=s, k=k, **_manifest_options(cfg)), cfg.seed, [], texts,
+    _write_run(out, "search", dict(v=v, s=s, k=k, **_manifest_options(cfg)), cfg.seed, {}, texts,
                t0, f" (objective {result.objective:.6f})")
 
 
@@ -237,21 +237,22 @@ def cmd_search(v, s, k, out, **options):
 
 
 @main.command("augment")
-@click.argument("design_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.argument("design_file", type=click.Path(path_type=Path))
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None,
               help="Directory for augmented.txt and manifest.json.")
 @_user_errors_exit_2
 def cmd_augment(design_file, out):
     """Expand a contraction file into the augmented design."""
     t0 = time.monotonic()
-    design = read_design(design_file)
+    data, text = _read_file(design_file)
+    design = parse_design(text)
     if not isinstance(design, ContractionDesign):
         raise InvalidDesignError(f"{design_file} holds an augmented design, not a contraction")
     augmented = augment(design)
     if out is None:
         click.echo(format_design(augmented), nl=False)
         return
-    _write_run(out, "augment", {"designFile": str(design_file)}, None, [design_file],
+    _write_run(out, "augment", {"designFile": str(design_file)}, None, {design_file: data},
                {"augmented.txt": format_design(augmented)}, t0)
 
 
@@ -259,7 +260,7 @@ def cmd_augment(design_file, out):
 
 
 @main.command("evaluate")
-@click.argument("design_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.argument("design_file", type=click.Path(path_type=Path))
 @click.option("--direct/--no-direct", default=False, show_default=True,
               help="Also run the full-array eigendecomposition route on contractions.")
 @_format_option
@@ -286,25 +287,24 @@ def cmd_evaluate(design_file, direct, fmt):
 # ---------------------------------------------------------------------------
 
 
-def _read_plan(path: Path) -> tuple[int, int, int]:
+def _read_plan(path: Path) -> tuple[bytes, tuple[int, int, int]]:
+    data, text = _read_file(path)
     try:
-        data = json.loads(path.read_text())
+        plan = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to parse
         raise ParseError(f"{path} is not a plan JSON: {exc}") from exc
-    except OSError as exc:  # a read that fails once the file is open names no file
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    dims = tuple(data.get(key) if isinstance(data, dict) else None for key in "vsk")
+    dims = tuple(plan.get(key) if isinstance(plan, dict) else None for key in "vsk")
     if not all(type(x) is int for x in dims):
         raise ParseError(f"{path} needs integer 'v', 's' and 'k' entries")
-    return dims
+    return data, dims
 
 
 @main.command("generate")
 @click.option("--v", type=int, default=None, help="Rows of the augmented design.")
 @click.option("--s", type=int, default=None, help="Columns.")
 @click.option("--k", type=int, default=None, help="Checks.")
-@click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              default=None, help="Read v, s, k from a plan JSON instead.")
+@click.option("--plan", "plan_file", type=click.Path(path_type=Path), default=None,
+              help="Read v, s, k from a plan JSON instead.")
 @_search_options
 @click.option("--direct/--no-direct", default=False, show_default=True,
               help="Include the direct-route efficiency in the report (O((vs)^3)).")
@@ -314,8 +314,9 @@ def _read_plan(path: Path) -> tuple[int, int, int]:
 def cmd_generate(v, s, k, plan_file, direct, out, **options):
     """Search, augment, and report in one run, writing all artifacts."""
     t0 = time.monotonic()
+    inputs = {}
     if plan_file is not None:
-        v, s, k = _read_plan(plan_file)
+        inputs[plan_file], (v, s, k) = _read_plan(plan_file)
     if v is None or s is None or k is None:
         raise click.UsageError("either --plan or all of --v, --s, --k are required")
 
@@ -331,7 +332,7 @@ def cmd_generate(v, s, k, plan_file, direct, out, **options):
     }
     params = dict(v=v, s=s, k=k, **_manifest_options(cfg), direct=direct,
                   planFile=str(plan_file) if plan_file else None)
-    _write_run(out, "generate", params, cfg.seed, [plan_file] if plan_file else [], texts, t0,
+    _write_run(out, "generate", params, cfg.seed, inputs, texts, t0,
                f" (objective {result.objective:.6f}, eAugFormula {report.e_aug_formula:.6f})")
 
 

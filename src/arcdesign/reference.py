@@ -80,5 +80,5 @@ def load_reference_design(name: str):
         filename = _FIXTURES[name]
     except KeyError:
         raise KeyError(f"unknown reference design {name!r}; available: {sorted(_FIXTURES)}") from None
-    text = resources.files("arcdesign.data").joinpath(filename).read_text()
-    return parse_design(text)
+    data = resources.files("arcdesign.data").joinpath(filename).read_bytes()
+    return parse_design(data.decode("utf-8"))

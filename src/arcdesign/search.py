@@ -404,11 +404,6 @@ class _ContractionObjective:
         self.null_term = np.outer(self.r, self.r) ** 0.5 / self.r.sum()
         self._last = None, None
 
-    @functools.cached_property
-    def plan(self) -> _SwapPlan:
-        """The shape's swap plan, built on first use: an anneal never reads it."""
-        return _swap_plan(self.k, self.s, self.v)
-
     def value(self, cells: np.ndarray) -> float:
         w = np.linalg.eigvalsh(self._scaled_info(cells)[0])
         if w[1] < trivial_tolerance(w):
@@ -460,7 +455,7 @@ class _ContractionObjective:
         cross = cross.reshape(2, ks * ks)
         h = h.reshape(2, v * ks)
         lab = cells.ravel() - 1
-        flat, term = self.plan.flat, self.plan.term
+        flat, term, *_ = _swap_plan(k, s, v)
 
         def score(idx: np.ndarray) -> np.ndarray:
             n = ids[idx]
@@ -561,7 +556,6 @@ class _SwapWalk:
             return
         self.m = np.linalg.inv(joint)
         self.tr, self.norm2 = float(np.trace(self.m)), float(np.vdot(self.m, self.m))
-        self.norm = math.sqrt(self.norm2)
         self.val = self.e_aug(self.tr)
 
     def _exact(self, w: np.ndarray) -> float:
@@ -637,7 +631,7 @@ class _SwapWalk:
             norm2 = self._norm2(s11, s12, s22, det, t2)
         gt = self.gt
         self.m -= gt.T @ ((np.array([[s22, -s12], [-s12, s11]]) / det) @ gt)
-        self.norm2, self.norm = norm2, math.sqrt(norm2)
+        self.norm2 = norm2
         self.updates += 1
         if self.updates == _REBUILD_EVERY:
             self._rebuild()
@@ -669,7 +663,7 @@ class _SwapWalk:
         t21, t22 = (s11 * p21 - s12 * p11) / det, (s11 * p22 - s12 * p12) / det
         t2 = t11 * t11 + 2.0 * t12 * t21 + t22 * t22
         norm2 = None
-        bound = self.norm + math.sqrt(abs(t2))
+        bound = math.sqrt(self.norm2) + math.sqrt(abs(t2))
         self.bound = bound + _margin(bound)  # so rounding cannot take it below |M'|_F
         if self.bound * _WALK_MIN_EIG > 1.0:
             norm2 = self._norm2(s11, s12, s22, det, t2)
@@ -765,7 +759,7 @@ def _tabu(cells, obj: _ContractionObjective, rng, max_iters, deadline):
     margin: scores are within about 1e-12 of exact values, so no other state
     can become the best.
     """
-    v, plan, index = obj.v, obj.plan, _swap_index(obj.k, obj.s)
+    v, plan, index = obj.v, _swap_plan(obj.k, obj.s, obj.v), _swap_index(obj.k, obj.s)
     best, best_val = cells, obj.value(cells)
     trace = [(0, best_val)]
     # [x - 1, p]: the first step at which label x may return to flat cell p

@@ -105,15 +105,20 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
     return AugmentedDesign(k=k, cells=cells)
 
 
-def read_design(path) -> ContractionDesign | AugmentedDesign:
-    """Parse a UTF-8 design file; non-UTF-8 bytes raise ``ParseError``, an ``OSError`` names ``path``."""
+def _read_file(path) -> tuple[bytes, str]:
+    """The bytes of ``path``, read once, and their UTF-8 text with line ends untouched."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        return data, data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     except OSError as exc:  # a read that fails once the file is open names no file
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    return parse_design(text)
+
+
+def read_design(path) -> ContractionDesign | AugmentedDesign:
+    """Parse a UTF-8 design file; non-UTF-8 bytes raise ``ParseError``, an ``OSError`` names ``path``."""
+    return parse_design(_read_file(path)[1])
 
 
 def write_design(design: ContractionDesign | AugmentedDesign, path) -> None:

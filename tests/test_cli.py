@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -231,6 +232,26 @@ class TestEvaluateCommand:
         assert len(errors) == 1 and "binary.txt is not UTF-8 text" in errors[0]
         assert errors[0].count(str(bad)) == 1  # a message that names the file is not prefixed
 
+    @pytest.mark.parametrize("command", ["evaluate", "augment"])
+    def test_cr_only_file_exits_2_at_line_1(self, runner, ex1_contraction, tmp_path, command):
+        # Lines end at "\n": a file whose lines end at a lone "\r" is one line long.
+        bad = tmp_path / "cr.txt"
+        bad.write_bytes(format_design(ex1_contraction).replace("\n", "\r").encode())
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {bad}: expected header '# contraction v=.. s=.. k=..' " \
+                                "or '# augmented v=.. s=.. k=..' (line 1)\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "augment"])
+    def test_crlf_file_reads_as_its_lf_twin(self, runner, ex1_contraction, tmp_path, command):
+        text = format_design(ex1_contraction)
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        results = [runner.invoke(main, [command, str(path)]) for path in (lf, crlf)]
+        assert [r.exit_code for r in results] == [0, 0], results[1].output
+        assert results[0].output == results[1].output
+
 
 class TestGenerateCommand:
     def test_end_to_end_report_consistency(self, runner, tmp_path):
@@ -345,6 +366,16 @@ class TestGenerateCommand:
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
         assert "not a plan JSON" in result.output
 
+    def test_plan_not_utf8_exits_2_naming_it(self, runner, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_bytes(b'{"v": 12, "s": 8, "k": 3, "x": "\xff"}')
+        result = runner.invoke(main, ["generate", "--plan", str(plan_path),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: {plan_path} is not UTF-8 text: ")
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
 
 @pytest.mark.parametrize("dims, message", [
     ((1, 1, 1), "needs at least 2 pseudo-treatments (v=1)"),
@@ -385,6 +416,20 @@ class TestIOErrorsExit2:
         result = runner.invoke(main, args)
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert result.output == f"error: /proc/self/mem: {os.strerror(errno.EIO)}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [["evaluate"], ["augment"],
+                                      ["generate", "--out", "{tmp}", "--plan"]],
+                             ids=["evaluate", "augment", "generate-plan"])
+    @pytest.mark.parametrize("name, code", [("missing.txt", errno.ENOENT), ("", errno.EISDIR)],
+                             ids=["missing", "directory"])
+    def test_missing_file_or_directory(self, runner, tmp_path, args, name, code):
+        # the read is the one check: click does not test the path first
+        path = tmp_path / name
+        args = [a.format(tmp=tmp_path / "x") for a in args]
+        result = runner.invoke(main, [*args, str(path)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {path}: {os.strerror(code)}\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["augment", "generate"])
@@ -517,16 +562,20 @@ class TestRunRecord:
         ("augment", ["augmented.txt"]),
         ("generate", ["contraction.txt", "augmented.txt", "report.json"]),
         ("generate --plan", ["contraction.txt", "augmented.txt", "report.json"]),
+        ("augment crlf", ["augmented.txt"]),
     ])
     def test_manifest_digests_inputs_and_outputs(self, runner, ex1_files, tmp_path, command,
                                                   files):
         out, plan_path = tmp_path / "run", tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"v": 12, "s": 8, "k": 3}))
+        crlf = tmp_path / "crlf.txt"  # digested as read, not as the parser splits it
+        crlf.write_bytes(ex1_files["contraction_12x8_k3"].read_bytes().replace(b"\n", b"\r\n"))
         search = ["--v", "12", "--s", "8", "--k", "3", "--restarts", "2", "--iters", "500"]
         args, inputs = {
             "search": (["search", *search], []),
             "augment": (["augment", str(ex1_files["contraction_12x8_k3"])],
                         [ex1_files["contraction_12x8_k3"]]),
+            "augment crlf": (["augment", str(crlf)], [crlf]),
             "generate": (["generate", *search], []),
             "generate --plan": (["generate", "--plan", str(plan_path), "--restarts", "2",
                                  "--iters", "500"], [plan_path]),
@@ -546,6 +595,43 @@ class TestRunRecord:
         assert manifest["outputs"] == {name: sha256(out / name) for name in files}
         assert list(manifest["outputs"]) == files
         assert manifest["inputs"] == {str(path): sha256(path) for path in inputs}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux /dev/fd")
+    @pytest.mark.parametrize("command", ["augment", "generate --plan"])
+    def test_an_input_read_from_a_pipe(self, runner, ex1_contraction, tmp_path, command):
+        # A pipe can be read once: the manifest digests the bytes the command parsed.
+        data = {"augment": format_design(ex1_contraction).encode(),
+                "generate --plan": json.dumps({"v": 12, "s": 8, "k": 3}).encode()}[command]
+        out, (r, w) = tmp_path / "run", os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            path = f"/dev/fd/{r}"
+            args = {"augment": ["augment", path],
+                    "generate --plan": ["generate", "--plan", path, "--restarts", "1",
+                                        "--iters", "200"]}[command]
+            result = runner.invoke(main, [*args, "--out", str(out)])
+        finally:
+            os.close(r)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {path: hashlib.sha256(data).hexdigest()}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_plan_read_from_a_fifo_written_once(self, tmp_path):
+        fifo, out = tmp_path / "plan.fifo", tmp_path / "run"
+        os.mkfifo(fifo)
+        data = json.dumps({"v": 6, "s": 4, "k": 3}).encode()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        env = {**os.environ, "PYTHONPATH": str(Path(arcdesign.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "arcdesign.cli", "generate", "--plan",
+                              str(fifo), "--restarts", "1", "--iters", "200", "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        writer.join(timeout=10)
+        assert run.returncode == 0, run.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
 
 
 class TestReadOnlyCommandsLoadNoHashlib:

@@ -137,3 +137,14 @@ def test_non_utf8_file_raises_parse_error_naming_it(tmp_path):
     path.write_bytes(b"\xff\xfe\n")
     with pytest.raises(ParseError, match=r"h\.txt is not UTF-8 text"):
         read_design(path)
+
+
+def test_read_design_keeps_the_parser_line_rule(ex1_contraction, tmp_path):
+    # The file's bytes reach the parser untranslated: CRLF is a line end, a lone CR is not.
+    text = format_design(ex1_contraction)
+    path = tmp_path / "c.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert read_design(path) == ex1_contraction
+    path.write_bytes(text.replace("\n", "\r").encode())
+    with pytest.raises(ParseError, match=r"^expected header .*\(line 1\)$"):
+        read_design(path)
