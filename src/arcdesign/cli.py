@@ -24,7 +24,7 @@ import click
 
 from . import __version__
 from .augmentor import augment
-from .designs import ContractionDesign
+from .designs import ContractionDesign, _count_violations
 from .efficiency import e_aug_direct, e_aug_formula, full_report
 from .errors import (
     ConfigError,
@@ -293,10 +293,10 @@ def _read_plan(path: Path) -> tuple[bytes, tuple[int, int, int]]:
         plan = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to parse
         raise ParseError(f"{path} is not a plan JSON: {exc}") from exc
-    dims = tuple(plan.get(key) if isinstance(plan, dict) else None for key in "vsk")
-    if not all(type(x) is int for x in dims):
+    dims = {key: plan.get(key) if isinstance(plan, dict) else None for key in "vsk"}
+    if _count_violations(**dims):
         raise ParseError(f"{path} needs integer 'v', 's' and 'k' entries")
-    return data, dims
+    return data, tuple(dims.values())
 
 
 @main.command("generate")

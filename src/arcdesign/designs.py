@@ -18,6 +18,7 @@ so design values can be shared freely between threads.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,15 +35,23 @@ def feasibility_df(v: int, s: int, k: int) -> int:
     return k * s - 1 - (k - 1) - (s - 1) - (v - 1)
 
 
+def _count_violations(**values) -> list[str]:
+    """``<name> must be an integer, got <repr>`` for each value that is no count; a bool is none."""
+    return [f"{name} must be an integer, got {value!r}" for name, value in values.items()
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral)]
+
+
 def _size_violations(v: int, s: int, k: int) -> list[str]:
     """Why a k x s contraction on v labels cannot exist by size; empty if it can.
 
-    v, s and k must be positive and v at least 2 (one label has no contrast).
-    k <= v because a column holds k distinct labels, and s <= v because a
-    label occurs at most once per row, so the mean replication ks/v is at
-    most k.  ``feasibility_df(v, s, k)`` must be non-negative; with v >= 2
-    that forces k, s >= 2.
+    v, s and k must be counts (if not, only that is reported), positive,
+    and v at least 2 (one label has no contrast).  k <= v because a column
+    holds k distinct labels, and s <= v because a label occurs at most once
+    per row, so the mean replication ks/v is at most k.  ``feasibility_df``
+    must be non-negative; with v >= 2 that forces k, s >= 2.
     """
+    if violations := _count_violations(v=v, s=s, k=k):
+        return violations
     if k < 1 or s < 1 or v < 1:
         return ["v, k, s must all be positive"]
     violations = []
@@ -59,7 +68,10 @@ def _size_violations(v: int, s: int, k: int) -> list[str]:
     return violations
 
 
-def _frozen_int_array(values) -> np.ndarray:
+def _frozen_cells(values, **sizes) -> np.ndarray:
+    """A design's cells as a read-only 2-D int64 array, once its ``sizes`` pass the count rule."""
+    if violations := _count_violations(**sizes):
+        raise ValueError(violations[0])
     arr = np.array(values, dtype=np.int64, copy=True)
     arr.setflags(write=False)
     if arr.ndim != 2:
@@ -80,7 +92,7 @@ class ContractionDesign:
     r: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", _frozen_int_array(self.cells))
+        object.__setattr__(self, "cells", _frozen_cells(self.cells, v=self.v))
         if self.v < 1:
             raise ValueError("v must be positive")
         flat = self.cells.ravel()
@@ -128,7 +140,7 @@ class AugmentedDesign:
     cells: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", _frozen_int_array(self.cells))
+        object.__setattr__(self, "cells", _frozen_cells(self.cells, k=self.k))
         if not 1 <= self.k <= self.v:
             raise ValueError(f"k={self.k} out of range for a {self.v}-row array")
 

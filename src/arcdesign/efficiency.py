@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentor import augment
-from .designs import AugmentedDesign, ContractionDesign, _kept, _require_valid, incidence
+from .designs import (AugmentedDesign, ContractionDesign, _count_violations, _kept, _require_valid,
+                      incidence)
 from .spectra import (
     Spectrum,
     _checked_spectrum,
@@ -201,6 +202,8 @@ def e_aug_formula(v_star: int, v: int, s: int, k: int, c_bar_v: float, c_bar_s: 
 
     ``_e_aug`` of the trace ``(v/k) ((v-1)/c_bar_v + (s-1)/c_bar_s) + 2`` of ``B~^-1``.
     """
+    if violations := _count_violations(v_star=v_star, v=v, s=s, k=k):
+        raise ValueError(violations[0])
     for name, value in (("v_star", v_star), ("v", v), ("s", s), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
-from .designs import feasibility_df
+from .designs import _count_violations, feasibility_df
 from .errors import InfeasibleParametersError
 
 
@@ -69,13 +68,6 @@ class DesignPlan:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _require_integers(**values) -> None:
-    # Sizes are counts: a value such as 2.5 would give a plan no design has, and a bool is no count.
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InfeasibleParametersError(f"{name} must be an integer, got {value!r}")
-
-
 def _minimal_feasible_s(v: int, k: int) -> int:
     # Smallest s with non-negative residual df for this (v, k), k >= 2:
     # feasibility_df(v, s, k) = (k-1)s - (v+k-2), so s = ceil((v+k-2)/(k-1)).
@@ -90,7 +82,8 @@ def plan(k: int, target_proportion: float, n_test_lines: int) -> DesignPlan:
     column count whose capacity (v-k)s covers the requested lines.  Raises
     with a concrete suggestion when the result is structurally infeasible.
     """
-    _require_integers(k=k, n_test_lines=n_test_lines)
+    if violations := _count_violations(k=k, n_test_lines=n_test_lines):
+        raise InfeasibleParametersError(violations[0])
     if k < 2:
         raise InfeasibleParametersError("at least 2 checks are required")
     if not (0 < target_proportion < 1 and math.isfinite(k / target_proportion)):
@@ -143,7 +136,8 @@ def plan_fixed_grid(rows: int, cols: int, k: int, orientation: str = "auto") -> 
     forcing v < s yields a plan whose array the generator will refuse, so it
     is reported for comparison only.
     """
-    _require_integers(rows=rows, cols=cols, k=k)
+    if violations := _count_violations(rows=rows, cols=cols, k=k):
+        raise InfeasibleParametersError(violations[0])
     if k < 2:
         raise InfeasibleParametersError("at least 2 checks are required")
     if rows < 1 or cols < 1:

@@ -79,7 +79,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import ContractionDesign, _incidence_arrays, _require_valid, balanced_replication
+from .designs import (ContractionDesign, _count_violations, _incidence_arrays, _require_valid,
+                      balanced_replication)
 from .efficiency import _e_aug, _info_matrix, _joint_traces, _lifted_joint
 from .errors import ConfigError, ConstructionError
 from .spectra import _harmonic_mean, trivial_tolerance
@@ -131,10 +132,9 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("seed", "restarts", "max_iters", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            if violations := _count_violations(**{name: getattr(self, name)}):
+                raise ConfigError(violations[0])
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.strategy not in _STRATEGIES:
@@ -194,6 +194,7 @@ def random_contraction(v: int, s: int, k: int, seed: int = 0) -> ContractionDesi
     the whole array; the preconditions guarantee an array exists, so bounded
     retries suffice.
     """
+    seed = SearchConfig(seed=seed).seed  # the search's seed rule, or its ConfigError
     r = balanced_replication(v, k, s)
     cells = _fill(v, s, k, r, np.random.default_rng(seed),
                   f"failed to fill a {k}x{s} array on {v} labels after bounded retries")

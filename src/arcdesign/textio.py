@@ -28,6 +28,9 @@ _HEADER_RE = re.compile(
 # report a negative label as outside 1..v.
 _LABEL_RE = re.compile(r"-?[0-9]+")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+#: Most bytes ``_read_file`` reads: 10,000 times a (48,32,6) augmented file.  A design file this
+#: long holds ~10^7 cells, so it takes half a GiB to parse and solves of side >= 3,000.
+_MAX_INPUT_BYTES = 64 * 2**20
 
 
 def format_design(design: ContractionDesign | AugmentedDesign) -> str:
@@ -108,7 +111,9 @@ def parse_design(text: str) -> ContractionDesign | AugmentedDesign:
 def _read_file(path) -> tuple[bytes, str]:
     """The bytes of ``path``, read once, and their UTF-8 text with line ends untouched."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            if len(data := f.read(_MAX_INPUT_BYTES + 1)) > _MAX_INPUT_BYTES:
+                raise ParseError(f"{path} is larger than {_MAX_INPUT_BYTES} bytes")
         return data, data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None

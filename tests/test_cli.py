@@ -27,7 +27,7 @@ from arcdesign import (
     search_contraction,
 )
 import arcdesign
-from arcdesign import designs
+from arcdesign import designs, textio
 from arcdesign.cli import main
 from arcdesign.reference import REFERENCE_ROWS, load_reference_design
 from arcdesign.textio import format_design, parse_design, write_design
@@ -454,6 +454,67 @@ class TestIOErrorsExit2:
         with mock.patch("arcdesign.cli.search_contraction", side_effect=OSError(errno.EIO, "boom")):
             result = runner.invoke(main, ["search", "--v", "6", "--s", "4", "--k", "3"])
         assert result.exit_code == 1 and isinstance(result.exception, OSError)
+
+
+class TestInputCap:
+    """An input longer than ``textio._MAX_INPUT_BYTES`` exits 2 naming it; one at the cap parses."""
+
+    ARGS = {"evaluate": ["evaluate"], "augment": ["augment"],
+            "generate --plan": ["generate", "--restarts", "1", "--iters", "200", "--out", "{tmp}",
+                                "--plan"]}
+
+    @staticmethod
+    def invoke(runner, tmp_path, command, data, pipe=False):
+        """Run ``command`` on ``data``, read from a file or from a pipe; return the result and path."""
+        args = [a.format(tmp=tmp_path / "run") for a in TestInputCap.ARGS[command]]
+        if not pipe:
+            path = tmp_path / "input.txt"
+            path.write_bytes(data)
+            return runner.invoke(main, [*args, str(path)]), str(path)
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            return runner.invoke(main, [*args, f"/dev/fd/{r}"]), f"/dev/fd/{r}"
+        finally:
+            os.close(r)
+
+    @staticmethod
+    def data(command, ex1_contraction) -> bytes:
+        if command == "generate --plan":
+            return json.dumps({"v": 6, "s": 4, "k": 3}).encode()
+        return format_design(ex1_contraction).encode()
+
+    @pytest.mark.parametrize("pipe", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                                    reason="needs Linux /dev/fd")),
+    ], ids=["file", "pipe"])
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_one_byte_over_the_cap_exits_2(self, runner, ex1_contraction, tmp_path, monkeypatch,
+                                           command, pipe):
+        data = self.data(command, ex1_contraction)
+        monkeypatch.setattr(textio, "_MAX_INPUT_BYTES", len(data) - 1)
+        result, path = self.invoke(runner, tmp_path, command, data, pipe)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {path} is larger than {len(data) - 1} bytes\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_a_file_at_the_cap_parses(self, runner, ex1_contraction, tmp_path, monkeypatch,
+                                      command):
+        data = self.data(command, ex1_contraction)
+        uncapped = self.invoke(runner, tmp_path, command, data)[0]
+        monkeypatch.setattr(textio, "_MAX_INPUT_BYTES", len(data))
+        result = self.invoke(runner, tmp_path, command, data)[0]
+        assert uncapped.exit_code == result.exit_code == 0, result.output
+        assert result.output == uncapped.output
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+    def test_an_endless_input_is_read_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(textio, "_MAX_INPUT_BYTES", 1000)
+        with pytest.raises(arcdesign.ParseError, match="^/dev/zero is larger than 1000 bytes$"):
+            read_design("/dev/zero")
 
 
 class TestSearchOptionsFromConfig:

@@ -10,6 +10,7 @@ from arcdesign import (
     augment,
     balanced_replication,
     e_aug_direct,
+    e_aug_formula,
     extract_contraction,
     feasibility_df,
     incidence,
@@ -172,6 +173,53 @@ class TestSizeRule:
         v, s, k = dims
         c = ContractionDesign.from_cells(np.ones((k, s), dtype=np.int64), v=v)
         assert validate_contraction(c).violations[0] == message
+
+
+_LATIN3 = [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+
+#: A call with a size that is no integer, the error it raises and the argument it names.
+_NOT_COUNTS = {
+    "search_contraction k=3.0": (lambda: search_contraction(12, 8, 3.0), InfeasibleParametersError,
+                                 "k must be an integer, got 3.0"),
+    "search_contraction v=12.0": (lambda: search_contraction(12.0, 8, 3), InfeasibleParametersError,
+                                  "v must be an integer, got 12.0"),
+    "balanced_replication s=True": (lambda: balanced_replication(12, 3, True),
+                                    InfeasibleParametersError, "s must be an integer, got True"),
+    "random_contraction s=8.0": (lambda: random_contraction(12, 8.0, 3), InfeasibleParametersError,
+                                 "s must be an integer, got 8.0"),
+    "e_aug_formula k=True": (lambda: e_aug_formula(75, 12, 8, True, 0.5739, 0.4828), ValueError,
+                             "k must be an integer, got True"),
+    "e_aug_formula v_star=75.5": (lambda: e_aug_formula(75.5, 12, 8, 3, 0.5739, 0.4828),
+                                  ValueError, "v_star must be an integer, got 75.5"),
+    "ContractionDesign v=3.0": (lambda: ContractionDesign(3.0, _LATIN3), ValueError,
+                                "v must be an integer, got 3.0"),
+    "ContractionDesign v=True": (lambda: ContractionDesign(True, [[1]]), ValueError,
+                                 "v must be an integer, got True"),
+    "AugmentedDesign k=3.0": (lambda: AugmentedDesign(3.0, np.ones((4, 2))), ValueError,
+                              "k must be an integer, got 3.0"),
+}
+
+
+class TestCountRule:
+    """A size is an integer, Python's or numpy's, and a bool is none; every entry says so."""
+
+    @pytest.mark.parametrize("call, error, message", _NOT_COUNTS.values(), ids=list(_NOT_COUNTS))
+    def test_a_size_that_is_no_integer_is_named(self, call, error, message):
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
+
+    def test_it_is_reported_before_the_other_size_violations(self):
+        with pytest.raises(InfeasibleParametersError) as raised:
+            balanced_replication(1.5, 1, "1")
+        assert str(raised.value) == "v must be an integer, got 1.5; s must be an integer, got '1'"
+
+    def test_numpy_integer_sizes_accepted(self, ex1_augmented):
+        assert ContractionDesign(np.int64(3), _LATIN3) == ContractionDesign(3, _LATIN3)
+        assert AugmentedDesign(np.int32(3), ex1_augmented.cells) == ex1_augmented
+        sizes = [np.int64(75), np.int32(12), np.uint8(8), np.int16(3)]
+        assert (e_aug_formula(*sizes, 0.5739, 0.4828)
+                == e_aug_formula(75, 12, 8, 3, 0.5739, 0.4828))
 
 
 #: Sizes for the properties below; (3,3,2) has no test lines and (12,8,3) is the reference size.

@@ -1098,6 +1098,23 @@ class TestSearchContraction:
         assert (search_contraction(8, 6, 3, cfg).to_json()
                 == search_contraction(8, 6, 3, plain).to_json())
 
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = SearchConfig(seed=3, restarts=2, max_iters=300)
+        sizes = (np.int64(8), np.int32(6), np.uint8(3))
+        assert (search_contraction(*sizes, cfg).to_json()
+                == search_contraction(8, 6, 3, cfg).to_json())
+        assert random_contraction(*sizes, seed=np.int64(5)) == random_contraction(8, 6, 3, seed=5)
+        assert np.array_equal(balanced_replication(np.int64(8), np.int16(3), np.uint32(6)),
+                              balanced_replication(8, 3, 6))
+
+    @pytest.mark.parametrize("seed", [True, -1, 2**64, 1.5, "3"])
+    def test_random_contraction_takes_the_search_seed_rule(self, seed):
+        with pytest.raises(ConfigError) as expected:
+            SearchConfig(seed=seed)
+        with pytest.raises(ConfigError) as raised:
+            random_contraction(12, 8, 3, seed=seed)
+        assert str(raised.value) == str(expected.value)
+
     # Six sizes, four of them with unequal replication, and seeds that share no generator.
     @pytest.mark.parametrize("strategy", ["hillclimb", "tabu", "anneal"])
     def test_objective_is_the_reports_e_con_bit_for_bit(self, strategy):
